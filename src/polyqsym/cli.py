@@ -13,11 +13,11 @@ import sys
 import tempfile
 
 from . import polytopes as pb
+from . import store
 from .exprs import ExprError, format_sum, parse_expression
 from .ring import JOIN_RING, PRODUCT_RING
 from .suites import SUITES, run_suite
-from .transforms import (bb_basis, ehrenborg_F, f_poly,
-                         f_poly_operator_route, f_rp)
+from .transforms import bb_basis, ehrenborg_F, f_poly, f_rp
 from . import lyndon
 from . import transforms
 
@@ -44,16 +44,14 @@ def _load_cache(path):
             tuple(entry["omega"]),
             tuple(pb.from_word(w) for w in entry["omega"]),
             tuple(tuple(r) for r in entry["matrix"]))
-        with transforms._bb_lock:
-            transforms._bb_cache.setdefault(entry["n"], basis)
+        store.bb.setdefault(entry["n"], basis)
     return count
 
 
 def _save_cache(path):
     data = {"schema": CACHE_SCHEMA,
             "registry": pb.registry_snapshot(),
-            "bb": [b.to_json_obj()
-                   for b in transforms._bb_cache.values()]}
+            "bb": [b.to_json_obj() for b in store.bb.values()]}
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -71,12 +69,8 @@ def _qsym_out(q, as_json):
     return repr(q)
 
 
-def _parse(text, ambient=None):
-    return parse_expression(text, ambient=ambient)
-
-
 def _cmd_build(args):
-    s = _parse(args.expr)
+    s = parse_expression(args.expr)
     rows = []
     for poly, coeff in sorted(s.terms.items(),
                               key=lambda pc: (pc[0].dim, pc[0].key)):
@@ -98,7 +92,7 @@ def _cmd_build(args):
 
 
 def _cmd_flag(args):
-    s = _parse(args.expr)
+    s = parse_expression(args.expr)
     dims = s.dims()
     if len(dims) != 1:
         print("flag vectors need a homogeneous sum", file=sys.stderr)
@@ -119,20 +113,7 @@ def _cmd_flag(args):
 
 
 def _cmd_fpoly(args):
-    s = _parse(args.expr, ambient=PRODUCT_RING)
-    if args.route == "operator":
-        dims = s.dims()
-        if len(dims) != 1:
-            print("operator route needs a homogeneous sum", file=sys.stderr)
-            return 2
-        r = args.r if args.r is not None else max(dims[0], 0)
-        acc = None
-        for poly, coeff in s.terms.items():
-            piece = coeff * f_poly_operator_route(poly, r)
-            acc = piece if acc is None else acc + piece
-        print(json.dumps(_multipoly_json(acc)) if args.json else repr(acc))
-        return 0
-    q = f_poly(s)
+    q = f_poly(parse_expression(args.expr, ambient=PRODUCT_RING))
     if args.r is not None:
         print(json.dumps(_multipoly_json(q.expand(args.r))) if args.json
               else repr(q.expand(args.r)))
@@ -147,13 +128,13 @@ def _multipoly_json(p):
 
 
 def _cmd_ehrenborg(args):
-    s = _parse(args.expr, ambient=JOIN_RING)
+    s = parse_expression(args.expr, ambient=JOIN_RING)
     print(_qsym_out(ehrenborg_F(s), args.json))
     return 0
 
 
 def _cmd_frp(args):
-    s = _parse(args.expr, ambient=JOIN_RING)
+    s = parse_expression(args.expr, ambient=JOIN_RING)
     print(_qsym_out(f_rp(s), args.json))
     return 0
 
@@ -192,7 +173,7 @@ def _cmd_bb_matrix(args):
 
 
 def _cmd_project(args):
-    s = _parse(args.expr, ambient=PRODUCT_RING)
+    s = parse_expression(args.expr, ambient=PRODUCT_RING)
     out = transforms.project_bb(s, args.dim)
     if args.json:
         print(json.dumps([{"expr": p.name, "coeff": c}
@@ -207,7 +188,7 @@ def _cmd_verify(args):
         print("unknown suite %r; available: %s"
               % (args.suite, ", ".join(sorted(SUITES))), file=sys.stderr)
         return 2
-    checks = run_suite(args.suite, jobs=args.jobs)
+    checks = run_suite(args.suite)
     failed = sum(1 for c in checks if not c.ok)
     if args.json:
         print(json.dumps({
@@ -247,15 +228,12 @@ def build_parser():
                         default=argparse.SUPPRESS,
                         help="load this lattice cache before the command "
                              "and save it afterwards")
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS,
-                        help="worker threads for verification suites")
     ap = argparse.ArgumentParser(
         prog="polyqsym",
         description="Exact flag-vector and quasi-symmetric function "
                     "calculator for combinatorial polytopes")
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--cache", metavar="PATH")
-    ap.add_argument("--jobs", type=int, default=1)
     sub = ap.add_subparsers(dest="verb", required=True,
                             parser_class=lambda **kw: argparse.ArgumentParser(
                                 parents=[common], **kw))
@@ -272,7 +250,6 @@ def build_parser():
     p.add_argument("expr")
     p.add_argument("--r", type=int, default=None,
                    help="expand in this many variables")
-    p.add_argument("--route", choices=("flag", "operator"), default="flag")
     p.set_defaults(fn=_cmd_fpoly)
 
     p = sub.add_parser("ehrenborg", help="chain transform of the lattice")

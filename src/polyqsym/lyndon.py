@@ -12,6 +12,8 @@ import functools
 from fractions import Fraction
 from math import comb
 
+from .qsym import compositions
+
 
 def is_lyndon(word):
     """A word is Lyndon when every proper tail is strictly larger."""
@@ -77,27 +79,12 @@ def shuffle_many(words):
 ODD = "odd"
 
 
-def _letters(alphabet, weight):
-    if alphabet == ODD:
-        return [a for a in range(1, weight + 1, 2)]
-    return sorted(a for a in alphabet if a <= weight)
-
-
 def words_of_weight(alphabet, weight):
     """All words over the alphabet with letter sum equal to weight, in
     lexicographic order."""
-    letters = _letters(alphabet, weight)
-
-    def rec(remaining):
-        if remaining == 0:
-            return [()]
-        out = []
-        for a in letters:
-            if a <= remaining:
-                out.extend((a,) + rest for rest in rec(remaining - a))
-        return out
-
-    return rec(weight)
+    if alphabet == ODD:
+        alphabet = range(1, weight + 1, 2)
+    return compositions(weight, alphabet)
 
 
 def lyndon_words(alphabet, weight):

@@ -15,7 +15,7 @@ import functools
 from fractions import Fraction
 
 from .polys import AlphaPoly
-from .qsym import QSym
+from .qsym import QSym, compositions
 
 
 class NCPoly:
@@ -139,16 +139,7 @@ def counit(a):
 @functools.lru_cache(maxsize=None)
 def _antipode_gen(n):
     """Closed form: alternating sum over all compositions of n."""
-    out = {}
-    def rec(remaining, word):
-        if remaining == 0:
-            sign = -1 if len(word) % 2 else 1
-            out[word] = out.get(word, 0) + sign
-            return
-        for j in range(1, remaining + 1):
-            rec(remaining - j, word + (j,))
-    rec(n, ())
-    return NCPoly(out)
+    return NCPoly({w: -1 if len(w) % 2 else 1 for w in compositions(n)})
 
 
 def antipode(a):
@@ -238,18 +229,9 @@ def euler_relation(n):
 def basis_words(degree):
     """Normal-form basis in one degree: words with all parts >= 2, plus a
     single leading 1 in front of such a word."""
-    def tails(total):
-        if total == 0:
-            return [()]
-        out = []
-        for first in range(2, total + 1):
-            for rest in tails(total - first):
-                out.append((first,) + rest)
-        return out
-
-    out = list(tails(degree))
+    out = compositions(degree, range(2, degree + 1))
     if degree >= 1:
-        out += [(1,) + w for w in tails(degree - 1)]
+        out += [(1,) + w for w in compositions(degree - 1, range(2, degree))]
     return tuple(sorted(out, key=lambda w: (len(w), w)))
 
 
@@ -325,7 +307,7 @@ class DualFunctional:
         monomial indexed by a composition is the value on the reversed
         word.  Integer (or grading-polynomial) values pass through."""
         out = QSym()
-        for word in _words_of_degree(degree):
+        for word in compositions(degree):
             v = self.value(word[::-1])
             if isinstance(v, AlphaPoly):
                 for p, c in v.c.items():
@@ -333,21 +315,6 @@ class DualFunctional:
             elif v:
                 out = out + QSym.monomial(word, v)
         return out
-
-
-@functools.lru_cache(maxsize=None)
-def _words_of_degree(n):
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(1, n + 1):
-        for rest in _words_of_degree(n - first):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-def words_of_degree(n):
-    return _words_of_degree(n)
 
 
 # -- series ------------------------------------------------------------------
@@ -360,10 +327,6 @@ def s_series(nmax):
         raise ValueError("nmax >= 1")
     out = [NCPoly() for _ in range(nmax + 1)]
     # log(1 + u) = sum (-1)^(m+1) u^m / m with u = Z_1 t + Z_2 t^2 + ...
-    powers = [NCPoly.one()]
-    for m in range(1, nmax + 1):
-        powers.append(NCPoly())
-    # powers[m] tracked degree by degree: u^m truncated
     u_terms = {k: NCPoly.gen(k) for k in range(1, nmax + 1)}
     # compute u^m as dict degree -> NCPoly
     deg_pows = [{0: NCPoly.one()}]

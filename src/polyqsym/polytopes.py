@@ -3,20 +3,17 @@
 A Polytope wraps a GradedPoset whose bottom is the empty face and whose top
 is the polytope itself, so dim = height - 1.  The empty polytope (dim -1,
 one-element lattice) is a first-class value: it is the unit of the join
-ring.  All constructions funnel through a global registry keyed by the
-canonical key, so equal combinatorial types are the same object and carry a
-shared flag-number cache.
+ring.  All constructions funnel through the registry `store.types`, keyed
+by the canonical key, so equal combinatorial types are the same object and
+carry a shared flag-number cache.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 
+from . import store
 from .posets import GradedPoset, PosetError, boolean_lattice, poset_product
-
-_registry_lock = threading.Lock()
-_registry = {}
 
 
 class Polytope:
@@ -76,8 +73,8 @@ def canonical(poly, name=None, prefer=False):
     """Global dedup: the first Polytope seen for a key wins.  A preferred
     name (catalogue generators) replaces a synthesized one."""
     key = poly.key
-    with _registry_lock:
-        existing = _registry.get(key)
+    with store.lock:
+        existing = store.types.get(key)
         if existing is not None:
             newname = name or poly.name
             if newname and (existing.name is None
@@ -88,20 +85,17 @@ def canonical(poly, name=None, prefer=False):
         if name and poly.name is None:
             poly.name = name
         poly._name_pref = prefer
-        _registry[key] = poly
+        store.types[key] = poly
         return poly
 
 
 def registry_polytope(key):
-    with _registry_lock:
-        return _registry.get(key)
+    return store.types.get(key)
 
 
 def registry_snapshot():
-    with _registry_lock:
-        items = list(_registry.values())
     return [{"name": p.name, "dim": p.dim, **p.lattice.to_json_obj()}
-            for p in items]
+            for p in list(store.types.values())]
 
 
 def registry_restore(entries):
@@ -190,33 +184,15 @@ def _cell24_incidence():
 
 
 def cell24():
-    p = registry_by_name("cell24")
-    if p is not None:
-        return p
     return canonical(from_incidence(_cell24_incidence()), "cell24",
                      prefer=True)
-
-
-_name_lock = threading.Lock()
-_by_name = {}
-
-
-def registry_by_name(name):
-    with _name_lock:
-        return _by_name.get(name)
-
-
-def _remember_name(name, poly):
-    with _name_lock:
-        _by_name[name] = poly
-    return poly
 
 
 def build_named(name, *params):
     """Catalogue entry point: empty | pt | simplex(n) | cube(n) | cross(n)
     | polygon(m) | cell24."""
-    request = (name,) + tuple(params)
-    cached = registry_by_name(repr(request))
+    request = repr((name,) + tuple(params))
+    cached = store.names.get(request)
     if cached is not None:
         return cached
     makers = {"empty": (empty, 0), "pt": (point, 0), "simplex": (simplex, 1),
@@ -227,7 +203,8 @@ def build_named(name, *params):
     fn, arity = makers[name]
     if len(params) != arity:
         raise ValueError("%s takes %d parameter(s)" % (name, arity))
-    return _remember_name(repr(request), fn(*params))
+    poly = store.names[request] = fn(*params)
+    return poly
 
 
 def from_word(word):
@@ -236,14 +213,15 @@ def from_word(word):
         raise ValueError("empty operator word")
     if any(ch not in "BC" for ch in word):
         raise ValueError("operator word must use letters B and C only")
-    cached = registry_by_name("word(%s)" % word)
+    name = "word(%s)" % word
+    cached = store.names.get(name)
     if cached is not None:
         return cached
     p = empty()
     for ch in reversed(word):
         p = cone(p) if ch == "C" else bipyramid(p)
-    return _remember_name("word(%s)" % word,
-                          canonical(p, "word(%s)" % word, prefer=True))
+    p = store.names[name] = canonical(p, name, prefer=True)
+    return p
 
 
 def from_incidence(facet_vertex_sets):

@@ -2,10 +2,9 @@
 
 Elements are the integers 0..n-1.  The Hasse diagram (cover pairs) is the
 primary data; the full order relation is derived lazily as bitsets, one
-integer mask per element.  Values are immutable after construction, so they
-can be shared freely between threads; the lazily cached masks and the
-canonical key are computed at most once per instance (racing computations
-produce identical values).
+integer mask per element.  Values are immutable after construction; the
+lazily cached masks and the canonical key are computed at most once per
+instance.
 """
 
 from __future__ import annotations

@@ -10,18 +10,44 @@ degree.
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 
 from .polys import MultiPoly
+
+
+def compositions(total, parts=None):
+    """All compositions of `total` (tuples of positive parts summing to
+    it) in lexicographic order.  `parts` restricts the allowed part sizes;
+    None allows every size, and an empty `parts` leaves only the empty
+    composition of 0."""
+    if parts is None:
+        parts = range(1, total + 1)
+    parts = sorted(set(parts))
+    if parts and parts[0] < 1:
+        raise ValueError("composition parts must be positive")
+    out = []
+
+    def rec(remaining, prefix):
+        if not remaining:
+            out.append(prefix)
+        for part in parts:
+            if part > remaining:
+                break
+            rec(remaining - part, prefix + (part,))
+
+    rec(total, ())
+    return out
 
 
 @functools.lru_cache(maxsize=None)
 def quasi_shuffle(c1, c2):
     """Overlapping shuffle of two compositions: interleavings where adjacent
-    parts from the two factors may merge.  Returns {composition: count}."""
+    parts from the two factors may merge.  Returns a read-only mapping
+    {composition: count}; the memo hands the same one to every caller."""
     if not c1:
-        return {c2: 1}
+        return MappingProxyType({c2: 1})
     if not c2:
-        return {c1: 1}
+        return MappingProxyType({c1: 1})
     out = {}
 
     def put(head, tail_counts):
@@ -32,7 +58,7 @@ def quasi_shuffle(c1, c2):
     put(c1[0], quasi_shuffle(c1[1:], c2))
     put(c2[0], quasi_shuffle(c1, c2[1:]))
     put(c1[0] + c2[0], quasi_shuffle(c1[1:], c2[1:]))
-    return out
+    return MappingProxyType(out)
 
 
 def composition_sort_key(comp):
@@ -220,10 +246,6 @@ class QSym:
 def _increasing_tuples(k, r):
     import itertools
     return tuple(itertools.combinations(range(r), k))
-
-
-def expand(q, r):
-    return q.expand(r)
 
 
 def lift_from_expansion(poly):

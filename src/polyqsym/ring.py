@@ -9,10 +9,10 @@ comodule coactions all live here as functions on FormalSums.
 
 from __future__ import annotations
 
-import threading
-
 from . import polytopes as pb
+from . import store
 from .polys import AlphaPoly
+from .qsym import compositions
 
 PRODUCT_RING = "P"
 JOIN_RING = "RP"
@@ -166,24 +166,16 @@ def mul_join(a, b):
 
 # -- face operators -------------------------------------------------------
 
-_dk_lock = threading.Lock()
-_dk_cache = {}
-
-
 def _face_classes(poly, k):
     """Codimension-k faces of a single polytope, collected by class."""
     key = (poly.key, k)
-    with _dk_lock:
-        hit = _dk_cache.get(key)
+    hit = store.face_classes.get(key)
     if hit is not None:
         return hit
     counts = {}
     for _, f in pb.faces(poly, poly.dim - k):
         counts[f] = counts.get(f, 0) + 1
-    result = tuple(counts.items())
-    with _dk_lock:
-        _dk_cache.setdefault(key, result)
-    return result
+    return store.face_classes.setdefault(key, tuple(counts.items()))
 
 
 def d_k(s, k):
@@ -285,12 +277,17 @@ def _interval_polytope(poly, x, y):
     return pb.canonical(pb.Polytope(poly.lattice.interval(x, y)))
 
 
+def _face_quotient_pairs(poly, faces):
+    """(F, P/F) for each face F, given as a lattice element, of `poly`."""
+    lat = poly.lattice
+    return [(_interval_polytope(poly, lat.bottom, z),
+             _interval_polytope(poly, z, lat.top)) for z in faces]
+
+
 def hopf_coproduct_pairs(poly):
     """All (face, quotient) pairs of the join-ring comultiplication,
     including the empty face and the polytope itself."""
-    lat = poly.lattice
-    return [(_interval_polytope(poly, lat.bottom, z),
-             _interval_polytope(poly, z, lat.top)) for z in range(lat.n)]
+    return _face_quotient_pairs(poly, range(poly.lattice.n))
 
 
 def antipode_rp(s):
@@ -332,9 +329,8 @@ def comodule_pairs(poly):
     if poly.dim < 0:
         raise ValueError("defined for nonempty polytopes")
     lat = poly.lattice
-    return [(_interval_polytope(poly, lat.bottom, z),
-             _interval_polytope(poly, z, lat.top))
-            for z in range(lat.n) if z != lat.bottom]
+    return _face_quotient_pairs(
+        poly, [z for z in range(lat.n) if z != lat.bottom])
 
 
 def l_alpha(poly):
@@ -343,17 +339,6 @@ def l_alpha(poly):
     for face, quot in comodule_pairs(poly):
         p = out.setdefault(face.dim, FormalSum(JOIN_RING))
         out[face.dim] = p + FormalSum.of(quot, JOIN_RING)
-    return out
-
-
-def compositions(total):
-    """All compositions of `total` (ordered tuples of positive parts)."""
-    if total == 0:
-        return [()]
-    out = []
-    for first in range(1, total + 1):
-        for rest in compositions(total - first):
-            out.append((first,) + rest)
     return out
 
 

@@ -1,0 +1,23 @@
+"""The process-wide memo store.
+
+Plain dicts, one per memoized quantity that depends on a polytope type:
+
+    types          canonical key -> the registered Polytope of that type
+    names          catalogue request text -> Polytope
+    face_classes   (canonical key, codimension) -> ((face, multiplicity), ..)
+    bb             dimension n -> sparse-flag basis
+
+`types` and `bb` are what a lattice cache file holds.  `lock` guards the
+check-and-insert that makes the first Polytope seen for a key the shared
+one; every other access is a single dict operation.
+"""
+
+from __future__ import annotations
+
+import threading
+
+lock = threading.Lock()
+types = {}
+names = {}
+face_classes = {}
+bb = {}

@@ -37,10 +37,6 @@ class Check:
         self.elapsed = elapsed
 
 
-def _run(checks, name, fn):
-    checks.append((name, fn))
-
-
 def execute_check(name, fn):
     t0 = time.perf_counter()
     try:
@@ -111,7 +107,7 @@ def suite_phi_unit():
                     assert acc.is_zero(), \
                         "degree %d residue %r" % (k, acc)
                 return "degrees 1..%d" % (top + 1)
-            _run(checks, "phi-unit[%s,%s]" % (name, ambient), check)
+            checks.append(("phi-unit[%s,%s]" % (name, ambient), check))
     return checks
 
 
@@ -120,8 +116,8 @@ def suite_dehn_sommerville():
     polys = {name: p for name, p in nonempty_catalogue().items()
              if p.dim >= 1}
     for name, poly in polys.items():
-        _run(checks, "dehn-sommerville[%s]" % name,
-             lambda poly=poly: (dehn_sommerville_check(poly), ""))
+        checks.append(("dehn-sommerville[%s]" % name,
+                       lambda poly=poly: (dehn_sommerville_check(poly), "")))
     return checks
 
 
@@ -143,7 +139,7 @@ def suite_image_equations():
                 assert verify_image_equations(gF, n + 1, FLAVOR_POSET), \
                     "poset equations fail"
                 return "3 flavors"
-            _run(checks, "image[%s]" % word, check)
+            checks.append(("image[%s]" % word, check))
 
     def mutation():
         # f_empty stays fixed: for even dimension it is not pinned by any
@@ -162,7 +158,7 @@ def suite_image_equations():
                         "perturbing %r went undetected" % (s,)
                     count += 1
         return "%d mutations rejected" % count
-    _run(checks, "image[mutation]", mutation)
+    checks.append(("image[mutation]", mutation))
     return checks
 
 
@@ -177,7 +173,7 @@ def suite_join_cone():
                 continue
             assert pb.cone(p) == pb.join(pt, p)
         return ""
-    _run(checks, "cone-is-point-join", join_is_lattice_product)
+    checks.append(("cone-is-point-join", join_is_lattice_product))
 
     def bipyramid_cross_check():
         # the dual route: suspension equals dual(prod(I, dual(P)))
@@ -185,7 +181,7 @@ def suite_join_cone():
             via_dual = pb.dual(pb.product(pb.segment(), pb.dual(p)))
             assert pb.bipyramid(p) == via_dual, p.name
         return ""
-    _run(checks, "bipyramid-dual-route", bipyramid_cross_check)
+    checks.append(("bipyramid-dual-route", bipyramid_cross_check))
 
     def join_formula():
         alpha = QSym.alpha_power(1)
@@ -196,7 +192,7 @@ def suite_join_cone():
                    + alpha * f_poly(p) * f_poly(q))
             assert lhs == rhs, (p.name, q.name)
         return ""
-    _run(checks, "join-flag-formula", join_formula)
+    checks.append(("join-flag-formula", join_formula))
 
     def cone_formula():
         alpha = QSym.alpha_power(1)
@@ -205,7 +201,7 @@ def suite_join_cone():
             rhs = ehrenborg_F(p).star() + (alpha + QSym.sigma(1)) * f_poly(p)
             assert lhs == rhs, p.name
         return ""
-    _run(checks, "cone-flag-formula", cone_formula)
+    checks.append(("cone-flag-formula", cone_formula))
     return checks
 
 
@@ -222,7 +218,7 @@ def suite_comodule():
                                          antipode_rp(fs(quot, JOIN_RING)))
             assert total.is_zero(), p.name
         return ""
-    _run(checks, "antipode-axiom", antipode_axiom)
+    checks.append(("antipode-axiom", antipode_axiom))
 
     def coassociativity():
         for p in (tri, sq, d3):
@@ -236,7 +232,7 @@ def suite_comodule():
                     right[(f.key, g.key, h.key)] += 1
             assert left == right, p.name
         return ""
-    _run(checks, "coaction-coassociative", coassociativity)
+    checks.append(("coaction-coassociative", coassociativity))
 
     def ring_homomorphism():
         for p, q in [(seg, seg), (seg, tri), (tri, sq)]:
@@ -249,7 +245,7 @@ def suite_comodule():
                     right[(pb.product(f1, f2).key, pb.join(q1, q2).key)] += 1
             assert left == right, (p.name, q.name)
         return ""
-    _run(checks, "coaction-multiplicative", ring_homomorphism)
+    checks.append(("coaction-multiplicative", ring_homomorphism))
 
     def ehrenborg_compatibility():
         for p in (tri, d3):
@@ -265,7 +261,7 @@ def suite_comodule():
             right = {k: v for k, v in right.items() if not v.is_zero()}
             assert left == right, p.name
         return ""
-    _run(checks, "coaction-vs-word-coaction", ehrenborg_compatibility)
+    checks.append(("coaction-vs-word-coaction", ehrenborg_compatibility))
 
     def l_alpha_identity():
         for p in (pt, seg, tri, sq, d3, pb.cone(sq)):
@@ -276,7 +272,7 @@ def suite_comodule():
                                   for (a, c), v in g.terms.items()})
             assert acc == f_poly(p), p.name
         return ""
-    _run(checks, "l-alpha-reconstruction", l_alpha_identity)
+    checks.append(("l-alpha-reconstruction", l_alpha_identity))
     return checks
 
 
@@ -296,7 +292,7 @@ def suite_operators():
             lhs = d_k(cone_op(s), 1) - cone_op(d_k(s, 1))
             assert lhs == s, "join ring at %s" % p.name
         return ""
-    _run(checks, "commutator-[d,C]", commutator_dc)
+    checks.append(("commutator-[d,C]", commutator_dc))
 
     def phi_c_identity():
         for p in small:
@@ -319,7 +315,7 @@ def suite_operators():
                 rhs = cone_op(d_k(s, k)) + (s if k == 1 else d_k(s, k - 1))
                 assert lhs[k] == rhs, (p.name, k, "join")
         return ""
-    _run(checks, "phi-cone-identity", phi_c_identity)
+    checks.append(("phi-cone-identity", phi_c_identity))
 
     def phi_b_identity():
         for p in small:
@@ -346,7 +342,7 @@ def suite_operators():
                     rhs = rhs - s + counit(s) * fs(pb.empty(), JOIN_RING)
                 assert lhs[k] == rhs, (p.name, k, "join")
         return ""
-    _run(checks, "phi-bipyramid-identity", phi_b_identity)
+    checks.append(("phi-bipyramid-identity", phi_b_identity))
 
     def phi_bc_commutator():
         for p in small:
@@ -373,7 +369,7 @@ def suite_operators():
                     want = s - eps * fs(pb.empty(), JOIN_RING)
                 assert series[k] == want, (p.name, k, "join")
         return ""
-    _run(checks, "phi-[B,C]-identity", phi_bc_commutator)
+    checks.append(("phi-[B,C]-identity", phi_bc_commutator))
 
     def qsym_side():
         for p in (pt, seg, pb.simplex(2), pb.cube(2), pb.simplex(3),
@@ -390,7 +386,7 @@ def suite_operators():
             assert b0_qsym(Fst) == ehrenborg_F(bipyramid_op(s)).star()
             assert a0_qsym(Fst) == ehrenborg_F(a_op(s)).star()
         return ""
-    _run(checks, "qsym-side-operators", qsym_side)
+    checks.append(("qsym-side-operators", qsym_side))
     return checks
 
 
@@ -417,7 +413,7 @@ def suite_lyndon_counts():
         for n in range(1, 13):
             assert ks[n - 1] >= lyndon.odd_partition_count(n) - 2
         return "k = %s" % (ks,)
-    _run(checks, "k-table", k_table)
+    checks.append(("k-table", k_table))
 
     def counts_match_fibonacci():
         for n in range(3, 13):
@@ -426,7 +422,7 @@ def suite_lyndon_counts():
             c = lyndon.k_via_moebius(n)
             assert a == b == c, n
         return ""
-    _run(checks, "three-routes", counts_match_fibonacci)
+    checks.append(("three-routes", counts_match_fibonacci))
 
     def truncated_products():
         cases = [
@@ -447,7 +443,7 @@ def suite_lyndon_counts():
                                         (5, 2)], 20)
         assert got == want, got
         return "4 products"
-    _run(checks, "truncated-products", truncated_products)
+    checks.append(("truncated-products", truncated_products))
     return checks
 
 
@@ -459,13 +455,13 @@ def suite_bb():
         assert b.matrix == ((1, 3), (1, 4)), b.matrix
         assert b.det() == 1
         return ""
-    _run(checks, "K2", k2_exact)
+    checks.append(("K2", k2_exact))
 
     def dets():
         vals = [bb_det(n) for n in range(1, 7)]
         assert all(abs(v) == 1 for v in vals), vals
         return "dets %s" % (vals,)
-    _run(checks, "unimodular", dets)
+    checks.append(("unimodular", dets))
 
     def counts():
         want = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]
@@ -474,7 +470,7 @@ def suite_bb():
             assert len(basis_word_strings(n)) == want[n], n
             assert lyndon.fibonacci(n) == want[n]
         return ""
-    _run(checks, "fibonacci-counts", counts)
+    checks.append(("fibonacci-counts", counts))
 
     def projections():
         penta = pb.polygon(5)
@@ -489,7 +485,7 @@ def suite_bb():
         assert bb_multiply(fs(pb.segment()), fs(pb.segment())) \
             == fs(pb.cube(2))
         return ""
-    _run(checks, "projection", projections)
+    checks.append(("projection", projections))
     return checks
 
 
@@ -522,9 +518,8 @@ def suite_appendix_c():
         cases.append(("F(polygon(%d))" % m, fs(pb.polygon(m), JOIN_RING),
                       M((3,)) + m * (sigma(1) * sigma(2) - sigma(3))))
     for name, s, want in cases:
-        _run(checks, name,
-             lambda s=s, want=want: (ehrenborg_F(s) == want,
-                                     repr(want)))
+        checks.append((name, lambda s=s, want=want: (ehrenborg_F(s) == want,
+                                                     repr(want))))
     return checks
 
 
@@ -541,13 +536,8 @@ SUITES = {
 }
 
 
-def run_suite(name, jobs=1):
+def run_suite(name):
     """Execute one named suite; returns the list of Check results."""
     if name not in SUITES:
         raise KeyError(name)
-    pending = SUITES[name]()
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda nf: execute_check(*nf), pending))
-    return [execute_check(n, f) for n, f in pending]
+    return [execute_check(n, f) for n, f in SUITES[name]()]

@@ -12,15 +12,15 @@ live here.
 from __future__ import annotations
 
 import itertools
-import threading
 
 from . import polytopes as pb
+from . import store
 from .intlinalg import det_bareiss, solve_exact
 from .ncalg import DualFunctional, basis_words
 from .polys import AlphaPoly, MultiPoly
-from .qsym import QSym, lift_from_expansion
-from .ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
-                   compositions, d_k, epsilon_alpha, xi_alpha)
+from .qsym import QSym, compositions, lift_from_expansion
+from .ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator, d_k,
+                   epsilon_alpha, xi_alpha)
 
 
 # -- generalized flag polynomial --------------------------------------------
@@ -275,25 +275,17 @@ class BBBasis:
                 "matrix": [list(r) for r in self.matrix]}
 
 
-_bb_lock = threading.Lock()
-_bb_cache = {}
-
-
 def bb_basis(n):
     if n < 1:
         raise ValueError("needs n >= 1")
-    with _bb_lock:
-        hit = _bb_cache.get(n)
+    hit = store.bb.get(n)
     if hit is not None:
         return hit
     psi = tuple(sparse_index_sets(n))
     words = tuple(basis_word_strings(n))
     polys = tuple(pb.from_word(w) for w in words)
     matrix = tuple(tuple(pb.flag_number(q, s) for s in psi) for q in polys)
-    basis = BBBasis(n, psi, words, polys, matrix)
-    with _bb_lock:
-        _bb_cache.setdefault(n, basis)
-    return basis
+    return store.bb.setdefault(n, BBBasis(n, psi, words, polys, matrix))
 
 
 def bb_det(n):
@@ -427,23 +419,11 @@ def a_rp_qsym(g):
 
 
 def a0_qsym(g):
-    """Counit variant acting on the plain ring (no grading variable)."""
+    """Counit variant acting on the plain ring (no grading variable): the
+    join-ring operator without its grading term alpha * g(0)."""
     if not g.alpha_free():
         raise ValueError("plain-ring operator; no grading variable allowed")
-    n = g.degree() + 1
-    r = n + 2
-    gx = g.expand(r)
-    acc = MultiPoly.var(r, 0) * gx
-    g0 = MultiPoly(r, {(a, e): v for (a, e), v in gx.terms.items()
-                       if not any(e)})
-    for m in range(2, r + 1):
-        coeff = MultiPoly.var(r, m - 1) + MultiPoly.var(r, m - 2)
-        acc = acc + coeff * _shift_up(gx, m)
-    acc = acc + MultiPoly.var(r, r - 1) * g0
-    c = _constant_term(g)
-    if c:
-        acc = acc - c * QSym.sigma(1).expand(r)
-    return lift_from_expansion(acc)
+    return a_rp_qsym(g) - QSym.alpha_power(1, _constant_term(g))
 
 
 def c_rp_qsym(g):

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyqsym.polys import MultiPoly
-from polyqsym.qsym import (QSym, is_quasisymmetric, lift_from_expansion,
-                           quasi_shuffle, theta_substitution_invariant)
+from polyqsym.qsym import (QSym, compositions, is_quasisymmetric,
+                           lift_from_expansion, quasi_shuffle,
+                           theta_substitution_invariant)
 
 M = QSym.monomial
 
@@ -30,6 +31,25 @@ def test_golden_products():
     assert M((1, 1)) * M((1, 1)) == (M((2, 2)) + 2 * M((2, 1, 1))
                                      + 2 * M((1, 2, 1)) + 2 * M((1, 1, 2))
                                      + 6 * M((1, 1, 1, 1)))
+
+
+def test_compositions():
+    for n in range(6):
+        assert compositions(n) == sorted(c for c in compositions_up_to(5)
+                                         if sum(c) == n)
+    assert compositions(6, (2, 4)) == [(2, 2, 2), (2, 4), (4, 2)]
+    # an empty part set still admits the empty composition of 0
+    assert compositions(0, ()) == [()]
+    assert compositions(3, ()) == []
+    with pytest.raises(ValueError):
+        compositions(3, (0, 1))
+
+
+def test_quasi_shuffle_memo_is_read_only():
+    table = quasi_shuffle((1,), (1,))
+    with pytest.raises(TypeError):
+        table[(1, 1)] = 0
+    assert M((1,)) * M((1,)) == M((2,)) + 2 * M((1, 1))
 
 
 def test_unit_and_sigma():
