@@ -19,9 +19,11 @@ from .lyndon import (cfl_factorize, count_lyndon, fibonacci, is_lyndon,
                      k_prime, k_via_moebius, lyndon_words, odd_partition_count,
                      series_exponents, shuffle)
 from .transforms import (bb_basis, bb_det, bb_multiply, b_qsym, cone_qsym,
-                         dehn_sommerville_check, ehrenborg_F, f_poly,
-                         f_poly_operator_route, f_rp, phi_alpha, phi_zero,
-                         project_bb, verify_image_equations)
+                         dehn_sommerville_check, ehrenborg_F,
+                         ehrenborg_F_chain_route, f_poly,
+                         f_poly_operator_route, f_rp, f_rp_coaction_route,
+                         phi_alpha, phi_zero, project_bb,
+                         verify_image_equations)
 from .exprs import ExprError, format_sum, parse_expression
 
 __version__ = "0.1.0"

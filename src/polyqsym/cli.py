@@ -32,20 +32,54 @@ def _load_cache(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise CliIOError("cannot read cache %s: %s" % (path, exc)) from None
+    if not isinstance(data, dict):
+        raise CliIOError("cache %s is not a JSON object" % path)
     if data.get("schema") != CACHE_SCHEMA:
         raise CliIOError("cache %s has schema %r, expected %r"
                          % (path, data.get("schema"), CACHE_SCHEMA))
-    count = pb.registry_restore(data.get("registry", []))
-    for entry in data.get("bb", []):
-        basis = transforms.BBBasis(
-            entry["n"], tuple(tuple(s) for s in entry["psi"]),
-            tuple(entry["omega"]),
-            tuple(pb.from_word(w) for w in entry["omega"]),
-            tuple(tuple(r) for r in entry["matrix"]))
-        store.bb.setdefault(entry["n"], basis)
+    try:
+        count = pb.registry_restore(data.get("registry", []))
+        entries = data.get("bb", [])
+        if not isinstance(entries, list):
+            raise ValueError("bb must be a list")
+        for entry in entries:
+            basis = _bb_from_json(entry)
+            store.bb.setdefault(basis.n, basis)
+    except ValueError as exc:
+        raise CliIOError("invalid cache %s: %s" % (path, exc)) from None
     return count
+
+
+def _bb_from_json(obj):
+    """Inverse of `BBBasis.to_json_obj`.  The index sets and words must be
+    those of dimension n and the matrix square and integral; its values are
+    trusted.  ValueError otherwise."""
+    if not isinstance(obj, dict):
+        raise ValueError("bb entry must be an object")
+    n, psi, omega, matrix = (obj.get(k) for k in ("n", "psi", "omega",
+                                                  "matrix"))
+    if type(n) is not int or not all(isinstance(v, list)
+                                     for v in (psi, omega, matrix)):
+        raise ValueError("bb entry needs an integer n and lists psi, omega "
+                         "and matrix")
+    # the basis of dimension n has Fibonacci(n) >= n members; the size
+    # check comes first so that a large n enumerates nothing
+    size, count, prev = len(psi), 1, 1
+    for _ in range(min(n, size + 1) - 1):
+        count, prev = count + prev, count
+    if not (1 <= n <= size == count
+            and psi == [list(s) for s in transforms.sparse_index_sets(n)]
+            and omega == transforms.basis_word_strings(n)
+            and len(matrix) == size
+            and all(isinstance(r, list) and len(r) == size
+                    and all(type(v) is int for v in r) for r in matrix)):
+        raise ValueError("bb entry for n=%r is malformed" % n)
+    return transforms.BBBasis(
+        n, tuple(tuple(s) for s in psi), tuple(omega),
+        tuple(pb.from_word(w) for w in omega),
+        tuple(tuple(r) for r in matrix))
 
 
 def _save_cache(path):

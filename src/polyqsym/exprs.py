@@ -8,6 +8,8 @@
     atom   := 'empty' | 'pt' | 'cell24' | NAME '(' INT ')' | 'word' '(' WORD ')'
 
 Unary cone/bipyramid/dual bind tighter than '*'; '+'/'-' bind last.
+Factors nest ('(', 'C', 'B', 'dual(', 'prod(', 'join(') at most MAX_DEPTH
+deep; deeper input is refused before anything is built.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ class ExprError(ValueError):
         super().__init__("%s at offset %d" % (message, position))
         self.position = position
 
+
+MAX_DEPTH = 100
+_NESTING = ("C", "B", "dual", "prod", "join")
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
                     r"|(?P<sym>[()+,*-]))")
@@ -56,6 +61,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -97,6 +103,15 @@ class _Parser:
 
     def parse_factor(self):
         kind, value, position = self.peek()
+        nests = kind != "name" or value in _NESTING
+        self.depth += nests
+        if self.depth > MAX_DEPTH:
+            raise ExprError("expression nested too deeply", position)
+        out = self._factor(kind, value, position)
+        self.depth -= nests
+        return out
+
+    def _factor(self, kind, value, position):
         if kind == "sym" and value == "(":
             self.take()
             inner = self.parse_sum()
@@ -128,12 +143,8 @@ class _Parser:
         return self.parse_atom(value, position)
 
     def parse_atom(self, name, position):
-        if name == "empty":
-            return FormalSum.of(pb.empty(), JOIN_RING)
-        if name == "pt":
-            return FormalSum.of(pb.point(), JOIN_RING)
-        if name == "cell24":
-            return FormalSum.of(pb.cell24(), JOIN_RING)
+        if name in ("empty", "pt", "cell24"):
+            return FormalSum.of(pb.build_named(name), JOIN_RING)
         if name == "word":
             self.expect_sym("(")
             kind, letters, wpos = self.take()

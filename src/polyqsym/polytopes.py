@@ -99,12 +99,22 @@ def registry_snapshot():
 
 
 def registry_restore(entries):
-    count = 0
+    """Register the face lattices of a saved registry list.  Raises
+    PosetError on an entry that is not an Eulerian graded lattice with an
+    optional string name."""
+    if not isinstance(entries, list):
+        raise PosetError("registry must be a list")
     for obj in entries:
+        if not isinstance(obj, dict):
+            raise PosetError("registry entry must be an object")
+        name = obj.get("name")
+        if name is not None and not isinstance(name, str):
+            raise PosetError("registry name must be a string")
         lat = GradedPoset.from_json_obj(obj)
-        canonical(Polytope(lat), name=obj.get("name"))
-        count += 1
-    return count
+        if not lat.is_eulerian():
+            raise PosetError("registry entry is not an Eulerian lattice")
+        canonical(Polytope(lat), name=name)
+    return len(entries)
 
 
 # -- named generators ---------------------------------------------------

@@ -17,7 +17,8 @@ from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING,
 from polyqsym.suites import run_suite
 from polyqsym.transforms import (bb_basis, bb_det, basis_word_strings,
                                  dehn_sommerville_check, ehrenborg_F,
-                                 f_poly, f_poly_operator_route, phi_zero,
+                                 ehrenborg_F_chain_route, f_poly,
+                                 f_poly_operator_route, phi_zero,
                                  sparse_index_sets)
 from conftest import fs
 
@@ -116,9 +117,10 @@ def test_c08_two_route_oracles(catalogue):
             continue
         r = max(p.dim, 0)
         assert f_poly(p).expand(r) == f_poly_operator_route(p, r), name
-        # chain route and flag route are compared inside ehrenborg_F;
-        # the counit of the word coaction is the third route
+        # the flag route against the chain route; the counit of the word
+        # coaction is the third route
         F = ehrenborg_F(p)
+        assert ehrenborg_F_chain_route(p) == F, name
         acc = QSym()
         for word, result in coaction(fs(p, JOIN_RING)):
             c = counit(result)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from polyqsym import exprs
 from polyqsym import polytopes as pb
 from polyqsym import store
 from polyqsym.cli import main
@@ -54,6 +55,37 @@ def test_parse_errors_carry_position():
         parse_expression("polygon(2)")
     with pytest.raises(ExprError):
         parse_expression("prod(empty, pt)")
+
+
+def test_parse_depth_limit(capsys, monkeypatch):
+    assert main(["build", "(" * 400 + "pt" + ")" * 400]) == 2
+    err = capsys.readouterr().err
+    assert "nested too deeply" in err and "Traceback" not in err
+    # the limit is met while descending, before any cone is built
+    built = []
+    monkeypatch.setattr(exprs, "cone_op", lambda s: built.append(s))
+    monkeypatch.setattr(pb, "build_named", lambda *a: built.append(a))
+    assert main(["build", "C " * 400 + "pt"]) == 2
+    assert "nested too deeply" in capsys.readouterr().err
+    assert built == []
+    monkeypatch.undo()
+    assert parse_expression("(" * 50 + "pt" + ")" * 50).terms == \
+        {pb.point(): 1}
+
+
+def test_named_atoms_are_memoized(monkeypatch):
+    monkeypatch.setattr(store, "names", {})
+    calls = []
+    real = pb.cell24
+
+    def counted():
+        calls.append(1)
+        return real()
+    monkeypatch.setattr(pb, "cell24", counted)
+    first = parse_expression("cell24")
+    second = parse_expression("cell24")
+    assert len(calls) == 1
+    assert next(iter(first.terms)) is next(iter(second.terms))
 
 
 def test_format_round_trip():
@@ -177,6 +209,48 @@ def test_cli_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert main(["--cache", path, "bb-matrix", "4", "--det"]) == 0
     out = capsys.readouterr().out
     assert "det K^4 = 1" in out
+
+
+_GOOD_BB = {"n": 2, "psi": [[], [0]], "omega": ["CCC", "BCC"],
+            "matrix": [[1, 3], [1, 4]]}
+_BAD_CACHES = {
+    "top-level-list": [],
+    "registry-not-a-list": {"schema": 1, "registry": {"ranks": [0]}},
+    "registry-entry-not-an-object": {"schema": 1, "registry": [5]},
+    "registry-name-not-a-string": {"schema": 1, "registry": [
+        {"name": 7, "ranks": [0, 1], "covers": [[0, 1]]}]},
+    "bad-ranks": {"schema": 1, "registry": [{"ranks": [0, 5],
+                                             "covers": []}]},
+    "non-eulerian": {"schema": 1, "registry": [
+        {"ranks": [0, 1, 2], "covers": [[0, 1], [1, 2]]}]},
+    "bb-not-a-list": {"schema": 1, "bb": {"n": 2}},
+    "bb-without-n": {"schema": 1, "bb": [
+        {k: v for k, v in _GOOD_BB.items() if k != "n"}]},
+    "bb-without-matrix": {"schema": 1, "bb": [
+        {k: v for k, v in _GOOD_BB.items() if k != "matrix"}]},
+    "bb-wrong-words": {"schema": 1, "bb": [dict(_GOOD_BB,
+                                                omega=["CCC", "BXC"])]},
+    "bb-ragged-matrix": {"schema": 1, "bb": [dict(_GOOD_BB,
+                                                  matrix=[[1, 3], [1]])]},
+    "bb-huge-n": {"schema": 1, "bb": [dict(_GOOD_BB, n=10 ** 12)]},
+    "not-utf8": b"\xff\xfe",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_CACHES))
+def test_cli_cache_rejects_invalid(case, tmp_path, capsys, monkeypatch):
+    for name in ("types", "names", "face_classes", "bb"):
+        monkeypatch.setattr(store, name, {})
+    path = tmp_path / "cache.json"
+    data = _BAD_CACHES[case]
+    path.write_bytes(data if isinstance(data, bytes)
+                     else json.dumps(data).encode())
+    assert main(["cache", "load", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "cache" in err and "Traceback" not in err
+    assert not store.bb
+    if case == "non-eulerian":
+        assert not store.types
 
 
 def test_cli_io_error(capsys):

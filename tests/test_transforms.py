@@ -3,17 +3,20 @@ import itertools
 import pytest
 
 from polyqsym import polytopes as pb
+from polyqsym import transforms
 from polyqsym.polys import MultiPoly
 from polyqsym.qsym import QSym, theta_substitution_invariant
-from polyqsym.ring import (JOIN_RING, a_op, bipyramid_op, cone_op,
-                           l_alpha, mul_join, mul_product)
+from polyqsym.ring import (JOIN_RING, a_op, antipode_rp, bipyramid_op,
+                           cone_op, l_alpha, mul_join, mul_product)
 from polyqsym.transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                                  a0_qsym, a_rp_qsym, b0_qsym, b_qsym,
                                  b_rp_qsym, bb_basis, bb_det, bb_multiply,
                                  basis_word_strings, c0_qsym, c_rp_qsym,
                                  cone_qsym, composition_of_flag_set,
-                                 dehn_sommerville_check, ehrenborg_F, f_poly,
-                                 f_poly_operator_route, f_rp, phi_alpha,
+                                 dehn_sommerville_check, ehrenborg_F,
+                                 ehrenborg_F_chain_route, f_poly,
+                                 f_poly_operator_route, f_rp,
+                                 f_rp_coaction_route, phi_alpha,
                                  phi_image_law_holds, phi_zero, project_bb,
                                  sparse_index_sets, verify_image_equations)
 from conftest import fs
@@ -61,6 +64,15 @@ def test_ehrenborg_golden():
     for m in (3, 4, 5):
         assert ehrenborg_F(pb.polygon(m)) == M((3,)) + m * s12
     assert ehrenborg_F(fs(pb.empty(), JOIN_RING)) == QSym.one()
+    # test_c08 compares the chain route on the nonempty catalogue
+    assert ehrenborg_F_chain_route(pb.empty()) == QSym.one()
+
+
+def test_ehrenborg_antipode_identity():
+    """F(S(P)) = (-1)^rank F(P)* on Eulerian posets (Ehrenborg 1996)."""
+    for p in (pb.simplex(3), pb.cube(3), pb.cross(3)):
+        s = antipode_rp(fs(p, JOIN_RING))
+        assert ehrenborg_F(s) == (-1) ** (p.dim + 1) * ehrenborg_F(p).star()
 
 
 def test_ehrenborg_multiplicative_and_star():
@@ -102,12 +114,20 @@ def test_f_rp():
     a = fs(pb.point(), JOIN_RING)
     b = fs(pb.segment(), JOIN_RING)
     assert f_rp(mul_join(a, b)) == f_rp(a) * f_rp(b)
-    # decomposition identity holds termwise (asserted internally too)
+    # the decomposition identity f_rp is built from, termwise
     for p in (pb.simplex(2), pb.cube(2)):
         lhs = f_rp(p)
         rhs = ehrenborg_F(p).star() + QSym(
             {(a_ + 1, c): v for (a_, c), v in f_poly(p).terms.items()})
         assert lhs == rhs
+
+
+def test_f_rp_coaction_route_oracle(catalogue):
+    """The identity route equals the rank character of the word
+    coaction."""
+    for name, p in catalogue.items():
+        if p.dim <= 4:
+            assert f_rp_coaction_route(p) == f_rp(p), name
 
 
 def test_flag_equivalence_kernel(catalogue):
@@ -179,6 +199,30 @@ def test_project():
             assert project_bb(q, n) == fs(q)
     with pytest.raises(ValueError):
         project_bb(fs(pb.segment()) + fs(pb.simplex(2)), 2)
+
+
+def test_project_keeps_flag_polynomial():
+    sums = [fs(pb.polygon(m)) for m in range(5, 9)]
+    sums += [3 * fs(pb.cube(3)) - 2 * fs(pb.cross(3)),
+             fs(pb.simplex(3)) + 4 * fs(pb.cone(pb.cube(2)))
+             - fs(pb.bipyramid(pb.simplex(2)))]
+    for s in sums:
+        assert f_poly(project_bb(s, s.max_dim())) == f_poly(s)
+
+
+def test_transforms_run_one_route(monkeypatch):
+    """No production call reaches an oracle, and projection does not
+    recompute the flag polynomial."""
+    def oracle(*args):
+        raise AssertionError("oracle route called")
+    monkeypatch.setattr(transforms, "ehrenborg_F_chain_route", oracle)
+    monkeypatch.setattr(transforms, "f_rp_coaction_route", oracle)
+    for p in (pb.cube(3), pb.cell24()):
+        ehrenborg_F(p)
+        f_rp(p)
+    monkeypatch.setattr(transforms, "f_poly", oracle)
+    project_bb(pb.polygon(5), 2)
+    bb_multiply(fs(pb.segment()), fs(pb.simplex(2)))
 
 
 def test_bb_multiply():
