@@ -9,10 +9,10 @@ from .polytopes import (Polytope, bipyramid, build_named, cell24, cone,
 from .polys import AlphaPoly, MultiPoly
 from .qsym import QSym, is_quasisymmetric, lift_from_expansion, quasi_shuffle
 from .ring import (FormalSum, JOIN_RING, PRODUCT_RING, antipode_rp,
-                   apply_operator, a_op, bipyramid_op, comodule_pairs,
-                   cone_op, coaction, d_k, delta_derivation, dual_sum,
-                   epsilon_alpha, l_alpha, mul_join, mul_product, phi_poly,
-                   xi_alpha)
+                   antipode_rp_chain_route, apply_operator, a_op,
+                   bipyramid_op, comodule_pairs, cone_op, coaction, d_k,
+                   delta_derivation, dual_sum, epsilon_alpha, l_alpha,
+                   mul_join, mul_product, phi_poly, xi_alpha)
 from .ncalg import (DualFunctional, NCPoly, antipode, basis_words, coproduct,
                     d_even_formula, normal_form, pairing, s_series)
 from .lyndon import (cfl_factorize, count_lyndon, fibonacci, is_lyndon,

@@ -98,10 +98,23 @@ def registry_snapshot():
             for p in list(store.types.values())]
 
 
+def _faces_are_separated(lat):
+    """No two elements share the atoms below them or the coatoms above
+    them, as in every face lattice (faces are fixed by their vertices and
+    by their facets)."""
+    if lat.height == 0:
+        return True
+    atoms, coatoms = lat.rank_mask(1), lat.rank_mask(lat.height - 1)
+    below = {lat.downset_mask(x) & atoms for x in range(lat.n)}
+    above = {lat.upset_mask(x) & coatoms for x in range(lat.n)}
+    return len(below) == len(above) == lat.n
+
+
 def registry_restore(entries):
     """Register the face lattices of a saved registry list.  Raises
-    PosetError on an entry that is not an Eulerian graded lattice with an
-    optional string name."""
+    PosetError on an entry that is not an Eulerian graded poset whose
+    elements are separated by atoms and by coatoms, or whose optional name
+    is not a string."""
     if not isinstance(entries, list):
         raise PosetError("registry must be a list")
     for obj in entries:
@@ -113,6 +126,8 @@ def registry_restore(entries):
         lat = GradedPoset.from_json_obj(obj)
         if not lat.is_eulerian():
             raise PosetError("registry entry is not an Eulerian lattice")
+        if not _faces_are_separated(lat):
+            raise PosetError("registry entry is not a polytope face lattice")
         canonical(Polytope(lat), name=name)
     return len(entries)
 

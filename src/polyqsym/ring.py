@@ -290,10 +290,45 @@ def hopf_coproduct_pairs(poly):
     return _face_quotient_pairs(poly, range(poly.lattice.n))
 
 
+def _antipode(poly):
+    """S(poly) as a tuple of (polytope, coefficient) terms, memoized by
+    canonical key.  The tuple is shared; callers build fresh sums from it."""
+    hit = store.antipodes.get(poly.key)
+    if hit is not None:
+        return hit
+    if poly.is_empty():
+        return store.antipodes.setdefault(poly.key, ((pb.empty(), 1),))
+    pairs = {}
+    for pair in comodule_pairs(poly):
+        pairs[pair] = pairs.get(pair, 0) + 1
+    terms = {}
+    for (face, quot), mult in pairs.items():
+        for r, c in _antipode(quot):
+            j = pb.join(face, r)
+            w = terms.get(j, 0) - mult * c
+            if w:
+                terms[j] = w
+            else:
+                del terms[j]
+    return store.antipodes.setdefault(poly.key, tuple(terms.items()))
+
+
 def antipode_rp(s):
+    """Antipode of the join ring, from the antipode axiom: S(empty) = empty
+    and S(P) = -sum over nonempty faces F of F * S(P/F).  Equal (face,
+    quotient) pairs are grouped, and S is memoized per combinatorial type,
+    so each type's face lattice is split into intervals once per process.
+    `antipode_rp_chain_route` is its chain-sum test oracle."""
+    if s.ambient != JOIN_RING:
+        raise ValueError("the antipode lives in the join ring")
+    return s.map_terms(lambda p: FormalSum(JOIN_RING, _antipode(p)))
+
+
+def antipode_rp_chain_route(s):
     """Chain-sum antipode of the join ring: alternating sum over strictly
     increasing flags from the empty face to the top, each contributing the
-    join of its interval quotients."""
+    join of its interval quotients (Takeuchi's formula).  The test oracle
+    of `antipode_rp`; no production call reaches it."""
     if s.ambient != JOIN_RING:
         raise ValueError("the antipode lives in the join ring")
 

@@ -5,6 +5,7 @@ Plain dicts, one per memoized quantity that depends on a polytope type:
     types          canonical key -> the registered Polytope of that type
     names          catalogue request text -> Polytope
     face_classes   (canonical key, codimension) -> ((face, multiplicity), ..)
+    antipodes      canonical key -> join-ring antipode ((polytope, coeff), ..)
     bb             dimension n -> sparse-flag basis
 
 `types` and `bb` are what a lattice cache file holds.  `lock` guards the
@@ -20,4 +21,5 @@ lock = threading.Lock()
 types = {}
 names = {}
 face_classes = {}
+antipodes = {}
 bb = {}

@@ -211,12 +211,16 @@ def suite_comodule():
     tri, sq, d3 = pb.simplex(2), pb.cube(2), pb.simplex(3)
 
     def antipode_axiom():
+        # antipode_rp is built from the left-sided sum; the right-sided one
+        # checks it
         for p in (pt, seg, tri, sq):
-            total = FormalSum(JOIN_RING)
+            left = right = FormalSum(JOIN_RING)
             for f, quot in hopf_coproduct_pairs(p):
-                total = total + mul_join(fs(f, JOIN_RING),
-                                         antipode_rp(fs(quot, JOIN_RING)))
-            assert total.is_zero(), p.name
+                f, quot = fs(f, JOIN_RING), fs(quot, JOIN_RING)
+                left = left + mul_join(f, antipode_rp(quot))
+                right = right + mul_join(antipode_rp(f), quot)
+            assert left.is_zero(), p.name
+            assert right.is_zero(), p.name
         return ""
     checks.append(("antipode-axiom", antipode_axiom))
 

@@ -1,6 +1,7 @@
 import pytest
 
-from polyqsym.ring import FormalSum, PRODUCT_RING
+from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, antipode_rp,
+                           hopf_coproduct_pairs, mul_join)
 
 
 @pytest.fixture(scope="session")
@@ -11,6 +12,18 @@ def catalogue():
 
 def fs(poly, ambient=PRODUCT_RING, coeff=1):
     return FormalSum.of(poly, ambient, coeff)
+
+
+def antipode_axiom_sums(poly):
+    """Both sides of the antipode axiom at `poly`, summed over all faces F:
+    F * S(P/F) and S(F) * P/F.  Each is zero for a nonempty polytope.  The
+    first is how `antipode_rp` is computed; the second checks it."""
+    left = right = FormalSum(JOIN_RING)
+    for f, quot in hopf_coproduct_pairs(poly):
+        f, quot = fs(f, JOIN_RING), fs(quot, JOIN_RING)
+        left = left + mul_join(f, antipode_rp(quot))
+        right = right + mul_join(antipode_rp(f), quot)
+    return left, right
 
 
 def brute_flag_number(poly, subset):

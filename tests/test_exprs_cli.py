@@ -182,7 +182,7 @@ def test_cli_usage_and_syntax_errors(capsys):
 def test_cli_cache_round_trip(tmp_path, capsys, monkeypatch):
     # an empty store, so the saved registry does not depend on which tests
     # ran earlier in the process
-    for name in ("types", "names", "face_classes", "bb"):
+    for name in ("types", "names", "face_classes", "antipodes", "bb"):
         monkeypatch.setattr(store, name, {})
     path = str(tmp_path / "cache.json")
     assert main(["build", "prod(cube(2),simplex(2)) + cross(3)"]) == 0
@@ -223,6 +223,11 @@ _BAD_CACHES = {
                                              "covers": []}]},
     "non-eulerian": {"schema": 1, "registry": [
         {"ranks": [0, 1, 2], "covers": [[0, 1], [1, 2]]}]},
+    # Eulerian, but both edges lie on both vertices
+    "digon": {"schema": 1, "registry": [
+        {"ranks": [0, 1, 1, 2, 2, 3],
+         "covers": [[0, 1], [0, 2], [1, 3], [2, 3], [1, 4], [2, 4],
+                    [3, 5], [4, 5]]}]},
     "bb-not-a-list": {"schema": 1, "bb": {"n": 2}},
     "bb-without-n": {"schema": 1, "bb": [
         {k: v for k, v in _GOOD_BB.items() if k != "n"}]},
@@ -239,7 +244,7 @@ _BAD_CACHES = {
 
 @pytest.mark.parametrize("case", sorted(_BAD_CACHES))
 def test_cli_cache_rejects_invalid(case, tmp_path, capsys, monkeypatch):
-    for name in ("types", "names", "face_classes", "bb"):
+    for name in ("types", "names", "face_classes", "antipodes", "bb"):
         monkeypatch.setattr(store, name, {})
     path = tmp_path / "cache.json"
     data = _BAD_CACHES[case]
@@ -249,7 +254,7 @@ def test_cli_cache_rejects_invalid(case, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "cache" in err and "Traceback" not in err
     assert not store.bb
-    if case == "non-eulerian":
+    if case in ("non-eulerian", "digon"):
         assert not store.types
 
 

@@ -70,7 +70,8 @@ def test_ehrenborg_golden():
 
 def test_ehrenborg_antipode_identity():
     """F(S(P)) = (-1)^rank F(P)* on Eulerian posets (Ehrenborg 1996)."""
-    for p in (pb.simplex(3), pb.cube(3), pb.cross(3)):
+    for p in (pb.simplex(3), pb.cube(3), pb.cross(3), pb.cube(4),
+              pb.cross(4)):
         s = antipode_rp(fs(p, JOIN_RING))
         assert ehrenborg_F(s) == (-1) ** (p.dim + 1) * ehrenborg_F(p).star()
 
