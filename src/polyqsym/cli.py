@@ -13,8 +13,7 @@ import sys
 import tempfile
 
 from . import polytopes as pb
-from . import store
-from .exprs import ExprError, format_sum, parse_expression
+from .exprs import ExprError, format_terms, parse_expression
 from .ring import JOIN_RING, PRODUCT_RING
 from .suites import SUITES, run_suite
 from .transforms import bb_basis, ehrenborg_F, f_poly, f_rp
@@ -40,52 +39,14 @@ def _load_cache(path):
         raise CliIOError("cache %s has schema %r, expected %r"
                          % (path, data.get("schema"), CACHE_SCHEMA))
     try:
-        count = pb.registry_restore(data.get("registry", []))
-        entries = data.get("bb", [])
-        if not isinstance(entries, list):
-            raise ValueError("bb must be a list")
-        for entry in entries:
-            basis = _bb_from_json(entry)
-            store.bb.setdefault(basis.n, basis)
+        return pb.registry_restore(data.get("registry", []))
     except ValueError as exc:
         raise CliIOError("invalid cache %s: %s" % (path, exc)) from None
-    return count
-
-
-def _bb_from_json(obj):
-    """Inverse of `BBBasis.to_json_obj`.  The index sets and words must be
-    those of dimension n and the matrix square and integral; its values are
-    trusted.  ValueError otherwise."""
-    if not isinstance(obj, dict):
-        raise ValueError("bb entry must be an object")
-    n, psi, omega, matrix = (obj.get(k) for k in ("n", "psi", "omega",
-                                                  "matrix"))
-    if type(n) is not int or not all(isinstance(v, list)
-                                     for v in (psi, omega, matrix)):
-        raise ValueError("bb entry needs an integer n and lists psi, omega "
-                         "and matrix")
-    # the basis of dimension n has Fibonacci(n) >= n members; the size
-    # check comes first so that a large n enumerates nothing
-    size, count, prev = len(psi), 1, 1
-    for _ in range(min(n, size + 1) - 1):
-        count, prev = count + prev, count
-    if not (1 <= n <= size == count
-            and psi == [list(s) for s in transforms.sparse_index_sets(n)]
-            and omega == transforms.basis_word_strings(n)
-            and len(matrix) == size
-            and all(isinstance(r, list) and len(r) == size
-                    and all(type(v) is int for v in r) for r in matrix)):
-        raise ValueError("bb entry for n=%r is malformed" % n)
-    return transforms.BBBasis(
-        n, tuple(tuple(s) for s in psi), tuple(omega),
-        tuple(pb.from_word(w) for w in omega),
-        tuple(tuple(r) for r in matrix))
 
 
 def _save_cache(path):
     data = {"schema": CACHE_SCHEMA,
-            "registry": pb.registry_snapshot(),
-            "bb": [b.to_json_obj() for b in store.bb.values()]}
+            "registry": pb.registry_snapshot()}
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -209,11 +170,14 @@ def _cmd_bb_matrix(args):
 def _cmd_project(args):
     s = parse_expression(args.expr, ambient=PRODUCT_RING)
     out = transforms.project_bb(s, args.dim)
+    basis = bb_basis(args.dim)
+    terms = [("word(%s)" % w, out.terms[q])
+             for w, q in zip(basis.omega_words, basis.omega_polys)
+             if q in out.terms]
     if args.json:
-        print(json.dumps([{"expr": p.name, "coeff": c}
-                          for p, c in out.terms.items()]))
+        print(json.dumps([{"expr": w, "coeff": c} for w, c in terms]))
     else:
-        print(format_sum(out))
+        print(format_terms(sorted(terms)))
     return 0
 
 

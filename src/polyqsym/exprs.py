@@ -9,11 +9,13 @@
 
 Unary cone/bipyramid/dual bind tighter than '*'; '+'/'-' bind last.
 Factors nest ('(', 'C', 'B', 'dual(', 'prod(', 'join(') at most MAX_DEPTH
-deep; deeper input is refused before anything is built.
+deep, and no atom or operator result may have more than MAX_FACES faces;
+both limits refuse input before anything is built.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 
 from . import polytopes as pb
@@ -28,7 +30,30 @@ class ExprError(ValueError):
 
 
 MAX_DEPTH = 100
+# a lattice of n faces keeps order masks of n^2 bits
+MAX_FACES = 10_000
 _NESTING = ("C", "B", "dual", "prod", "join")
+
+
+def _grow(letters, faces=1):
+    """Face count after cones (C: 2a faces) and bipyramids (B: 3a - 2, the
+    point from the empty polytope) on a polytope of a faces, counted only
+    until it passes MAX_FACES, as the letters may come from user input."""
+    for letter in letters:
+        if faces > MAX_FACES:
+            break
+        faces = 2 * faces if letter == "C" else max(3 * faces - 2, 2)
+    return faces
+
+
+def _largest(s):
+    return max((p.lattice.n for p in s.terms), default=1)
+
+
+def _check_faces(faces, position):
+    if faces > MAX_FACES:
+        raise ExprError("expression too large", position)
+
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
                     r"|(?P<sym>[()+,*-]))")
@@ -120,14 +145,15 @@ class _Parser:
         if kind != "name":
             raise ExprError("expected an expression", position)
         self.take()
-        if value == "C":
-            return cone_op(self.parse_factor())
-        if value == "B":
-            return bipyramid_op(self.parse_factor())
+        if value in ("C", "B"):
+            inner = self.parse_factor()
+            _check_faces(_grow(value, _largest(inner)), position)
+            return (cone_op if value == "C" else bipyramid_op)(inner)
         if value == "dual":
             self.expect_sym("(")
             inner = self.parse_sum()
             self.expect_sym(")")
+            # a dual has the face count of its operand, checked already
             return dual_sum(inner)
         if value in ("prod", "join"):
             self.expect_sym("(")
@@ -135,6 +161,9 @@ class _Parser:
             self.expect_sym(",")
             right = self.parse_sum()
             self.expect_sym(")")
+            a, b = _largest(left), _largest(right)
+            _check_faces((a - 1) * (b - 1) + 1 if value == "prod" else a * b,
+                         position)
             if value == "prod":
                 prod = mul_product(_as_product_ring(left, position),
                                    _as_product_ring(right, position))
@@ -151,6 +180,7 @@ class _Parser:
             if kind != "name" or any(ch not in "BC" for ch in letters):
                 raise ExprError("word(..) takes letters B and C", wpos)
             self.expect_sym(")")
+            _check_faces(_grow(reversed(letters)), position)
             return FormalSum.of(pb.from_word(letters), JOIN_RING)
         if name in ("simplex", "cube", "cross", "polygon"):
             self.expect_sym("(")
@@ -158,6 +188,11 @@ class _Parser:
             if kind != "int":
                 raise ExprError("%s(..) takes an integer" % name, npos)
             self.expect_sym(")")
+            # simplex(n) has the 2^(n+1) faces of C^(n+1) empty, cube(n)
+            # and cross(n) the 3^n + 1 of B^(n+1) empty
+            _check_faces(2 * n + 2 if name == "polygon" else _grow(
+                itertools.repeat("C" if name == "simplex" else "B", n + 1)),
+                position)
             try:
                 return FormalSum.of(pb.build_named(name, n), JOIN_RING)
             except ValueError as exc:
@@ -189,16 +224,20 @@ def parse_expression(text, ambient=None):
 
 def format_sum(s):
     """Grammar text for a FormalSum whose terms carry registry names."""
-    if not s.terms:
-        return "0"
     order = sorted(s.terms.items(),
                    key=lambda pc: (pc[0].dim, pc[0].name or "", pc[0].key))
+    if any(poly.name is None for poly, _ in order):
+        raise ValueError("term without a registered name cannot be "
+                         "printed in grammar form")
+    return format_terms([(poly.name, coeff) for poly, coeff in order])
+
+
+def format_terms(terms):
+    """Grammar text for (expression, coefficient) pairs, in this order."""
+    if not terms:
+        return "0"
     parts = []
-    for poly, coeff in order:
-        name = poly.name
-        if name is None:
-            raise ValueError("term without a registered name cannot be "
-                             "printed in grammar form")
+    for name, coeff in terms:
         body = name if abs(coeff) == 1 else "%d*%s" % (abs(coeff), name)
         if not parts:
             parts.append(body if coeff > 0 else "-" + body)

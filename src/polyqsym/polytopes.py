@@ -89,13 +89,8 @@ def canonical(poly, name=None, prefer=False):
         return poly
 
 
-def registry_polytope(key):
-    return store.types.get(key)
-
-
 def registry_snapshot():
-    return [{"name": p.name, "dim": p.dim, **p.lattice.to_json_obj()}
-            for p in list(store.types.values())]
+    return [p.lattice.to_json_obj() for p in list(store.types.values())]
 
 
 def _faces_are_separated(lat):
@@ -113,22 +108,18 @@ def _faces_are_separated(lat):
 def registry_restore(entries):
     """Register the face lattices of a saved registry list.  Raises
     PosetError on an entry that is not an Eulerian graded poset whose
-    elements are separated by atoms and by coatoms, or whose optional name
-    is not a string."""
+    elements are separated by atoms and by coatoms."""
     if not isinstance(entries, list):
         raise PosetError("registry must be a list")
     for obj in entries:
         if not isinstance(obj, dict):
             raise PosetError("registry entry must be an object")
-        name = obj.get("name")
-        if name is not None and not isinstance(name, str):
-            raise PosetError("registry name must be a string")
         lat = GradedPoset.from_json_obj(obj)
         if not lat.is_eulerian():
             raise PosetError("registry entry is not an Eulerian lattice")
         if not _faces_are_separated(lat):
             raise PosetError("registry entry is not a polytope face lattice")
-        canonical(Polytope(lat), name=name)
+        canonical(Polytope(lat))
     return len(entries)
 
 

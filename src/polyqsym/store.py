@@ -8,9 +8,8 @@ Plain dicts, one per memoized quantity that depends on a polytope type:
     antipodes      canonical key -> join-ring antipode ((polytope, coeff), ..)
     bb             dimension n -> sparse-flag basis
 
-`types` and `bb` are what a lattice cache file holds.  `lock` guards the
-check-and-insert that makes the first Polytope seen for a key the shared
-one; every other access is a single dict operation.
+`lock` guards the check-and-insert that makes the first Polytope seen for
+a key the shared one; every other access is a single dict operation.
 """
 
 from __future__ import annotations

@@ -73,6 +73,22 @@ def test_parse_depth_limit(capsys, monkeypatch):
         {pb.point(): 1}
 
 
+def test_expression_size_limit(capsys, monkeypatch):
+    for text in ("simplex(30)", "cube(1000000000)", "prod(cube(6),cube(6))",
+                 "join(simplex(7),simplex(7))", "word(%s)" % ("C" * 14)):
+        assert main(["build", text]) == 2
+        err = capsys.readouterr().err
+        assert "too large" in err and "Traceback" not in err
+    assert main(["build", "cube(4)"]) == 0
+    capsys.readouterr()
+    # cone and bipyramid are checked on their built operand
+    monkeypatch.setattr(exprs, "MAX_FACES", 10)
+    for text in ("C cube(2)", "B cube(2)", "cube(3)", "polygon(5)"):
+        with pytest.raises(ExprError, match="too large"):
+            parse_expression(text)
+    assert parse_expression("dual(cube(2))").terms == {pb.cube(2): 1}
+
+
 def test_named_atoms_are_memoized(monkeypatch):
     monkeypatch.setattr(store, "names", {})
     calls = []
@@ -152,6 +168,27 @@ def test_cli_bb_and_project(capsys):
     assert reparsed.terms == {pb.cube(2): 2, pb.simplex(2): -1}
 
 
+@pytest.fixture
+def empty_store(monkeypatch):
+    """An empty memo store, so that results do not depend on which tests
+    ran earlier in the process; calling it empties the store again."""
+    def empty():
+        for name in ("types", "names", "face_classes", "antipodes", "bb"):
+            monkeypatch.setattr(store, name, {})
+    empty()
+    return empty
+
+
+def test_cli_project_ignores_history(capsys, empty_store):
+    # cube(2) is the basis polytope word(BCC); naming it first changes
+    # nothing
+    assert main(["build", "cube(2)"]) == 0
+    capsys.readouterr()
+    for text in ("polygon(5)", "polygon(5) + cube(2) - cube(2)"):
+        assert main(["project", text, "--dim", "2"]) == 0
+        assert capsys.readouterr().out == "2*word(BCC) - word(CCC)\n"
+
+
 def test_cli_verify(capsys):
     assert main(["verify", "appendix-c"]) == 0
     out = capsys.readouterr().out
@@ -179,11 +216,7 @@ def test_cli_usage_and_syntax_errors(capsys):
         assert "Traceback" not in err
 
 
-def test_cli_cache_round_trip(tmp_path, capsys, monkeypatch):
-    # an empty store, so the saved registry does not depend on which tests
-    # ran earlier in the process
-    for name in ("types", "names", "face_classes", "antipodes", "bb"):
-        monkeypatch.setattr(store, name, {})
+def test_cli_cache_round_trip(tmp_path, capsys, empty_store):
     path = str(tmp_path / "cache.json")
     assert main(["build", "prod(cube(2),simplex(2)) + cross(3)"]) == 0
     assert main(["cache", "save", path]) == 0
@@ -192,18 +225,19 @@ def test_cli_cache_round_trip(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     # registry reload reproduces identical canonical keys
     data = json.loads(open(path).read())
+    assert set(data) == {"schema", "registry"}
     assert data["schema"] == 1
-    for entry in data["registry"][:20]:
+    for entry in data["registry"]:
+        assert set(entry) == {"ranks", "covers"}
         from polyqsym.posets import GradedPoset
         lat = GradedPoset.from_json_obj(entry)
-        hit = pb.registry_polytope(lat.canonical_key())
-        assert hit is not None
+        assert store.types.get(lat.canonical_key()) is not None
     # wrong schema rejected
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
         json.dump({"schema": 99}, fh)
     assert main(["cache", "load", bad]) == 3
-    # bb tables round-trip through the cache
+    # a warm cache gives the same bases
     assert main(["--cache", path, "bb-matrix", "4", "--det"]) == 0
     capsys.readouterr()
     assert main(["--cache", path, "bb-matrix", "4", "--det"]) == 0
@@ -211,14 +245,41 @@ def test_cli_cache_round_trip(tmp_path, capsys, monkeypatch):
     assert "det K^4 = 1" in out
 
 
-_GOOD_BB = {"n": 2, "psi": [[], [0]], "omega": ["CCC", "BCC"],
-            "matrix": [[1, 3], [1, 4]]}
+def test_cli_cache_ignores_stored_bases_and_names(tmp_path, capsys,
+                                                empty_store):
+    # the files of earlier versions held sparse-flag matrices and names;
+    # neither is read
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"schema": 1, "registry": [
+        {"name": 7, "dim": 0, "ranks": [0, 1], "covers": [[0, 1]]}],
+        "bb": [{"n": 2, "psi": [[], [0]], "omega": ["CCC", "BCC"],
+                "matrix": [[1, 3], [1, 5]]}]}))
+    assert main(["cache", "load", str(path)]) == 0
+    capsys.readouterr()
+    assert not store.bb
+    assert main(["--cache", str(path), "project", "polygon(5)",
+                 "--dim", "2"]) == 0
+    assert capsys.readouterr().out == "2*word(BCC) - word(CCC)\n"
+
+
+def test_cli_cache_does_not_change_output(tmp_path, capsys, empty_store):
+    path = str(tmp_path / "cache.json")
+    assert main(["--cache", path, "build", "cube(2)"]) == 0
+    argv = ["--json", "build", "prod(cube(1),cube(1))"]
+    outputs = []
+    for extra in ([], ["--cache", path]):
+        empty_store()
+        capsys.readouterr()
+        assert main(extra + argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])[0]["expr"] == "prod(cube(1),cube(1))"
+
+
 _BAD_CACHES = {
     "top-level-list": [],
     "registry-not-a-list": {"schema": 1, "registry": {"ranks": [0]}},
     "registry-entry-not-an-object": {"schema": 1, "registry": [5]},
-    "registry-name-not-a-string": {"schema": 1, "registry": [
-        {"name": 7, "ranks": [0, 1], "covers": [[0, 1]]}]},
     "bad-ranks": {"schema": 1, "registry": [{"ranks": [0, 5],
                                              "covers": []}]},
     "non-eulerian": {"schema": 1, "registry": [
@@ -228,24 +289,12 @@ _BAD_CACHES = {
         {"ranks": [0, 1, 1, 2, 2, 3],
          "covers": [[0, 1], [0, 2], [1, 3], [2, 3], [1, 4], [2, 4],
                     [3, 5], [4, 5]]}]},
-    "bb-not-a-list": {"schema": 1, "bb": {"n": 2}},
-    "bb-without-n": {"schema": 1, "bb": [
-        {k: v for k, v in _GOOD_BB.items() if k != "n"}]},
-    "bb-without-matrix": {"schema": 1, "bb": [
-        {k: v for k, v in _GOOD_BB.items() if k != "matrix"}]},
-    "bb-wrong-words": {"schema": 1, "bb": [dict(_GOOD_BB,
-                                                omega=["CCC", "BXC"])]},
-    "bb-ragged-matrix": {"schema": 1, "bb": [dict(_GOOD_BB,
-                                                  matrix=[[1, 3], [1]])]},
-    "bb-huge-n": {"schema": 1, "bb": [dict(_GOOD_BB, n=10 ** 12)]},
     "not-utf8": b"\xff\xfe",
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_CACHES))
-def test_cli_cache_rejects_invalid(case, tmp_path, capsys, monkeypatch):
-    for name in ("types", "names", "face_classes", "antipodes", "bb"):
-        monkeypatch.setattr(store, name, {})
+def test_cli_cache_rejects_invalid(case, tmp_path, capsys, empty_store):
     path = tmp_path / "cache.json"
     data = _BAD_CACHES[case]
     path.write_bytes(data if isinstance(data, bytes)
