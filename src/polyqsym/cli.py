@@ -68,7 +68,7 @@ def _cmd_build(args):
     s = parse_expression(args.expr)
     rows = []
     for poly, coeff in sorted(s.terms.items(),
-                              key=lambda pc: (pc[0].dim, pc[0].key)):
+                              key=lambda pc: pb.sort_key(pc[0])):
         entry = {"coeff": coeff, "dim": poly.dim,
                  "vertices": poly.vertex_count, "facets": poly.facet_count,
                  "faces": poly.lattice.n,

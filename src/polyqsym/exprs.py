@@ -224,8 +224,7 @@ def parse_expression(text, ambient=None):
 
 def format_sum(s):
     """Grammar text for a FormalSum whose terms carry registry names."""
-    order = sorted(s.terms.items(),
-                   key=lambda pc: (pc[0].dim, pc[0].name or "", pc[0].key))
+    order = sorted(s.terms.items(), key=lambda pc: pb.sort_key(pc[0]))
     if any(poly.name is None for poly, _ in order):
         raise ValueError("term without a registered name cannot be "
                          "printed in grammar form")

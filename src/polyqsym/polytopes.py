@@ -6,6 +6,20 @@ one-element lattice) is a first-class value: it is the unit of the join
 ring.  All constructions funnel through the registry `store.types`, keyed
 by the canonical key, so equal combinatorial types are the same object and
 carry a shared flag-number cache.
+
+The key of a polytope of dim >= 2 is its dim followed by the canonical key
+of its vertex-facet incidence, encoded as a height-3 poset (bottom,
+vertices, facets, top).  A face lattice is atomic and coatomic, so the
+incidence fixes it (Kaibel & Schwartz, Graphs & Combin. 19, 2003); the key
+is exact on face lattices only, which is why `registry_restore` and
+`from_incidence` check that property.  Below dim 2 the whole lattice is
+keyed.  `GradedPoset.canonical_key` on the whole lattice is the test oracle.
+
+Memos: the generators `empty`, `point`, `segment` and every catalogue
+request live in `store.names`; `product`, `join`, `bipyramid` and `dual`
+live in `store.constructions` under (operation, operand keys); interval
+polytopes (faces and quotients) are kept per Polytope in `_intervals`,
+like flag numbers in `_flags`.
 """
 
 from __future__ import annotations
@@ -17,7 +31,8 @@ from .posets import GradedPoset, PosetError, boolean_lattice, poset_product
 
 
 class Polytope:
-    __slots__ = ("lattice", "dim", "name", "_key", "_flags", "_name_pref")
+    __slots__ = ("lattice", "dim", "name", "_key", "_flags", "_intervals",
+                 "_name_pref")
 
     def __init__(self, lattice, name=None):
         self.lattice = lattice
@@ -25,12 +40,18 @@ class Polytope:
         self.name = name
         self._key = None
         self._flags = {}
+        self._intervals = {}
         self._name_pref = False
 
     @property
     def key(self):
+        """The dim, then the canonical key of the vertex-facet incidence
+        (of the whole lattice below dim 2); exact on face lattices."""
         if self._key is None:
-            self._key = self.lattice.canonical_key()
+            lat = self.lattice
+            if self.dim >= 2:
+                lat = _incidence_poset(lat)
+            self._key = b"%d:" % self.dim + lat.canonical_key()
         return self._key
 
     def __hash__(self):
@@ -62,8 +83,7 @@ class Polytope:
 
     @classmethod
     def from_json_obj(cls, obj):
-        lat = GradedPoset.from_json_obj(obj)
-        p = canonical(cls(lat))
+        p = canonical(cls(_face_lattice_from_json(obj)))
         if "dim" in obj and obj["dim"] != p.dim:
             raise PosetError("dim field disagrees with the lattice height")
         return p
@@ -89,6 +109,23 @@ def canonical(poly, name=None, prefer=False):
         return poly
 
 
+def _incidence_poset(lat):
+    """Height-3 poset of the vertex-facet incidence of a face lattice of
+    height >= 3: bottom, the atoms, the coatoms, top, and a cover from an
+    atom to each coatom above it."""
+    atoms = lat.elements_of_rank(1)
+    coatoms = lat.elements_of_rank(lat.height - 1)
+    nv, nf = len(atoms), len(coatoms)
+    top = 1 + nv + nf
+    covers = [(0, 1 + i) for i in range(nv)]
+    for j, c in enumerate(coatoms):
+        below = lat.downset_mask(c)
+        covers.extend((1 + i, 1 + nv + j) for i, a in enumerate(atoms)
+                      if below >> a & 1)
+        covers.append((1 + nv + j, top))
+    return GradedPoset([0] + [1] * nv + [2] * nf + [3], covers)
+
+
 def registry_snapshot():
     return [p.lattice.to_json_obj() for p in list(store.types.values())]
 
@@ -105,33 +142,92 @@ def _faces_are_separated(lat):
     return len(below) == len(above) == lat.n
 
 
+def _order_is_atom_inclusion(lat):
+    """x <= y exactly when the atoms below x are all below y."""
+    if lat.height == 0:
+        return True
+    atoms = lat.rank_mask(1)
+    everything = (1 << lat.n) - 1
+    for x in range(lat.n):
+        above = everything
+        m = lat.downset_mask(x) & atoms
+        while m:
+            low = m & -m
+            above &= lat.upset_mask(low.bit_length() - 1)
+            m ^= low
+        if above != lat.upset_mask(x):
+            return False
+    return True
+
+
+def _is_facet_closure(lat):
+    """The atom sets of the elements are exactly the intersections of
+    facet (coatom) atom sets, with the empty set and all atoms.  With
+    `_faces_are_separated` and `_order_is_atom_inclusion` this says the
+    vertex-facet incidence rebuilds the lattice, as `Polytope.key`
+    assumes."""
+    if lat.height < 2:
+        return True
+    atoms = lat.rank_mask(1)
+    faces = {lat.downset_mask(x) & atoms for x in range(lat.n)}
+    facets = [lat.downset_mask(c) & atoms
+              for c in lat.elements_of_rank(lat.height - 1)]
+    closure = {0, atoms}
+    work = set(facets)
+    while work:
+        closure |= work
+        work = {f & g for f in work for g in facets} - closure
+        if not work <= faces:
+            return False
+    return len(closure) == lat.n
+
+
+def _face_lattice_from_json(obj):
+    """A lattice read from outside, checked to be one that `Polytope.key`
+    keys exactly; raises PosetError otherwise."""
+    lat = GradedPoset.from_json_obj(obj)
+    if not lat.is_eulerian():
+        raise PosetError("not an Eulerian lattice")
+    if not (_faces_are_separated(lat) and _order_is_atom_inclusion(lat)
+            and _is_facet_closure(lat)):
+        raise PosetError("not a polytope face lattice")
+    return lat
+
+
 def registry_restore(entries):
     """Register the face lattices of a saved registry list.  Raises
     PosetError on an entry that is not an Eulerian graded poset whose
-    elements are separated by atoms and by coatoms."""
+    elements are separated by atoms and by coatoms, ordered by inclusion
+    of atom sets, and rebuilt by their vertex-facet incidence."""
     if not isinstance(entries, list):
         raise PosetError("registry must be a list")
     for obj in entries:
         if not isinstance(obj, dict):
             raise PosetError("registry entry must be an object")
-        lat = GradedPoset.from_json_obj(obj)
-        if not lat.is_eulerian():
-            raise PosetError("registry entry is not an Eulerian lattice")
-        if not _faces_are_separated(lat):
-            raise PosetError("registry entry is not a polytope face lattice")
-        canonical(Polytope(lat))
+        canonical(Polytope(_face_lattice_from_json(obj)))
     return len(entries)
 
 
 # -- named generators ---------------------------------------------------
 
 
+def _once(request, make):
+    """The polytope `make()` builds, made once per process and kept in
+    `store.names` under the request text."""
+    hit = store.names.get(request)
+    if hit is None:
+        hit = store.names.setdefault(request, make())
+    return hit
+
+
 def empty():
-    return canonical(Polytope(GradedPoset([0], [])), "empty", prefer=True)
+    return _once(repr(("empty",)), lambda: canonical(
+        Polytope(GradedPoset([0], [])), "empty", prefer=True))
 
 
 def point():
-    return canonical(Polytope(GradedPoset([0, 1], [(0, 1)])), "pt", prefer=True)
+    return _once(repr(("pt",)), lambda: canonical(
+        Polytope(GradedPoset([0, 1], [(0, 1)])), "pt", prefer=True))
 
 
 def simplex(n):
@@ -142,7 +238,8 @@ def simplex(n):
 
 
 def segment():
-    return canonical(Polytope(boolean_lattice(2)), "cube(1)", prefer=True)
+    return _once(repr(("cube", 1)), lambda: canonical(
+        Polytope(boolean_lattice(2)), "cube(1)", prefer=True))
 
 
 def cube(n):
@@ -207,10 +304,6 @@ def cell24():
 def build_named(name, *params):
     """Catalogue entry point: empty | pt | simplex(n) | cube(n) | cross(n)
     | polygon(m) | cell24."""
-    request = repr((name,) + tuple(params))
-    cached = store.names.get(request)
-    if cached is not None:
-        return cached
     makers = {"empty": (empty, 0), "pt": (point, 0), "simplex": (simplex, 1),
               "cube": (cube, 1), "cross": (cross, 1), "polygon": (polygon, 1),
               "cell24": (cell24, 0)}
@@ -219,8 +312,7 @@ def build_named(name, *params):
     fn, arity = makers[name]
     if len(params) != arity:
         raise ValueError("%s takes %d parameter(s)" % (name, arity))
-    poly = store.names[request] = fn(*params)
-    return poly
+    return _once(repr((name,) + tuple(params)), lambda: fn(*params))
 
 
 def from_word(word):
@@ -230,14 +322,13 @@ def from_word(word):
     if any(ch not in "BC" for ch in word):
         raise ValueError("operator word must use letters B and C only")
     name = "word(%s)" % word
-    cached = store.names.get(name)
-    if cached is not None:
-        return cached
-    p = empty()
-    for ch in reversed(word):
-        p = cone(p) if ch == "C" else bipyramid(p)
-    p = store.names[name] = canonical(p, name, prefer=True)
-    return p
+
+    def make():
+        p = empty()
+        for ch in reversed(word):
+            p = cone(p) if ch == "C" else bipyramid(p)
+        return canonical(p, name, prefer=True)
+    return _once(name, make)
 
 
 def from_incidence(facet_vertex_sets):
@@ -290,6 +381,9 @@ def from_incidence(facet_vertex_sets):
         raise ValueError("not a valid polytope incidence: %s" % exc) from None
     if not lattice.is_eulerian():
         raise ValueError("not a valid polytope incidence: closure not Eulerian")
+    if not (_order_is_atom_inclusion(lattice) and _is_facet_closure(lattice)):
+        raise ValueError("not a valid polytope incidence: closure not "
+                         "rebuilt by its own vertex-facet incidence")
     return canonical(Polytope(lattice))
 
 
@@ -303,11 +397,29 @@ def _synth_name(fmt, *polys):
     return None
 
 
+def _constructed(op, operands, fmt, build):
+    """The polytope whose lattice `build()` returns, memoized in
+    `store.constructions` on (op, operand keys).  A hit still goes through
+    `canonical` with the synthesized name, so names are first-come exactly
+    as without the memo."""
+    name = _synth_name(fmt, *operands)
+    request = (op,) + tuple(p.key for p in operands)
+    hit = store.constructions.get(request)
+    if hit is not None:
+        return canonical(hit, name)
+    poly = canonical(Polytope(build()), name)
+    return store.constructions.setdefault(request, poly)
+
+
 def product(p, q):
     """Direct product; nonempty faces are pairs of nonempty faces."""
     if p.is_empty() or q.is_empty():
         raise ValueError("product is defined on nonempty polytopes")
-    lp, lq = p.lattice, q.lattice
+    return _constructed("prod", (p, q), "prod(%s,%s)",
+                        lambda: _product_lattice(p.lattice, q.lattice))
+
+
+def _product_lattice(lp, lq):
     nonp = [x for x in range(lp.n) if x != lp.bottom]
     nonq = [y for y in range(lq.n) if y != lq.bottom]
     index = {}
@@ -330,14 +442,13 @@ def product(p, q):
             if a == lq.bottom:
                 continue
             covers.append((index[(x, a)], index[(x, b)]))
-    poly = Polytope(GradedPoset(ranks, covers))
-    return canonical(poly, _synth_name("prod(%s,%s)", p, q))
+    return GradedPoset(ranks, covers)
 
 
 def join(p, q):
     """Join: the face lattice is the product of the face lattices."""
-    poly = Polytope(poset_product(p.lattice, q.lattice))
-    return canonical(poly, _synth_name("join(%s,%s)", p, q))
+    return _constructed("join", (p, q), "join(%s,%s)",
+                        lambda: poset_product(p.lattice, q.lattice))
 
 
 def cone(p):
@@ -350,7 +461,11 @@ def bipyramid(p):
     of P survive, each acquires two cones, and a new top is added."""
     if p.is_empty():
         return point()
-    lat = p.lattice
+    return _constructed("bipyramid", (p,), "B %s",
+                        lambda: _bipyramid_lattice(p.lattice))
+
+
+def _bipyramid_lattice(lat):
     proper = [x for x in range(lat.n) if x != lat.top]
     base = {x: i for i, x in enumerate(proper)}
     m = len(proper)
@@ -374,13 +489,21 @@ def bipyramid(p):
     for x in proper:
         covers.append((base[x], conei[(0, x)]))
         covers.append((base[x], conei[(1, x)]))
-    poly = Polytope(GradedPoset(ranks, covers))
-    return canonical(poly, _synth_name("B %s", p))
+    return GradedPoset(ranks, covers)
 
 
 def dual(p):
-    poly = Polytope(p.lattice.dual())
-    return canonical(poly, _synth_name("dual(%s)", p))
+    return _constructed("dual", (p,), "dual(%s)", p.lattice.dual)
+
+
+def interval_polytope(p, x, y):
+    """The interval [x, y] of the face lattice of p, registered, memoized
+    on p like its flag numbers."""
+    hit = p._intervals.get((x, y))
+    if hit is None:
+        hit = p._intervals.setdefault(
+            (x, y), canonical(Polytope(p.lattice.interval(x, y))))
+    return hit
 
 
 def face_polytope(p, face):
@@ -388,7 +511,7 @@ def face_polytope(p, face):
     lat = p.lattice
     if not (0 <= face < lat.n):
         raise ValueError("face index out of range")
-    return canonical(Polytope(lat.interval(face, lat.top)))
+    return interval_polytope(p, face, lat.top)
 
 
 def face_as_polytope(p, face):
@@ -396,7 +519,7 @@ def face_as_polytope(p, face):
     lat = p.lattice
     if not (0 <= face < lat.n):
         raise ValueError("face index out of range")
-    return canonical(Polytope(lat.interval(lat.bottom, face)))
+    return interval_polytope(p, lat.bottom, face)
 
 
 def faces(p, k):
@@ -468,3 +591,9 @@ def flag_vector(p):
 
 def f_vector(p):
     return [flag_number(p, (i,)) for i in range(max(p.dim, 0))]
+
+
+def sort_key(p):
+    """Output order of types: dim, then f-vector, and the canonical key
+    only as the last tiebreak, so the order does not hang on key bytes."""
+    return (p.dim, f_vector(p), p.key)

@@ -124,9 +124,8 @@ class FormalSum:
         if not self.terms:
             return "0"
         bits = []
-        order = sorted(self.terms.items(),
-                       key=lambda pc: (pc[0].dim, pc[0].name or "", pc[0].key))
-        for p, c in order:
+        for p, c in sorted(self.terms.items(),
+                           key=lambda pc: pb.sort_key(pc[0])):
             label = p.name or ("<dim %d, %d faces>" % (p.dim, p.lattice.n))
             if c == 1:
                 frag = label
@@ -273,15 +272,11 @@ def delta_derivation(s):
 # -- join-ring Hopf structure ----------------------------------------------
 
 
-def _interval_polytope(poly, x, y):
-    return pb.canonical(pb.Polytope(poly.lattice.interval(x, y)))
-
-
 def _face_quotient_pairs(poly, faces):
     """(F, P/F) for each face F, given as a lattice element, of `poly`."""
     lat = poly.lattice
-    return [(_interval_polytope(poly, lat.bottom, z),
-             _interval_polytope(poly, z, lat.top)) for z in faces]
+    return [(pb.interval_polytope(poly, lat.bottom, z),
+             pb.interval_polytope(poly, z, lat.top)) for z in faces]
 
 
 def hopf_coproduct_pairs(poly):
@@ -349,7 +344,7 @@ def antipode_rp_chain_route(s):
                 return
             for y in range(lat.n):
                 if y != x and lat.leq(x, y):
-                    walk(y, acc + [_interval_polytope(poly, x, y)],
+                    walk(y, acc + [pb.interval_polytope(poly, x, y)],
                          length + 1)
 
         walk(lat.bottom, [], 0)

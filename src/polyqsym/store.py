@@ -1,15 +1,23 @@
 """The process-wide memo store.
 
-Plain dicts, one per memoized quantity that depends on a polytope type:
+Plain dicts, one per memoized quantity that depends on a polytope type.
+Polytope keys are the dim and the canonical key of the vertex-facet
+incidence (see `polytopes`).
 
-    types          canonical key -> the registered Polytope of that type
-    names          catalogue request text -> Polytope
-    face_classes   (canonical key, codimension) -> ((face, multiplicity), ..)
-    antipodes      canonical key -> join-ring antipode ((polytope, coeff), ..)
+    types          polytope key -> the registered Polytope of that type
+    names          catalogue request text -> Polytope (the generators
+                   empty, pt and cube(1), named atoms, operator words)
+    constructions  (operation, operand keys) -> Polytope, for product,
+                   join, bipyramid and dual
+    face_classes   (polytope key, codimension) -> ((face, multiplicity), ..)
+    antipodes      polytope key -> join-ring antipode ((polytope, coeff), ..)
     bb             dimension n -> sparse-flag basis
 
-`lock` guards the check-and-insert that makes the first Polytope seen for
-a key the shared one; every other access is a single dict operation.
+`MEMOS` names every one of them, so a caller that needs a fresh store
+(a test) can empty them all.  Interval polytopes are memoized on each
+Polytope, not here.  `lock` guards the check-and-insert that makes the
+first Polytope seen for a key the shared one; every other access is a
+single dict operation.
 """
 
 from __future__ import annotations
@@ -19,6 +27,9 @@ import threading
 lock = threading.Lock()
 types = {}
 names = {}
+constructions = {}
 face_classes = {}
 antipodes = {}
 bb = {}
+
+MEMOS = ("types", "names", "constructions", "face_classes", "antipodes", "bb")

@@ -4,6 +4,20 @@ from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, antipode_rp,
                            hopf_coproduct_pairs, mul_join)
 
 
+@pytest.fixture
+def empty_store(monkeypatch):
+    """An empty memo store (every dict `store.MEMOS` names), so that results
+    do not depend on which tests ran earlier in the process; calling it
+    empties the store again.  The old dicts come back after the test."""
+    from polyqsym import store
+
+    def empty():
+        for name in store.MEMOS:
+            monkeypatch.setattr(store, name, {})
+    empty()
+    return empty
+
+
 @pytest.fixture(scope="session")
 def catalogue():
     from polyqsym.suites import catalogue as build
@@ -51,3 +65,34 @@ def brute_flag_number(poly, subset):
 def omega_words(n):
     from polyqsym.transforms import basis_word_strings
     return basis_word_strings(n)
+
+
+def cw_sphere_lattice(verts, faces):
+    """Face poset of a regular cell decomposition of the 2-sphere: each
+    face is a cycle of vertex letters, each consecutive pair an edge.  Such
+    a poset is Eulerian, but need not be a polytope face lattice."""
+    from polyqsym.posets import GradedPoset
+
+    def cycle(f):
+        return [frozenset((f[i], f[(i + 1) % len(f)])) for i in range(len(f))]
+    edges = sorted({e for f in faces for e in cycle(f)}, key=sorted)
+    elems = [()] + list(verts) + edges + list(faces) + ["top"]
+    index = {e: i for i, e in enumerate(elems)}
+    ranks = ([0] + [1] * len(verts) + [2] * len(edges) + [3] * len(faces)
+             + [4])
+    covers = [(0, index[v]) for v in verts]
+    covers += [(index[v], index[e]) for e in edges for v in e]
+    covers += [(index[e], index[f]) for f in faces for e in cycle(f)]
+    covers += [(index[f], index["top"]) for f in faces]
+    return GradedPoset(ranks, covers)
+
+
+# Square abdc whose diagonal ad is an edge outside it, each half of the
+# other hemisphere coned from a new vertex: the atoms of ad lie below the
+# square, but ad does not.
+DIAGONAL_SPHERE = ("abcdef", ("abdc", "abe", "bde", "aed", "adf", "dcf",
+                              "caf"))
+# Octahedron with two pairs of triangles merged into quadrilaterals N123
+# and S341: ordered by inclusion of vertex sets, but those two facets meet
+# in the two vertices 1 and 3, which span no face.
+MERGED_OCTAHEDRON = ("NS1234", ("N123", "N34", "N41", "S12", "S23", "S341"))

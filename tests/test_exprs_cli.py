@@ -8,8 +8,10 @@ from polyqsym import polytopes as pb
 from polyqsym import store
 from polyqsym.cli import main
 from polyqsym.exprs import ExprError, format_sum, parse_expression
+from polyqsym.posets import GradedPoset
 from polyqsym.ring import FormalSum, JOIN_RING, PRODUCT_RING
-from conftest import fs
+from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, cw_sphere_lattice,
+                      fs)
 
 
 def test_parse_atoms_and_words():
@@ -168,17 +170,6 @@ def test_cli_bb_and_project(capsys):
     assert reparsed.terms == {pb.cube(2): 2, pb.simplex(2): -1}
 
 
-@pytest.fixture
-def empty_store(monkeypatch):
-    """An empty memo store, so that results do not depend on which tests
-    ran earlier in the process; calling it empties the store again."""
-    def empty():
-        for name in ("types", "names", "face_classes", "antipodes", "bb"):
-            monkeypatch.setattr(store, name, {})
-    empty()
-    return empty
-
-
 def test_cli_project_ignores_history(capsys, empty_store):
     # cube(2) is the basis polytope word(BCC); naming it first changes
     # nothing
@@ -216,6 +207,27 @@ def test_cli_usage_and_syntax_errors(capsys):
         assert "Traceback" not in err
 
 
+def test_build_order_ignores_input_order(capsys, empty_store):
+    """Rows and sum text come in (dim, f-vector) order, with the key only
+    as the last tiebreak, whatever order the terms were written in."""
+    terms = ["cube(3)", "cross(3)", "prod(simplex(2),cube(1))", "simplex(3)",
+             "C cube(2)", "2*polygon(5)", "cell24", "pt", "B simplex(2)",
+             "-polygon(6)"]
+    outputs, texts = [], []
+    for order in (terms, terms[::-1]):
+        expr = " + ".join(order).replace("+ -", "- ")
+        for argv in (["build", expr], ["--json", "build", expr]):
+            empty_store()
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        s = parse_expression(expr)
+        texts.append((repr(s), format_sum(s)))
+    assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
+    assert texts[0] == texts[1]
+    rows = [(r["dim"], r["f_vector"]) for r in json.loads(outputs[1])]
+    assert rows == sorted(rows) and len(rows) == len(terms)
+
+
 def test_cli_cache_round_trip(tmp_path, capsys, empty_store):
     path = str(tmp_path / "cache.json")
     assert main(["build", "prod(cube(2),simplex(2)) + cross(3)"]) == 0
@@ -229,9 +241,8 @@ def test_cli_cache_round_trip(tmp_path, capsys, empty_store):
     assert data["schema"] == 1
     for entry in data["registry"]:
         assert set(entry) == {"ranks", "covers"}
-        from polyqsym.posets import GradedPoset
         lat = GradedPoset.from_json_obj(entry)
-        assert store.types.get(lat.canonical_key()) is not None
+        assert store.types.get(pb.Polytope(lat).key) is not None
     # wrong schema rejected
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
@@ -290,6 +301,12 @@ _BAD_CACHES = {
          "covers": [[0, 1], [0, 2], [1, 3], [2, 3], [1, 4], [2, 4],
                     [3, 5], [4, 5]]}]},
     "not-utf8": b"\xff\xfe",
+    # Eulerian and separated, but not rebuilt by their vertex-facet
+    # incidence (see conftest)
+    "not-atom-inclusion": {"schema": 1, "registry": [
+        cw_sphere_lattice(*DIAGONAL_SPHERE).to_json_obj()]},
+    "not-facet-closure": {"schema": 1, "registry": [
+        cw_sphere_lattice(*MERGED_OCTAHEDRON).to_json_obj()]},
 }
 
 
@@ -303,7 +320,8 @@ def test_cli_cache_rejects_invalid(case, tmp_path, capsys, empty_store):
     err = capsys.readouterr().err
     assert "cache" in err and "Traceback" not in err
     assert not store.bb
-    if case in ("non-eulerian", "digon"):
+    if case in ("non-eulerian", "digon", "not-atom-inclusion",
+                "not-facet-closure"):
         assert not store.types
 
 

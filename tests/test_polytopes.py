@@ -1,9 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from polyqsym import polytopes as pb
-from conftest import brute_flag_number
+from polyqsym import store
+from polyqsym.posets import GradedPoset, poset_product
+from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, brute_flag_number,
+                      cw_sphere_lattice)
 
 
 def test_named_generators():
@@ -242,3 +246,124 @@ def test_concurrent_construction_is_consistent():
         t.join()
     for i in range(6):
         assert results[i] == results[i % 2]
+
+
+# A triangular prism with one square folded along a diagonal: 6 vertices,
+# 10 edges and 6 facets, like the pentagonal pyramid, but another type.
+FOLDED_PRISM = [{0, 1, 2}, {3, 4, 5}, {0, 1, 4}, {0, 4, 3}, {1, 2, 5, 4},
+                {2, 0, 3, 5}]
+
+
+def _random_lattices(rng, count):
+    """Face lattices of random products, joins, duals and B/C words of
+    dim <= 4, built by the lattice constructions alone, so that no
+    registry lookup or key is involved.  The pool starts with two 3-
+    polytopes of equal f-vector, so equal counts do not imply equal keys."""
+    pool = [pb.point().lattice, pb.segment().lattice, pb.simplex(2).lattice,
+            pb.polygon(5).lattice, pb.cone(pb.polygon(5)).lattice,
+            pb.from_incidence(FOLDED_PRISM).lattice]
+    out = []
+    while len(out) < count:
+        op = rng.choice(("prod", "join", "dual", "B", "C"))
+        a, b = rng.choice(pool), rng.choice(pool)
+        if op == "prod":
+            lat = pb._product_lattice(a, b)
+        elif op == "join":
+            lat = poset_product(a, b)
+        elif op == "dual":
+            lat = a.dual()
+        elif op == "B":
+            lat = pb._bipyramid_lattice(a)
+        else:
+            lat = poset_product(pb.point().lattice, a)
+        if lat.height <= 5 and lat.n <= 120:
+            pool.append(lat)
+            out.append(lat)
+    return out
+
+
+def _relabelled(rng, lat):
+    perm = list(range(lat.n))
+    rng.shuffle(perm)
+    return lat.relabel(perm)
+
+
+def test_incidence_key_matches_lattice_key(catalogue):
+    """Oracle for the key: two incidence keys are equal exactly when the
+    whole-lattice canonical keys are, on the catalogue and on random
+    constructions, each also under a random relabelling."""
+    rng = random.Random(7)
+    lattices = [pb.empty().lattice] + [p.lattice for p in catalogue.values()]
+    lattices += _random_lattices(rng, 60)
+    lattices += [_relabelled(rng, lat) for lat in lattices]
+    by_key, by_full, by_counts = {}, {}, {}
+    for lat in lattices:
+        key, full = pb.Polytope(lat).key, lat.canonical_key()
+        assert by_key.setdefault(key, full) == full
+        assert by_full.setdefault(full, key) == key
+        counts = tuple(len(lat.elements_of_rank(r))
+                       for r in range(lat.height + 1))
+        by_counts.setdefault(counts, set()).add(key)
+    # types that no face count tells apart are among them
+    assert sum(len(keys) > 1 for keys in by_counts.values()) >= 3
+
+
+def test_key_runs_one_route(monkeypatch):
+    """Above dim 1 the key never searches the whole face lattice."""
+    real = GradedPoset.canonical_key
+
+    def guarded(lat):
+        if lat.height >= 4:
+            raise AssertionError("whole face lattice keyed")
+        return real(lat)
+    monkeypatch.setattr(GradedPoset, "canonical_key", guarded)
+    for p in (pb.cube(3), pb.cell24()):
+        fresh = GradedPoset(p.lattice.ranks, p.lattice.covers)
+        assert pb.Polytope(fresh).key == p.key
+
+
+def test_face_lattice_checks(catalogue):
+    for p in [pb.empty()] + list(catalogue.values()):
+        assert pb._order_is_atom_inclusion(p.lattice), p.name
+        assert pb._is_facet_closure(p.lattice), p.name
+    diagonal = cw_sphere_lattice(*DIAGONAL_SPHERE)
+    merged = cw_sphere_lattice(*MERGED_OCTAHEDRON)
+    for lat in (diagonal, merged):
+        assert lat.is_eulerian() and pb._faces_are_separated(lat)
+    assert not pb._order_is_atom_inclusion(diagonal)
+    assert pb._order_is_atom_inclusion(merged)
+    assert not pb._is_facet_closure(merged)
+    for lat in (diagonal, merged):
+        with pytest.raises(pb.PosetError, match="face lattice"):
+            pb.registry_restore([lat.to_json_obj()])
+
+
+def test_constructions_are_memoized(monkeypatch, empty_store):
+    built, intervals = [], []
+    real_product, real_interval = pb._product_lattice, GradedPoset.interval
+    monkeypatch.setattr(pb, "_product_lattice",
+                        lambda a, b: built.append(1) or real_product(a, b))
+    monkeypatch.setattr(GradedPoset, "interval",
+                        lambda lat, x, y: intervals.append(1)
+                        or real_interval(lat, x, y))
+    assert pb.empty() is pb.empty() and pb.point() is pb.point()
+    seg = pb.segment()
+    assert pb.segment() is seg
+    sq = pb.product(seg, seg)
+    assert pb.product(seg, seg) is sq and len(built) == 1
+    assert sq.name == "prod(cube(1),cube(1))"
+    # a hit still names a type whose operands gained names meanwhile
+    tri = pb.from_incidence([{0, 1}, {1, 2}, {0, 2}])
+    prism = pb.product(tri, seg)
+    assert prism.name is None
+    pb.canonical(tri, "tri")
+    assert pb.product(tri, seg) is prism and prism.name == "prod(tri,cube(1))"
+    assert len(built) == 2
+    # faces and quotients are cut out of a lattice once per polytope
+    before = len(intervals)
+    firsts = [pb.face_as_polytope(sq, x) for x in range(sq.lattice.n)]
+    assert [pb.face_as_polytope(sq, x) for x in range(sq.lattice.n)] == firsts
+    # [bottom, top] was cut out above, as the face `top`
+    assert pb.face_polytope(sq, sq.lattice.bottom) is sq
+    assert len(intervals) - before == sq.lattice.n
+    assert set(store.constructions.values()) == {sq, prism}

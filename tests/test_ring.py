@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from polyqsym import polytopes as pb
-from polyqsym import ring, store
+from polyqsym import ring
 from polyqsym.polys import AlphaPoly
 from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, a_op,
                            antipode_rp, antipode_rp_chain_route,
@@ -168,13 +168,12 @@ def test_antipode_matches_chain_route(catalogue):
         assert antipode_rp(s) == antipode_rp_chain_route(s), p.name
 
 
-def test_antipode_runs_one_route(monkeypatch):
+def test_antipode_runs_one_route(monkeypatch, empty_store):
     """No production call reaches the chain sum; an empty memo makes the
     recursion run."""
     def oracle(*args):
         raise AssertionError("oracle route called")
     monkeypatch.setattr(ring, "antipode_rp_chain_route", oracle)
-    monkeypatch.setattr(store, "antipodes", {})
     for p in (pb.cube(3), pb.cube(4)):
         antipode_rp(fs(p, JOIN_RING))
 
