@@ -24,6 +24,6 @@ from .transforms import (bb_basis, bb_det, bb_multiply, b_qsym, cone_qsym,
                          f_poly_operator_route, f_rp, f_rp_coaction_route,
                          phi_alpha, phi_zero, project_bb,
                          verify_image_equations)
-from .exprs import ExprError, format_sum, parse_expression
+from .exprs import ExprError, parse_expression
 
 __version__ = "0.1.0"

@@ -2,12 +2,16 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
 All numeric output is exact; rationals cross the JSON boundary as strings.
+Integer arguments are bounded, as expressions are by `exprs.MAX_FACES`
+(`bb_basis` bounds `bb-matrix` and `project --dim`): past a bound a
+command exits 2 before doing the work.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -21,6 +25,13 @@ from . import lyndon
 from . import transforms
 
 CACHE_SCHEMA = 1
+# exponents in an `fpoly --r` expansion: r per monomial
+MAX_EXPANDED = 1_000_000
+# words `lyndon --weight` enumerates (every composition of the weight over
+# the alphabet), and the weight itself, which is the enumeration's depth
+MAX_WORDS = 200_000
+MAX_WEIGHT = 500
+MAX_K_TABLE = 300
 
 
 class CliIOError(RuntimeError):
@@ -73,8 +84,6 @@ def _cmd_build(args):
                  "vertices": poly.vertex_count, "facets": poly.facet_count,
                  "faces": poly.lattice.n,
                  "f_vector": pb.f_vector(poly)}
-        if poly.name:
-            entry["expr"] = poly.name
         rows.append(entry)
     if args.json:
         print(json.dumps(rows))
@@ -108,8 +117,16 @@ def _cmd_flag(args):
 
 
 def _cmd_fpoly(args):
+    if args.r is not None and args.r < 0:
+        raise ValueError("--r must be >= 0")
     q = f_poly(parse_expression(args.expr, ambient=PRODUCT_RING))
     if args.r is not None:
+        size = args.r * sum(math.comb(args.r, len(comp))
+                            for _, comp in q.terms)
+        if size > MAX_EXPANDED:
+            raise ValueError("expansion in %d variables too large: %d "
+                             "exponents, more than %d"
+                             % (args.r, size, MAX_EXPANDED))
         print(json.dumps(_multipoly_json(q.expand(args.r))) if args.json
               else repr(q.expand(args.r)))
     else:
@@ -136,6 +153,8 @@ def _cmd_frp(args):
 
 def _cmd_lyndon(args):
     if args.k_table is not None:
+        if args.k_table > MAX_K_TABLE:
+            raise ValueError("--k-table is at most %d" % MAX_K_TABLE)
         ks = lyndon.series_exponents(
             lyndon.fibonacci_series(args.k_table), args.k_table)
         print(json.dumps(ks))
@@ -145,6 +164,12 @@ def _cmd_lyndon(args):
         return 2
     alphabet = lyndon.ODD if args.alphabet == "odd" \
         else tuple(int(a) for a in args.alphabet.split(","))
+    if args.weight > MAX_WEIGHT:
+        raise ValueError("--weight is at most %d" % MAX_WEIGHT)
+    count = lyndon.count_words_of_weight(alphabet, args.weight)
+    if count > MAX_WORDS:
+        raise ValueError("--weight %d spans %d words, more than %d"
+                         % (args.weight, count, MAX_WORDS))
     words = lyndon.lyndon_words(alphabet, args.weight)
     print(json.dumps([list(w) for w in words]))
     return 0

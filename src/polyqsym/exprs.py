@@ -222,15 +222,6 @@ def parse_expression(text, ambient=None):
     return FormalSum(ambient, result.terms)
 
 
-def format_sum(s):
-    """Grammar text for a FormalSum whose terms carry registry names."""
-    order = sorted(s.terms.items(), key=lambda pc: pb.sort_key(pc[0]))
-    if any(poly.name is None for poly, _ in order):
-        raise ValueError("term without a registered name cannot be "
-                         "printed in grammar form")
-    return format_terms([(poly.name, coeff) for poly, coeff in order])
-
-
 def format_terms(terms):
     """Grammar text for (expression, coefficient) pairs, in this order."""
     if not terms:

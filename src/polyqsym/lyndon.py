@@ -87,6 +87,17 @@ def words_of_weight(alphabet, weight):
     return compositions(weight, alphabet)
 
 
+def count_words_of_weight(alphabet, weight):
+    """len(words_of_weight(alphabet, weight)), without listing them."""
+    if alphabet == ODD:
+        alphabet = range(1, weight + 1, 2)
+    letters = sorted({a for a in alphabet if 0 < a <= weight})
+    counts = [1] + [0] * max(weight, 0)
+    for n in range(1, weight + 1):
+        counts[n] = sum(counts[n - a] for a in letters if a <= n)
+    return counts[weight] if weight >= 0 else 0
+
+
 def lyndon_words(alphabet, weight):
     return [w for w in words_of_weight(alphabet, weight) if is_lyndon(w)]
 

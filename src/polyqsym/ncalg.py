@@ -56,9 +56,6 @@ class NCPoly:
     def is_zero(self):
         return not self.terms
 
-    def is_integral(self):
-        return all(v.denominator == 1 for v in self.terms.values())
-
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self.terms == other.terms
 
@@ -287,14 +284,6 @@ class DualFunctional:
         total = 0
         for w, c in _normal_form_word(word).items():
             v = self.values.get(w)
-            if v:
-                total = total + c * v
-        return total
-
-    def value_on(self, a):
-        total = 0
-        for w, c in a.terms.items():
-            v = self.value(w)
             if v:
                 total = total + c * v
         return total

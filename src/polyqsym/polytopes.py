@@ -5,7 +5,8 @@ is the polytope itself, so dim = height - 1.  The empty polytope (dim -1,
 one-element lattice) is a first-class value: it is the unit of the join
 ring.  All constructions funnel through the registry `store.types`, keyed
 by the canonical key, so equal combinatorial types are the same object and
-carry a shared flag-number cache.
+carry a shared flag-number cache.  A type carries no name: it is only its
+face lattice, so nothing printed depends on which expression built it.
 
 The key of a polytope of dim >= 2 is its dim followed by the canonical key
 of its vertex-facet incidence, encoded as a height-3 poset (bottom,
@@ -31,17 +32,14 @@ from .posets import GradedPoset, PosetError, boolean_lattice, poset_product
 
 
 class Polytope:
-    __slots__ = ("lattice", "dim", "name", "_key", "_flags", "_intervals",
-                 "_name_pref")
+    __slots__ = ("lattice", "dim", "_key", "_flags", "_intervals")
 
-    def __init__(self, lattice, name=None):
+    def __init__(self, lattice):
         self.lattice = lattice
         self.dim = lattice.height - 1
-        self.name = name
         self._key = None
         self._flags = {}
         self._intervals = {}
-        self._name_pref = False
 
     @property
     def key(self):
@@ -61,8 +59,6 @@ class Polytope:
         return isinstance(other, Polytope) and self.key == other.key
 
     def __repr__(self):
-        if self.name:
-            return "Polytope(%s)" % self.name
         return "Polytope(dim=%d, faces=%d)" % (self.dim, self.lattice.n)
 
     @property
@@ -89,24 +85,9 @@ class Polytope:
         return p
 
 
-def canonical(poly, name=None, prefer=False):
-    """Global dedup: the first Polytope seen for a key wins.  A preferred
-    name (catalogue generators) replaces a synthesized one."""
-    key = poly.key
-    with store.lock:
-        existing = store.types.get(key)
-        if existing is not None:
-            newname = name or poly.name
-            if newname and (existing.name is None
-                            or (prefer and not existing._name_pref)):
-                existing.name = newname
-                existing._name_pref = prefer
-            return existing
-        if name and poly.name is None:
-            poly.name = name
-        poly._name_pref = prefer
-        store.types[key] = poly
-        return poly
+def canonical(poly):
+    """Global dedup: the first Polytope seen for a key is the shared one."""
+    return store.types.setdefault(poly.key, poly)
 
 
 def _incidence_poset(lat):
@@ -222,24 +203,23 @@ def _once(request, make):
 
 def empty():
     return _once(repr(("empty",)), lambda: canonical(
-        Polytope(GradedPoset([0], [])), "empty", prefer=True))
+        Polytope(GradedPoset([0], []))))
 
 
 def point():
     return _once(repr(("pt",)), lambda: canonical(
-        Polytope(GradedPoset([0, 1], [(0, 1)])), "pt", prefer=True))
+        Polytope(GradedPoset([0, 1], [(0, 1)]))))
 
 
 def simplex(n):
     if n < 0:
         raise ValueError("simplex(n) needs n >= 0")
-    return canonical(Polytope(boolean_lattice(n + 1)), "simplex(%d)" % n,
-                     prefer=True)
+    return canonical(Polytope(boolean_lattice(n + 1)))
 
 
 def segment():
     return _once(repr(("cube", 1)), lambda: canonical(
-        Polytope(boolean_lattice(2)), "cube(1)", prefer=True))
+        Polytope(boolean_lattice(2))))
 
 
 def cube(n):
@@ -248,7 +228,7 @@ def cube(n):
     p = segment()
     for _ in range(n - 1):
         p = product(p, segment())
-    return canonical(p, "cube(%d)" % n, prefer=True)
+    return p
 
 
 def cross(n):
@@ -258,7 +238,7 @@ def cross(n):
     p = point()
     for _ in range(n):
         p = bipyramid(p)
-    return canonical(p, "cross(%d)" % n, prefer=True)
+    return p
 
 
 def polygon(m):
@@ -271,8 +251,7 @@ def polygon(m):
         covers.append((1 + j, 1 + m + j))
         covers.append((1 + (j + 1) % m, 1 + m + j))
         covers.append((1 + m + j, 2 * m + 1))
-    return canonical(Polytope(GradedPoset(ranks, covers)), "polygon(%d)" % m,
-                     prefer=True)
+    return canonical(Polytope(GradedPoset(ranks, covers)))
 
 
 def _cell24_incidence():
@@ -297,8 +276,7 @@ def _cell24_incidence():
 
 
 def cell24():
-    return canonical(from_incidence(_cell24_incidence()), "cell24",
-                     prefer=True)
+    return from_incidence(_cell24_incidence())
 
 
 def build_named(name, *params):
@@ -321,14 +299,13 @@ def from_word(word):
         raise ValueError("empty operator word")
     if any(ch not in "BC" for ch in word):
         raise ValueError("operator word must use letters B and C only")
-    name = "word(%s)" % word
 
     def make():
         p = empty()
         for ch in reversed(word):
             p = cone(p) if ch == "C" else bipyramid(p)
-        return canonical(p, name, prefer=True)
-    return _once(name, make)
+        return p
+    return _once("word(%s)" % word, make)
 
 
 def from_incidence(facet_vertex_sets):
@@ -390,32 +367,22 @@ def from_incidence(facet_vertex_sets):
 # -- constructions ------------------------------------------------------
 
 
-def _synth_name(fmt, *polys):
-    names = [p.name for p in polys]
-    if all(names):
-        return fmt % tuple(names)
-    return None
-
-
-def _constructed(op, operands, fmt, build):
+def _constructed(op, operands, build):
     """The polytope whose lattice `build()` returns, memoized in
-    `store.constructions` on (op, operand keys).  A hit still goes through
-    `canonical` with the synthesized name, so names are first-come exactly
-    as without the memo."""
-    name = _synth_name(fmt, *operands)
+    `store.constructions` on (op, operand keys)."""
     request = (op,) + tuple(p.key for p in operands)
     hit = store.constructions.get(request)
-    if hit is not None:
-        return canonical(hit, name)
-    poly = canonical(Polytope(build()), name)
-    return store.constructions.setdefault(request, poly)
+    if hit is None:
+        hit = store.constructions.setdefault(
+            request, canonical(Polytope(build())))
+    return hit
 
 
 def product(p, q):
     """Direct product; nonempty faces are pairs of nonempty faces."""
     if p.is_empty() or q.is_empty():
         raise ValueError("product is defined on nonempty polytopes")
-    return _constructed("prod", (p, q), "prod(%s,%s)",
+    return _constructed("prod", (p, q),
                         lambda: _product_lattice(p.lattice, q.lattice))
 
 
@@ -447,13 +414,12 @@ def _product_lattice(lp, lq):
 
 def join(p, q):
     """Join: the face lattice is the product of the face lattices."""
-    return _constructed("join", (p, q), "join(%s,%s)",
+    return _constructed("join", (p, q),
                         lambda: poset_product(p.lattice, q.lattice))
 
 
 def cone(p):
-    c = join(point(), p)
-    return canonical(c, _synth_name("C %s", p))
+    return join(point(), p)
 
 
 def bipyramid(p):
@@ -461,7 +427,7 @@ def bipyramid(p):
     of P survive, each acquires two cones, and a new top is added."""
     if p.is_empty():
         return point()
-    return _constructed("bipyramid", (p,), "B %s",
+    return _constructed("bipyramid", (p,),
                         lambda: _bipyramid_lattice(p.lattice))
 
 
@@ -493,7 +459,7 @@ def _bipyramid_lattice(lat):
 
 
 def dual(p):
-    return _constructed("dual", (p,), "dual(%s)", p.lattice.dual)
+    return _constructed("dual", (p,), p.lattice.dual)
 
 
 def interval_polytope(p, x, y):

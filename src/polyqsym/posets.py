@@ -79,9 +79,6 @@ class GradedPoset:
     def up_covers(self, x):
         return self._up[x]
 
-    def down_covers(self, x):
-        return self._dn[x]
-
     def _ensure_masks(self):
         if self._upmask is not None:
             return
@@ -288,7 +285,7 @@ class GradedPoset:
     def from_json_obj(cls, obj):
         try:
             return cls(obj["ranks"], obj["covers"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise PosetError("bad poset object: %s" % exc) from None
 
     def to_json(self):

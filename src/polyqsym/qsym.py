@@ -61,10 +61,6 @@ def quasi_shuffle(c1, c2):
     return MappingProxyType(out)
 
 
-def composition_sort_key(comp):
-    return (sum(comp), len(comp), comp)
-
-
 class QSym:
     """Integer combination of quasi-symmetric monomials, with an optional
     polynomial grading variable folded into the keys."""
@@ -146,15 +142,6 @@ class QSym:
     def coefficient(self, comp, alpha=0):
         return self.terms.get((alpha, tuple(comp)), 0)
 
-    def alpha_part(self, k):
-        """The coefficient of the k-th power of the grading variable, as a
-        plain quasi-symmetric function."""
-        return QSym({(0, comp): v for (a, comp), v in self.terms.items()
-                     if a == k})
-
-    def max_alpha(self):
-        return max((a for a, _ in self.terms), default=0)
-
     def degree_set(self):
         return {a + sum(c) for (a, c) in self.terms}
 
@@ -166,10 +153,6 @@ class QSym:
         if not ds:
             return True
         return len(ds) == 1 and (degree is None or ds == {degree})
-
-    def homogeneous_piece(self, degree):
-        return QSym({k: v for k, v in self.terms.items()
-                     if k[0] + sum(k[1]) == degree})
 
     def coproduct(self):
         """Deconcatenation coproduct; defined on the plain ring only.

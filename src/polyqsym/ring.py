@@ -121,12 +121,14 @@ class FormalSum:
         return out
 
     def __repr__(self):
+        """Each term is labelled by its dim and f-vector, which tell
+        cube(3) from cross(3) (both have 28 faces)."""
         if not self.terms:
             return "0"
         bits = []
         for p, c in sorted(self.terms.items(),
                            key=lambda pc: pb.sort_key(pc[0])):
-            label = p.name or ("<dim %d, %d faces>" % (p.dim, p.lattice.n))
+            label = "<dim %d, f=%s>" % (p.dim, pb.f_vector(p))
             if c == 1:
                 frag = label
             elif c == -1:
@@ -136,10 +138,6 @@ class FormalSum:
             bits.append(frag)
         text = " + ".join(bits)
         return text.replace("+ -", "- ")
-
-
-def to_ambient(s, ambient):
-    return FormalSum(ambient, s.terms)
 
 
 # -- ring multiplications -------------------------------------------------

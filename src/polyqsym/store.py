@@ -15,16 +15,12 @@ incidence (see `polytopes`).
 
 `MEMOS` names every one of them, so a caller that needs a fresh store
 (a test) can empty them all.  Interval polytopes are memoized on each
-Polytope, not here.  `lock` guards the check-and-insert that makes the
-first Polytope seen for a key the shared one; every other access is a
-single dict operation.
+Polytope, not here.  Every access is a single dict operation (`get` or
+`setdefault`), so threads that race on a key agree on the stored value.
 """
 
 from __future__ import annotations
 
-import threading
-
-lock = threading.Lock()
 types = {}
 names = {}
 constructions = {}

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import exprs
 from . import polytopes as pb
 from . import store
 from .intlinalg import det_bareiss, solve_exact
@@ -266,9 +267,20 @@ class BBBasis:
                 "matrix": [list(r) for r in self.matrix]}
 
 
+def _largest_basis_faces(n):
+    """Faces of the largest basis polytope of dim n, word (BC)^(n//2) then
+    C or CC, counted by `exprs._grow` (only until they pass MAX_FACES)."""
+    return exprs._grow(itertools.chain(
+        "C" * (1 + n % 2), itertools.islice(itertools.cycle("CB"),
+                                            2 * (n // 2))))
+
+
 def bb_basis(n):
     if n < 1:
         raise ValueError("needs n >= 1")
+    if _largest_basis_faces(n) > exprs.MAX_FACES:
+        raise ValueError("basis of dim %d too large: its polytopes pass %d "
+                         "faces" % (n, exprs.MAX_FACES))
     hit = store.bb.get(n)
     if hit is not None:
         return hit

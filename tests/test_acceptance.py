@@ -138,7 +138,7 @@ def test_c09_hopf_comodule_laws():
     d3 = pb.simplex(3)
     for p in (pt, seg, tri, sq):
         left, right = antipode_axiom_sums(p)
-        assert left.is_zero() and right.is_zero(), p.name
+        assert left.is_zero() and right.is_zero(), p
     for p in (tri, sq, d3):
         left = Counter()
         for f, quot in comodule_pairs(p):
@@ -148,7 +148,7 @@ def test_c09_hopf_comodule_laws():
         for f, quot in comodule_pairs(p):
             for g, h in hopf_coproduct_pairs(quot):
                 right[(f.key, g.key, h.key)] += 1
-        assert left == right, p.name
+        assert left == right, p
     for p, q in [(seg, seg), (seg, tri), (tri, sq)]:
         left = Counter()
         for f, quot in comodule_pairs(pb.product(p, q)):
@@ -157,7 +157,7 @@ def test_c09_hopf_comodule_laws():
         for f1, q1 in comodule_pairs(p):
             for f2, q2 in comodule_pairs(q):
                 right[(pb.product(f1, f2).key, pb.join(q1, q2).key)] += 1
-        assert left == right, (p.name, q.name)
+        assert left == right, (p, q)
     for p in (tri, d3):
         left = {}
         for f, quot in comodule_pairs(p):
@@ -168,14 +168,14 @@ def test_c09_hopf_comodule_laws():
                 right[poly.key] = right.get(poly.key, QSym()) \
                     + c * M(word)
         assert {k: v for k, v in left.items() if not v.is_zero()} == \
-            {k: v for k, v in right.items() if not v.is_zero()}, p.name
+            {k: v for k, v in right.items() if not v.is_zero()}, p
     for p in (pt, seg, tri, sq, d3, pb.cone(sq), pb.bipyramid(tri)):
         acc = QSym()
         for power, ssum in l_alpha(p).items():
             g = ehrenborg_F(ssum).star()
             acc = acc + QSym({(a + power, c): v
                               for (a, c), v in g.terms.items()})
-        assert acc == f_poly(p), p.name
+        assert acc == f_poly(p), p
     _report(9, "antipode axiom, coaction coassociativity and "
                "multiplicativity, chain-transform compatibility, and the "
                "quotient reconstruction identity")
@@ -209,7 +209,7 @@ def test_c11_operator_algebra_structure():
                 acc = FormalSum(ambient)
                 for word, c in rhs.terms.items():
                     acc = acc + int(c * denom) * apply_operator(word, base)
-                assert acc == want, (k, p.name, ambient)
+                assert acc == want, (k, p, ambient)
     for n in range(1, 9):
         assert len(basis_words(n)) == FIB[n - 1], n
     # exact-rank independence of the basis action on flag vectors

@@ -7,9 +7,9 @@ from polyqsym import exprs
 from polyqsym import polytopes as pb
 from polyqsym import store
 from polyqsym.cli import main
-from polyqsym.exprs import ExprError, format_sum, parse_expression
+from polyqsym.exprs import ExprError, parse_expression
 from polyqsym.posets import GradedPoset
-from polyqsym.ring import FormalSum, JOIN_RING, PRODUCT_RING
+from polyqsym.ring import FormalSum, JOIN_RING, PRODUCT_RING, d_k
 from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, cw_sphere_lattice,
                       fs)
 
@@ -104,23 +104,6 @@ def test_named_atoms_are_memoized(monkeypatch):
     second = parse_expression("cell24")
     assert len(calls) == 1
     assert next(iter(first.terms)) is next(iter(second.terms))
-
-
-def test_format_round_trip():
-    cases = ["pt", "3*simplex(2) - 4*cube(2)",
-             "2*cell24 + polygon(5) - cross(3)",
-             "-simplex(3) + 2*word(CBCC)"]
-    for text in cases:
-        s = parse_expression(text)
-        again = parse_expression(format_sum(s))
-        assert again.terms == s.terms, text
-
-
-def test_format_round_trip_catalogue(catalogue):
-    for p in catalogue.values():
-        s = FormalSum.of(p, JOIN_RING)
-        again = parse_expression(format_sum(s), ambient=JOIN_RING)
-        assert again.terms == s.terms, p.name
 
 
 def test_cli_build_and_flag(capsys):
@@ -220,12 +203,80 @@ def test_build_order_ignores_input_order(capsys, empty_store):
             empty_store()
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        s = parse_expression(expr)
-        texts.append((repr(s), format_sum(s)))
+        texts.append(repr(parse_expression(expr)))
     assert outputs[0] == outputs[2] and outputs[1] == outputs[3]
     assert texts[0] == texts[1]
     rows = [(r["dim"], r["f_vector"]) for r in json.loads(outputs[1])]
     assert rows == sorted(rows) and len(rows) == len(terms)
+
+
+def test_output_ignores_history(capsys, empty_store):
+    """Printed text is a function of the request alone, not of what the
+    process built before it."""
+    outputs = []
+    # the second request after the first, then again in a fresh store
+    for text, fresh in (("cube(2) + cross(2)", False),
+                        ("cross(2) + cube(2)", False),
+                        ("cross(2) + cube(2)", True)):
+        if fresh:
+            empty_store()
+        assert main(["--json", "build", text]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(set(outputs)) == 1
+    assert all("expr" not in row for row in json.loads(outputs[0]))
+    empty_store()
+    before = repr(d_k(FormalSum.of(pb.cube(3)), 1))
+    parse_expression("cube(2)")
+    assert repr(d_k(FormalSum.of(pb.cube(3)), 1)) == before
+    assert before == "6*<dim 2, f=[4, 4]>"
+
+
+def test_sum_repr_tells_types_apart():
+    # cube(3) and cross(3) both have 28 faces
+    s = parse_expression("cube(3) - cross(3) + 2*polygon(5)")
+    assert repr(s) == ("2*<dim 2, f=[5, 5]> - <dim 3, f=[6, 12, 8]> "
+                       "+ <dim 3, f=[8, 12, 6]>")
+    assert repr(FormalSum.zero()) == "0"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["project", "0*pt", "--dim", "12"], "basis of dim 12 too large"),
+    (["bb-matrix", "14", "--det"], "basis of dim 14 too large"),
+    (["bb-matrix", "10"], "basis of dim 10 too large"),
+    (["lyndon", "--weight", "60"], "more than 200000"),
+    (["lyndon", "--alphabet", "odd", "--weight", "40"], "more than 200000"),
+    (["lyndon", "--alphabet", "2", "--weight", "1000000000000"],
+     "--weight is at most 500"),
+    (["lyndon", "--k-table", "3000"], "--k-table is at most 300"),
+    (["fpoly", "cube(3)", "--r", "400"], "more than 1000000"),
+    (["fpoly", "pt", "--r", "1000000000"], "more than 1000000"),
+    (["fpoly", "cube(2)", "--r", "-1"], "--r must be >= 0"),
+])
+def test_cli_integer_bounds(argv, message, capsys, monkeypatch,
+                            empty_store):
+    """Integer arguments past their bound exit 2 before the work they
+    size: no basis polytope, enumeration, series or expansion is made."""
+    from polyqsym import lyndon, qsym
+
+    def refuse(*args):
+        raise AssertionError("work started")
+    monkeypatch.setattr(pb, "from_word", refuse)
+    monkeypatch.setattr(lyndon, "words_of_weight", refuse)
+    monkeypatch.setattr(lyndon, "fibonacci_series", refuse)
+    monkeypatch.setattr(qsym.QSym, "expand", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_bounds_keep_documented_values(capsys):
+    for argv in (["bb-matrix", "2"], ["lyndon", "--k-table", "16"],
+                 ["lyndon", "--weight", "12"],
+                 ["lyndon", "--alphabet", "odd", "--weight", "12"],
+                 ["fpoly", "cube(3)", "--r", "3"]):
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_cache_round_trip(tmp_path, capsys, empty_store):
@@ -284,7 +335,6 @@ def test_cli_cache_does_not_change_output(tmp_path, capsys, empty_store):
         assert main(extra + argv) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])[0]["expr"] == "prod(cube(1),cube(1))"
 
 
 _BAD_CACHES = {

@@ -74,6 +74,14 @@ def test_enumeration_golden():
     assert lyndon_words((1, 2), 1) == [(1,)]
 
 
+def test_count_words_of_weight():
+    for alphabet in ((1, 2), ODD, (2, 3, 7), (1,), (3,)):
+        for weight in range(-1, 16):
+            assert lyndon.count_words_of_weight(alphabet, weight) == \
+                len(lyndon.words_of_weight(alphabet, weight)), \
+                (alphabet, weight)
+
+
 def test_fibonacci_and_partitions():
     assert [fibonacci(n) for n in range(8)] == [1, 1, 2, 3, 5, 8, 13, 21]
     assert odd_partition_count(6) == 4

@@ -108,7 +108,7 @@ def test_operator_action_oracle():
                     assert c.denominator == 1
                     term = int(c) * apply_operator(word, fs(p, ambient))
                     acc = term if acc is None else acc + term
-                assert acc.is_zero(), (p.name, ambient)
+                assert acc.is_zero(), (p, ambient)
 
 
 def test_normal_form_agrees_with_action():
@@ -123,7 +123,7 @@ def test_normal_form_agrees_with_action():
                 for word, c in nf.terms.items():
                     term = int(c) * apply_operator(word, fs(p))
                     via = term if via is None else via + term
-                assert direct == via, (w, p.name)
+                assert direct == via, (w, p)
 
 
 def test_basis_counts_fibonacci():
@@ -260,7 +260,7 @@ def test_d_even_action():
                     scaled = int(c * denom)
                     term = scaled * apply_operator(word, base)
                     acc = term if acc is None else acc + term
-                assert acc == lhs, (k, p.name, ambient)
+                assert acc == lhs, (k, p, ambient)
 
 
 def test_dual_functional():
@@ -283,4 +283,4 @@ def test_dual_functional_images_are_invariant():
         psi = phi_zero(p)
         q = psi.to_qsym(p.dim)
         for k in range(1, p.dim + 2):
-            assert theta_substitution_invariant(q, k, p.dim), (p.name, k)
+            assert theta_substitution_invariant(q, k, p.dim), (p, k)

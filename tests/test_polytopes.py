@@ -129,7 +129,7 @@ def test_flag_numbers_match_brute_force():
         for k in range(n + 1):
             for s in itertools.combinations(range(n), k):
                 assert pb.flag_number(p, s) == brute_flag_number(p, s), \
-                    (p.name, s)
+                    (p, s)
 
 
 def test_flag_conventions():
@@ -183,7 +183,7 @@ def test_bipyramid_cone_exchange_lemma():
             if n - 2 in s:
                 rest = tuple(x for x in s if x != n - 2)
                 rhs += pb.flag_number(p, rest)
-            assert lhs == rhs, (p.name, s)
+            assert lhs == rhs, (p, s)
 
 
 def test_dual_flag_reversal(catalogue):
@@ -230,22 +230,32 @@ def test_json_round_trip():
     assert again == sq
 
 
-def test_concurrent_construction_is_consistent():
+def test_concurrent_construction_is_consistent(empty_store):
+    """Threads racing on an empty store agree on the registered object:
+    every store insert is one `setdefault`, so no lock is needed."""
+    import sys
     import threading
     results = [[] for _ in range(6)]
 
     def worker(i):
         p = pb.product(pb.polygon(5 + i % 2), pb.segment())
-        results[i].append(p.key)
-        results[i].append(pb.flag_number(p, (0, 1)))
+        results[i].extend((p, p.key, pb.flag_number(p, (0, 1))))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     for i in range(6):
-        assert results[i] == results[i % 2]
+        assert results[i][0] is results[i % 2][0]
+        assert results[i][1:] == results[i % 2][1:]
+        assert store.types[results[i][1]] is results[i][0]
 
 
 # A triangular prism with one square folded along a diagonal: 6 vertices,
@@ -324,8 +334,8 @@ def test_key_runs_one_route(monkeypatch):
 
 def test_face_lattice_checks(catalogue):
     for p in [pb.empty()] + list(catalogue.values()):
-        assert pb._order_is_atom_inclusion(p.lattice), p.name
-        assert pb._is_facet_closure(p.lattice), p.name
+        assert pb._order_is_atom_inclusion(p.lattice), p
+        assert pb._is_facet_closure(p.lattice), p
     diagonal = cw_sphere_lattice(*DIAGONAL_SPHERE)
     merged = cw_sphere_lattice(*MERGED_OCTAHEDRON)
     for lat in (diagonal, merged):
@@ -351,13 +361,9 @@ def test_constructions_are_memoized(monkeypatch, empty_store):
     assert pb.segment() is seg
     sq = pb.product(seg, seg)
     assert pb.product(seg, seg) is sq and len(built) == 1
-    assert sq.name == "prod(cube(1),cube(1))"
-    # a hit still names a type whose operands gained names meanwhile
     tri = pb.from_incidence([{0, 1}, {1, 2}, {0, 2}])
     prism = pb.product(tri, seg)
-    assert prism.name is None
-    pb.canonical(tri, "tri")
-    assert pb.product(tri, seg) is prism and prism.name == "prod(tri,cube(1))"
+    assert pb.product(tri, seg) is prism
     assert len(built) == 2
     # faces and quotients are cut out of a lattice once per polytope
     before = len(intervals)

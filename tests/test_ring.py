@@ -138,7 +138,7 @@ def test_self_dual_sums_stay_self_dual():
         s = fs(p, JOIN_RING)
         assert dual_sum(s) == s
         image = d_k(s, 1) + delta_derivation(s)
-        assert dual_sum(image) == image, p.name
+        assert dual_sum(image) == image, p
 
 
 def test_antipode():
@@ -157,7 +157,7 @@ def test_antipode():
               pb.cross(3), pb.cone(pb.cube(2)), pb.bipyramid(pb.simplex(2)),
               pb.cube(4)):
         left, right = antipode_axiom_sums(p)
-        assert left.is_zero() and right.is_zero(), p.name
+        assert left.is_zero() and right.is_zero(), p
     with pytest.raises(ValueError):
         antipode_rp(fs(pt))
 
@@ -165,7 +165,7 @@ def test_antipode():
 def test_antipode_matches_chain_route(catalogue):
     for p in [pb.empty()] + [p for p in catalogue.values() if p.dim <= 3]:
         s = fs(p, JOIN_RING)
-        assert antipode_rp(s) == antipode_rp_chain_route(s), p.name
+        assert antipode_rp(s) == antipode_rp_chain_route(s), p
 
 
 def test_antipode_runs_one_route(monkeypatch, empty_store):
@@ -223,7 +223,7 @@ def test_milnor_module_law():
                 b = fs(q) if k == i else d_k(fs(q), k - i)
                 if not (a.is_zero() or b.is_zero()):
                     rhs = rhs + mul_product(a, b)
-            assert lhs == rhs, (p.name, q.name, k)
+            assert lhs == rhs, (p, q, k)
         for k in range(1, p.dim + q.dim + 4):
             lhs = d_k(fs(pb.join(p, q), JOIN_RING), k)
             rhs = FormalSum(JOIN_RING)
@@ -233,4 +233,4 @@ def test_milnor_module_law():
                                                         k - i)
                 if not (a.is_zero() or b.is_zero()):
                     rhs = rhs + mul_join(a, b)
-            assert lhs == rhs, (p.name, q.name, k)
+            assert lhs == rhs, (p, q, k)

@@ -46,7 +46,7 @@ def test_f_poly_is_ring_homomorphism():
              (pb.simplex(2), pb.cube(2))]
     for p, q in pairs:
         prod = mul_product(fs(p), fs(q))
-        assert f_poly(prod) == f_poly(p) * f_poly(q), (p.name, q.name)
+        assert f_poly(prod) == f_poly(p) * f_poly(q), (p, q)
 
 
 def test_two_route_oracle(catalogue):
@@ -137,7 +137,7 @@ def test_flag_equivalence_kernel(catalogue):
     for p, q in itertools.combinations(polys, 2):
         same_flags = (p.dim == q.dim
                       and pb.flag_vector(p) == pb.flag_vector(q))
-        assert (f_poly(p) == f_poly(q)) == same_flags, (p.name, q.name)
+        assert (f_poly(p) == f_poly(q)) == same_flags, (p, q)
         assert (ehrenborg_F(p) == ehrenborg_F(q)) == same_flags
         assert (f_rp(p) == f_rp(q)) == same_flags
 
@@ -179,6 +179,24 @@ def test_sparse_sets_and_words():
         assert len(basis_word_strings(n)) == fib[n]
         for w in basis_word_strings(n):
             assert w.endswith("CC") and "BB" not in w and len(w) == n + 1
+
+
+def test_bb_basis_size_bound():
+    """The bound names the largest basis polytope by its word, without
+    listing the words; checked against every word, and against the built
+    lattices while they are small."""
+    from polyqsym.exprs import MAX_FACES, _grow
+    for n in range(1, 12):
+        largest = max(_grow(reversed(w)) for w in basis_word_strings(n))
+        bound = transforms._largest_basis_faces(n)
+        assert (bound > MAX_FACES) == (largest > MAX_FACES) == (n >= 10)
+        if n < 10:
+            assert bound == largest, n
+        if n <= 5:
+            assert bound == max(pb.from_word(w).lattice.n
+                                for w in basis_word_strings(n))
+    with pytest.raises(ValueError, match="too large"):
+        bb_basis(10)
 
 
 def test_bb_matrix_golden():
@@ -240,9 +258,9 @@ def test_qsym_operators_match_polytope_side():
     from polyqsym.transforms import a_qsym
     for p in (pb.point(), pb.segment(), pb.simplex(2), pb.cube(2),
               pb.simplex(3), pb.cube(3)):
-        assert cone_qsym(f_poly(p)) == f_poly(pb.cone(p)), p.name
-        assert b_qsym(f_poly(p)) == f_poly(pb.bipyramid(p)), p.name
-        assert a_qsym(f_poly(p)) == f_poly(a_op(fs(p))), p.name
+        assert cone_qsym(f_poly(p)) == f_poly(pb.cone(p)), p
+        assert b_qsym(f_poly(p)) == f_poly(pb.bipyramid(p)), p
+        assert a_qsym(f_poly(p)) == f_poly(a_op(fs(p))), p
     for p in (pb.point(), pb.segment(), pb.simplex(2)):
         s = fs(p, JOIN_RING)
         assert c_rp_qsym(f_rp(p)) == f_rp(cone_op(s))
@@ -269,7 +287,7 @@ def test_join_and_cone_formulas():
         rhs = (f_poly(p) * ehrenborg_F(q).star()
                + ehrenborg_F(p).star() * f_poly(q)
                + alpha(1) * f_poly(p) * f_poly(q))
-        assert lhs == rhs, (p.name, q.name)
+        assert lhs == rhs, (p, q)
     for p in small:
         assert f_poly(pb.cone(p)) == ehrenborg_F(p).star() \
             + (alpha(1) + QSym.sigma(1)) * f_poly(p)
@@ -283,7 +301,7 @@ def test_l_alpha_reconstruction():
             g = ehrenborg_F(ssum).star()
             acc = acc + QSym({(a + power, c): v
                               for (a, c), v in g.terms.items()})
-        assert acc == f_poly(p), p.name
+        assert acc == f_poly(p), p
 
 
 def test_simple_polytope_collapse():
@@ -302,7 +320,7 @@ def test_simple_polytope_collapse():
         return acc
 
     for p in (pb.cube(2), pb.cube(3), pb.simplex(3), pb.simplex(4)):
-        assert f_poly(p).expand(2) == one_variable_profile(p), p.name
+        assert f_poly(p).expand(2) == one_variable_profile(p), p
     ci2 = pb.cone(pb.cube(2))
     assert f_poly(ci2).expand(2) != one_variable_profile(ci2)
 
@@ -348,7 +366,7 @@ def test_phi_ring_homomorphism_sample():
 def test_phi_image_law():
     for p in (pb.simplex(2), pb.cube(2), pb.simplex(3),
               pb.cone(pb.cube(2))):
-        assert phi_image_law_holds(p), p.name
+        assert phi_image_law_holds(p), p
 
 
 def test_phi_alpha_low_coefficient_relation():
