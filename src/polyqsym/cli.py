@@ -152,6 +152,10 @@ def _cmd_frp(args):
 
 
 def _cmd_lyndon(args):
+    for name, value in (("--weight", args.weight),
+                        ("--k-table", args.k_table)):
+        if value is not None and value < 1:
+            raise ValueError("%s must be >= 1" % name)
     if args.k_table is not None:
         if args.k_table > MAX_K_TABLE:
             raise ValueError("--k-table is at most %d" % MAX_K_TABLE)

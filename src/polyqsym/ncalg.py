@@ -12,32 +12,26 @@ on normal-form basis words and evaluated anywhere through the rewriting.
 from __future__ import annotations
 
 import functools
+import operator
 from fractions import Fraction
 
-from .polys import AlphaPoly
+from .polys import AlphaPoly, Combination, merge_terms
 from .qsym import QSym, compositions
 
 
-class NCPoly:
+class NCPoly(Combination):
     """Finite rational combination of words in the generators."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _coeff = staticmethod(Fraction)
+    _degree = staticmethod(sum)
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for w, v in (terms.items() if isinstance(terms, dict) else terms):
-                v = Fraction(v)
-                if v:
-                    w = tuple(int(x) for x in w)
-                    if any(x < 1 for x in w):
-                        raise ValueError("generator indices start at 1")
-                    u = t.get(w, Fraction(0)) + v
-                    if u:
-                        t[w] = u
-                    else:
-                        del t[w]
-        self.terms = t
+    @staticmethod
+    def _key(w):
+        w = tuple(int(x) for x in w)
+        if any(x < 1 for x in w):
+            raise ValueError("generator indices start at 1")
+        return w
 
     @classmethod
     def gen(cls, k, coeff=1):
@@ -53,51 +47,15 @@ class NCPoly:
     def one(cls):
         return cls({(): 1})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, v in other.terms.items():
-            u = out.get(w, Fraction(0)) + v
-            if u:
-                out[w] = u
-            else:
-                del out[w]
-        return NCPoly(out)
-
-    def __neg__(self):
-        return NCPoly({w: -v for w, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return NCPoly({w: v * other for w, v in self.terms.items()})
-        out = {}
-        for w1, v1 in self.terms.items():
-            for w2, v2 in other.terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + v1 * v2
-        return NCPoly(out)
+            return self._scale(other)
+        self._check(other)
+        return self._from_valid((w1 + w2, v1 * v2)
+                                for w1, v1 in self.terms.items()
+                                for w2, v2 in other.terms.items())
 
     __rmul__ = __mul__
-
-    def degree_set(self):
-        return {sum(w) for w in self.terms}
-
-    def is_homogeneous(self, degree=None):
-        ds = self.degree_set()
-        if not ds:
-            return True
-        return len(ds) == 1 and (degree is None or ds == {degree})
 
     def __repr__(self):
         if not self.terms:
@@ -141,13 +99,13 @@ def _antipode_gen(n):
 
 def antipode(a):
     """Antihomomorphic extension of the generator formula."""
-    out = NCPoly()
-    for word, v in a.terms.items():
-        acc = NCPoly.one()
-        for k in reversed(word):
-            acc = acc * _antipode_gen(k)
-        out = out + v * acc
-    return out
+    return NCPoly((w, v * c) for word, v in a.terms.items()
+                  for w, c in _antipode_word(word).terms.items())
+
+
+def _antipode_word(word):
+    return functools.reduce(operator.mul, map(_antipode_gen, reversed(word)),
+                            NCPoly.one())
 
 
 # -- the quotient by the Euler relations -----------------------------------
@@ -189,25 +147,14 @@ def _normal_form_word(w):
             s2 = -1 if a % 2 else 1
             key = head + (a, i + 1 - a) + tail
             rewrites[key] = rewrites.get(key, 0) - sign * s2
-    out = {}
-    for w2, c in rewrites.items():
-        if not c:
-            continue
-        for w3, c3 in _normal_form_word(w2).items():
-            u = out.get(w3, 0) + c * c3
-            if u:
-                out[w3] = u
-            else:
-                del out[w3]
-    return out
+    return merge_terms((w3, c * c3) for w2, c in rewrites.items() if c
+                       for w3, c3 in _normal_form_word(w2).items())
 
 
 def normal_form(a):
     """Canonical representative modulo the Euler-relation ideal."""
-    out = NCPoly()
-    for word, v in a.terms.items():
-        out = out + v * NCPoly(_normal_form_word(word))
-    return out
+    return NCPoly((w, v * c) for word, v in a.terms.items()
+                  for w, c in _normal_form_word(word).items())
 
 
 def euler_relation(n):
@@ -281,12 +228,9 @@ class DualFunctional:
         word = tuple(word)
         if sum(word) > self.max_degree:
             return 0
-        total = 0
-        for w, c in _normal_form_word(word).items():
-            v = self.values.get(w)
-            if v:
-                total = total + c * v
-        return total
+        values = self.values
+        return sum((c * values[w] for w, c in _normal_form_word(word).items()
+                    if w in values), 0)
 
     def is_zero(self):
         return not self.values
@@ -295,15 +239,9 @@ class DualFunctional:
         """Embedding into quasi-symmetric functions: the coefficient of the
         monomial indexed by a composition is the value on the reversed
         word.  Integer (or grading-polynomial) values pass through."""
-        out = QSym()
-        for word in compositions(degree):
-            v = self.value(word[::-1])
-            if isinstance(v, AlphaPoly):
-                for p, c in v.c.items():
-                    out = out + QSym.monomial(word, c, alpha=p)
-            elif v:
-                out = out + QSym.monomial(word, v)
-        return out
+        return QSym(((p, word), c) for word in compositions(degree)
+                    for p, c in AlphaPoly.coerce(
+                        self.value(word[::-1])).terms.items())
 
 
 # -- series ------------------------------------------------------------------
@@ -311,29 +249,16 @@ class DualFunctional:
 
 def s_series(nmax):
     """Coefficients of the logarithm of the generating series: a list whose
-    k-th entry (k >= 1) is the degree-k coefficient."""
+    k-th entry (k >= 1) is the degree-k coefficient.  With u = Z_1 t +
+    Z_2 t^2 + .., the degree-d part of u^m is the sum of the words Z_w over
+    the compositions w of d into m parts, so log(1 + u) = sum (-1)^(m+1)
+    u^m / m gives each such word the coefficient (-1)^(m+1) / m."""
     if nmax < 1:
         raise ValueError("nmax >= 1")
-    out = [NCPoly() for _ in range(nmax + 1)]
-    # log(1 + u) = sum (-1)^(m+1) u^m / m with u = Z_1 t + Z_2 t^2 + ...
-    u_terms = {k: NCPoly.gen(k) for k in range(1, nmax + 1)}
-    # compute u^m as dict degree -> NCPoly
-    deg_pows = [{0: NCPoly.one()}]
-    for m in range(1, nmax + 1):
-        prev = deg_pows[m - 1]
-        cur = {}
-        for d1, poly in prev.items():
-            for k in range(1, nmax - d1 + 1):
-                d = d1 + k
-                if d > nmax:
-                    continue
-                cur[d] = cur.get(d, NCPoly()) + poly * u_terms[k]
-        deg_pows.append(cur)
-    for m in range(1, nmax + 1):
-        coeff = Fraction((-1) ** (m + 1), m)
-        for d, poly in deg_pows[m].items():
-            out[d] = out[d] + coeff * poly
-    return out
+    return [NCPoly()] + [
+        NCPoly((w, Fraction((-1) ** (len(w) + 1), len(w)))
+               for w in compositions(d))
+        for d in range(1, nmax + 1)]
 
 
 def d_even_formula(k):
@@ -342,15 +267,10 @@ def d_even_formula(k):
     if k < 1:
         raise ValueError("k >= 1")
     from math import comb
-    out = NCPoly()
-    for i in range(1, k + 1):
-        coeff = Fraction((-1) ** (i - 1) * comb(2 * i - 2, i - 1),
-                         i * 2 ** (2 * i - 1))
-        acc = NCPoly()
-        for word in _odd_words(2 * i, i + k):
-            acc = acc + NCPoly.word(word)
-        out = out + coeff * acc
-    return out
+    return NCPoly((word, Fraction((-1) ** (i - 1) * comb(2 * i - 2, i - 1),
+                                  i * 2 ** (2 * i - 1)))
+                  for i in range(1, k + 1)
+                  for word in _odd_words(2 * i, i + k))
 
 
 def _odd_words(length, half_sum):

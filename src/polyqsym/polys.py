@@ -1,4 +1,9 @@
-"""Small exact polynomial carriers.
+"""Sparse exact combinations and the small polynomial carriers.
+
+Combination: a finitely supported combination of keys with nonzero
+coefficients.  The polytope rings, Qsym, the free Leibnitz-Hopf algebra and
+the polynomials here are all such combinations; they share construction,
+the module operations, equality and grading through this base.
 
 AlphaPoly: integer polynomials in the single grading variable (printed as
 `a`).  MultiPoly: integer polynomials in the grading variable plus finitely
@@ -9,19 +14,125 @@ substitution identities.
 
 from __future__ import annotations
 
+import itertools
 
-class AlphaPoly:
-    """Integer polynomial in one variable, dict power -> coefficient."""
 
-    __slots__ = ("c",)
+def merge_terms(pairs):
+    """Sum (key, coefficient) pairs into a dict of nonzero coefficients.
+    Keys keep the order in which they first appear (or reappear after
+    cancelling)."""
+    out = {}
+    get = out.get
+    for k, v in pairs:
+        w = get(k, 0) + v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return out
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for p, v in coeffs.items():
-                if v:
-                    c[int(p)] = int(v)
-        self.c = c
+
+def _describe(x):
+    space = getattr(x, "_space", None)
+    if space:
+        return "%s(%s=%r)" % (type(x).__name__, space, getattr(x, space))
+    return type(x).__name__
+
+
+class Combination:
+    """Finitely supported combination: `terms` maps keys to nonzero
+    coefficients.
+
+    The constructor takes a dict or an iterable of (key, coefficient)
+    pairs, merges repeated keys and drops zeros.  Subclasses normalize and
+    validate each nonzero pair in `_coeff` and `_key`, and give a key's
+    degree in `_degree`.  `_space` names the attribute, if any, on which
+    two values must agree to be added (a ring's ambient, a variable count).
+    Sums, negations, scalings and products build their results from keys
+    that are already valid, so they skip the constructor's checks."""
+
+    __slots__ = ("terms",)
+    _space = None
+
+    def __init__(self, terms=None):
+        self.terms = merge_terms(self._normalized(terms)) if terms else {}
+
+    def _normalized(self, terms):
+        key, coeff = self._key, self._coeff
+        for k, v in terms.items() if hasattr(terms, "items") else terms:
+            v = coeff(v)
+            if v:
+                yield key(k), v
+
+    @staticmethod
+    def _coeff(coeff):
+        return coeff
+
+    def _space_value(self):
+        return getattr(self, self._space) if self._space else None
+
+    def _like(self, terms):
+        """A value of this type and space holding `terms` as they are."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        if self._space:
+            setattr(out, self._space, self._space_value())
+        return out
+
+    def _from_valid(self, pairs):
+        """Sum of pairs whose keys are valid in this space already."""
+        return self._like(merge_terms(pairs))
+
+    def _check(self, other):
+        """Raise unless `other` has this type and space."""
+        same_type = type(other) is type(self)
+        if not same_type or self._space_value() != other._space_value():
+            raise (ValueError if same_type else TypeError)(
+                "cannot combine %s with %s" % (_describe(self),
+                                               _describe(other)))
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self.terms == other.terms
+                and self._space_value() == other._space_value())
+
+    def __hash__(self):
+        return hash((self._space_value(), frozenset(self.terms.items())))
+
+    def __add__(self, other):
+        self._check(other)
+        return self._from_valid(itertools.chain(self.terms.items(),
+                                                other.terms.items()))
+
+    def __neg__(self):
+        return self._like({k: -v for k, v in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + -other
+
+    def _scale(self, c):
+        return self._like({k: v * c for k, v in self.terms.items()}
+                          if c else {})
+
+    def degree_set(self):
+        return {self._degree(k) for k in self.terms}
+
+    def is_homogeneous(self, degree=None):
+        ds = self.degree_set()
+        if not ds:
+            return True
+        return len(ds) == 1 and (degree is None or ds == {degree})
+
+
+class AlphaPoly(Combination):
+    """Integer polynomial in one variable: power -> coefficient.  An int
+    stands for a constant in ==, + and -, since a functional's value is 0
+    or an AlphaPoly."""
+
+    __slots__ = ()
+    _key = _coeff = staticmethod(int)
 
     @classmethod
     def const(cls, v):
@@ -31,73 +142,63 @@ class AlphaPoly:
     def term(cls, power, coeff=1):
         return cls({power: coeff})
 
+    @classmethod
+    def coerce(cls, v):
+        return cls.const(v) if isinstance(v, int) else v
+
+    @staticmethod
+    def _degree(power):
+        return power
+
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = AlphaPoly.const(other)
-        return isinstance(other, AlphaPoly) and self.c == other.c
+        return Combination.__eq__(self, AlphaPoly.coerce(other))
 
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
+    __hash__ = Combination.__hash__
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = AlphaPoly.const(other)
-        out = dict(self.c)
-        for p, v in other.c.items():
-            w = out.get(p, 0) + v
-            if w:
-                out[p] = w
-            else:
-                out.pop(p, None)
-        return AlphaPoly(out)
+        return Combination.__add__(self, AlphaPoly.coerce(other))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return AlphaPoly({p: -v for p, v in self.c.items()})
-
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = AlphaPoly.const(other)
-        return self + (-other)
+        return Combination.__sub__(self, AlphaPoly.coerce(other))
 
     def __rsub__(self, other):
         return AlphaPoly.const(other) - self
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return AlphaPoly({p: v * other for p, v in self.c.items()})
-        out = {}
-        for p, v in self.c.items():
-            for q, w in other.c.items():
-                out[p + q] = out.get(p + q, 0) + v * w
-        return AlphaPoly(out)
+            return self._scale(other)
+        self._check(other)
+        return self._from_valid((p + q, v * w)
+                                for p, v in self.terms.items()
+                                for q, w in other.terms.items())
 
     __rmul__ = __mul__
 
     def shift(self, k):
         """Multiply by the k-th power of the variable."""
-        return AlphaPoly({p + k: v for p, v in self.c.items()})
+        return AlphaPoly({p + k: v for p, v in self.terms.items()})
 
     def negate_variable(self):
         return AlphaPoly({p: (v if p % 2 == 0 else -v)
-                          for p, v in self.c.items()})
+                          for p, v in self.terms.items()})
 
     def coeff(self, power):
-        return self.c.get(power, 0)
+        return self.terms.get(power, 0)
 
     def degree(self):
-        return max(self.c) if self.c else -1
+        return max(self.terms, default=-1)
 
     def __repr__(self):
-        if not self.c:
+        if not self.terms:
             return "0"
         bits = []
-        for p in sorted(self.c):
-            v = self.c[p]
+        for p in sorted(self.terms):
+            v = self.terms[p]
             if p == 0:
                 bits.append(str(v))
             else:
@@ -107,23 +208,28 @@ class AlphaPoly:
         return " + ".join(bits).replace("+ -", "- ")
 
 
-class MultiPoly:
+class MultiPoly(Combination):
     """Integer polynomial in alpha and t_1..t_r.
 
     terms: dict {(alpha_power, exponent_tuple): coeff}; the exponent tuple
     always has length r.
     """
 
-    __slots__ = ("r", "terms")
+    __slots__ = ("r",)
+    _space = "r"
 
     def __init__(self, r, terms=None):
         self.r = r
-        t = {}
-        if terms:
-            for (a, e), v in terms.items():
-                if v:
-                    t[(a, tuple(e))] = v
-        self.terms = t
+        Combination.__init__(self, terms)
+
+    @staticmethod
+    def _key(key):
+        a, e = key
+        return a, tuple(e)
+
+    @staticmethod
+    def _degree(key):
+        return key[0] + sum(key[1])
 
     @classmethod
     def zero(cls, r):
@@ -143,86 +249,34 @@ class MultiPoly:
         e[i] = power
         return cls(r, {(0, tuple(e)): coeff})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiPoly) and self.r == other.r
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.r, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if self.r != other.r:
-            raise ValueError("variable counts differ")
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                out.pop(k, None)
-        return MultiPoly(self.r, out)
-
-    def __neg__(self):
-        return MultiPoly(self.r, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
-            return MultiPoly(self.r,
-                             {k: v * other for k, v in self.terms.items()})
-        if self.r != other.r:
-            raise ValueError("variable counts differ")
-        out = {}
-        for (a1, e1), v1 in self.terms.items():
-            for (a2, e2), v2 in other.terms.items():
-                k = (a1 + a2, tuple(x + y for x, y in zip(e1, e2)))
-                out[k] = out.get(k, 0) + v1 * v2
-        return MultiPoly(self.r, out)
+            return self._scale(other)
+        self._check(other)
+        return self._from_valid(
+            ((a1 + a2, tuple(x + y for x, y in zip(e1, e2))), v1 * v2)
+            for (a1, e1), v1 in self.terms.items()
+            for (a2, e2), v2 in other.terms.items())
 
     __rmul__ = __mul__
 
-    def degree_set(self):
-        return {a + sum(e) for (a, e) in self.terms}
-
-    def is_homogeneous(self, degree=None):
-        ds = self.degree_set()
-        if not ds:
-            return True
-        return len(ds) == 1 and (degree is None or ds == {degree})
-
     def set_var_zero(self, i):
         """Substitute t_{i+1} = 0 (variable slot kept, exponent forced 0)."""
-        out = {}
-        for (a, e), v in self.terms.items():
-            if e[i] == 0:
-                out[(a, e)] = out.get((a, e), 0) + v
-        return MultiPoly(self.r, out)
+        return self._like({k: v for k, v in self.terms.items()
+                           if k[1][i] == 0})
 
     def drop_var(self, i):
         """Substitute t_{i+1} = 0 and remove the slot (result has r-1 vars)."""
-        out = {}
-        for (a, e), v in self.terms.items():
-            if e[i] == 0:
-                k = (a, e[:i] + e[i + 1:])
-                out[k] = out.get(k, 0) + v
-        return MultiPoly(self.r - 1, out)
+        return MultiPoly(self.r - 1, (((a, e[:i] + e[i + 1:]), v)
+                                      for (a, e), v in self.terms.items()
+                                      if e[i] == 0))
 
     def merge_neg_pair(self, q):
         """Substitute t_{q+2} = -t_{q+1} (0-based slots q, q+1)."""
-        out = {}
-        for (a, e), v in self.terms.items():
-            sign = -1 if e[q + 1] % 2 else 1
-            e2 = list(e)
-            e2[q] = e[q] + e[q + 1]
-            e2[q + 1] = 0
-            k = (a, tuple(e2))
-            out[k] = out.get(k, 0) + sign * v
-        return MultiPoly(self.r, out)
+        return MultiPoly(self.r, (
+            ((a, e[:q] + (e[q] + e[q + 1], 0) + e[q + 2:]),
+             -v if e[q + 1] % 2 else v)
+            for (a, e), v in self.terms.items()))
 
     def negate_alpha(self):
         return MultiPoly(self.r, {(a, e): (v if a % 2 == 0 else -v)
@@ -230,13 +284,8 @@ class MultiPoly:
 
     def var_to_alpha(self, i):
         """Substitute t_{i+1} = alpha."""
-        out = {}
-        for (a, e), v in self.terms.items():
-            e2 = list(e)
-            e2[i] = 0
-            k = (a + e[i], tuple(e2))
-            out[k] = out.get(k, 0) + v
-        return MultiPoly(self.r, out)
+        return MultiPoly(self.r, (((a + e[i], e[:i] + (0,) + e[i + 1:]), v)
+                                  for (a, e), v in self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

@@ -9,8 +9,6 @@ instance.
 
 from __future__ import annotations
 
-import json
-
 
 class PosetError(ValueError):
     pass
@@ -287,13 +285,6 @@ class GradedPoset:
             return cls(obj["ranks"], obj["covers"])
         except (KeyError, TypeError, OverflowError) as exc:
             raise PosetError("bad poset object: %s" % exc) from None
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj())
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
 
     def __repr__(self):
         return "GradedPoset(n=%d, height=%d)" % (self.n, self.height)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from types import MappingProxyType
 
-from .polys import MultiPoly
+from .polys import Combination, MultiPoly
 
 
 def compositions(total, parts=None):
@@ -61,20 +61,21 @@ def quasi_shuffle(c1, c2):
     return MappingProxyType(out)
 
 
-class QSym:
+class QSym(Combination):
     """Integer combination of quasi-symmetric monomials, with an optional
     polynomial grading variable folded into the keys."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _coeff = staticmethod(int)
 
-    def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for (a, comp), v in terms.items():
-                v = int(v)
-                if v:
-                    t[(int(a), tuple(comp))] = v
-        self.terms = t
+    @staticmethod
+    def _key(key):
+        a, comp = key
+        return int(a), tuple(comp)
+
+    @staticmethod
+    def _degree(key):
+        return key[0] + sum(key[1])
 
     @classmethod
     def monomial(cls, comp, coeff=1, alpha=0):
@@ -94,41 +95,15 @@ class QSym:
             raise ValueError("sigma(i) needs i >= 1")
         return cls.monomial((1,) * i)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, QSym) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, 0) + v
-            if w:
-                out[k] = w
-            else:
-                del out[k]
-        return QSym(out)
-
-    def __neg__(self):
-        return QSym({k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
-            return QSym({k: v * other for k, v in self.terms.items()})
-        out = {}
-        for (a1, c1), v1 in self.terms.items():
-            for (a2, c2), v2 in other.terms.items():
-                for comp, mult in quasi_shuffle(c1, c2).items():
-                    k = (a1 + a2, comp)
-                    out[k] = out.get(k, 0) + v1 * v2 * mult
-        return QSym(out)
+            return self._scale(other)
+        self._check(other)
+        return self._from_valid(
+            ((a1 + a2, comp), v1 * v2 * mult)
+            for (a1, c1), v1 in self.terms.items()
+            for (a2, c2), v2 in other.terms.items()
+            for comp, mult in quasi_shuffle(c1, c2).items())
 
     __rmul__ = __mul__
 
@@ -142,17 +117,8 @@ class QSym:
     def coefficient(self, comp, alpha=0):
         return self.terms.get((alpha, tuple(comp)), 0)
 
-    def degree_set(self):
-        return {a + sum(c) for (a, c) in self.terms}
-
     def degree(self):
         return max(self.degree_set(), default=0)
-
-    def is_homogeneous(self, degree=None):
-        ds = self.degree_set()
-        if not ds:
-            return True
-        return len(ds) == 1 and (degree is None or ds == {degree})
 
     def coproduct(self):
         """Deconcatenation coproduct; defined on the plain ring only.
@@ -194,11 +160,8 @@ class QSym:
 
     @classmethod
     def from_json_obj(cls, data):
-        terms = {}
-        for entry in data:
-            key = (entry.get("alpha", 0), tuple(entry["comp"]))
-            terms[key] = terms.get(key, 0) + entry["coeff"]
-        return cls(terms)
+        return cls(((entry.get("alpha", 0), entry["comp"]), entry["coeff"])
+                   for entry in data)
 
     def __repr__(self):
         if not self.terms:

@@ -9,39 +9,38 @@ comodule coactions all live here as functions on FormalSums.
 
 from __future__ import annotations
 
+import collections
+
 from . import polytopes as pb
 from . import store
-from .polys import AlphaPoly
+from .polys import AlphaPoly, Combination, merge_terms
 from .qsym import compositions
 
 PRODUCT_RING = "P"
 JOIN_RING = "RP"
 
 
-class FormalSum:
-    __slots__ = ("ambient", "terms")
+class FormalSum(Combination):
+    __slots__ = ("ambient",)
+    _space = "ambient"
+    _coeff = staticmethod(int)
 
     def __init__(self, ambient, terms=None):
         if ambient not in (PRODUCT_RING, JOIN_RING):
             raise ValueError("ambient must be %r or %r"
                              % (PRODUCT_RING, JOIN_RING))
         self.ambient = ambient
-        t = {}
-        if terms:
-            for poly, coeff in (terms.items() if isinstance(terms, dict)
-                                else terms):
-                coeff = int(coeff)
-                if not coeff:
-                    continue
-                if ambient == PRODUCT_RING and poly.is_empty():
-                    raise ValueError("the empty polytope is not an element "
-                                     "of the product ring")
-                w = t.get(poly, 0) + coeff
-                if w:
-                    t[poly] = w
-                else:
-                    del t[poly]
-        self.terms = t
+        Combination.__init__(self, terms)
+
+    def _key(self, poly):
+        if self.ambient == PRODUCT_RING and poly.is_empty():
+            raise ValueError("the empty polytope is not an element "
+                             "of the product ring")
+        return poly
+
+    @staticmethod
+    def _degree(poly):
+        return poly.dim
 
     @classmethod
     def of(cls, poly, ambient=PRODUCT_RING, coeff=1):
@@ -51,74 +50,33 @@ class FormalSum:
     def zero(cls, ambient=PRODUCT_RING):
         return cls(ambient)
 
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (isinstance(other, FormalSum) and self.ambient == other.ambient
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ambient, frozenset(
-            (p.key, c) for p, c in self.terms.items())))
-
-    def _check(self, other):
-        if not isinstance(other, FormalSum):
-            raise TypeError("expected a FormalSum")
-        if self.ambient != other.ambient:
-            raise ValueError("ambient mismatch: %s vs %s"
-                             % (self.ambient, other.ambient))
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            w = out.get(p, 0) + c
-            if w:
-                out[p] = w
-            else:
-                del out[p]
-        return FormalSum(self.ambient, out)
-
-    def __neg__(self):
-        return FormalSum(self.ambient,
-                         {p: -c for p, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, k):
         if not isinstance(k, int):
             raise TypeError("scalars are integers")
-        return FormalSum(self.ambient,
-                         {p: c * k for p, c in self.terms.items()})
+        return self._scale(k)
 
     __rmul__ = __mul__
 
     def dims(self):
-        return sorted({p.dim for p in self.terms})
+        return sorted(self.degree_set())
 
     def max_dim(self):
-        return max((p.dim for p in self.terms), default=-1)
-
-    def is_homogeneous(self):
-        return len(self.dims()) <= 1
+        return max(self.degree_set(), default=-1)
 
     def graded_piece(self, dim):
-        return FormalSum(self.ambient, {p: c for p, c in self.terms.items()
-                                        if p.dim == dim})
+        return self._like({p: c for p, c in self.terms.items()
+                           if p.dim == dim})
 
     def bigraded_piece(self, dim, facets):
         """Piece of the product-ring bigrading (dimension, facet count)."""
-        return FormalSum(self.ambient,
-                         {p: c for p, c in self.terms.items()
-                          if p.dim == dim and p.facet_count == facets})
+        return self._like({p: c for p, c in self.terms.items()
+                           if p.dim == dim and p.facet_count == facets})
 
     def map_terms(self, fn):
-        out = FormalSum(self.ambient)
-        for p, c in self.terms.items():
-            out = out + c * fn(p)
-        return out
+        """The linear extension of fn, a map from polytopes to sums."""
+        return FormalSum(self.ambient, ((q, c * d)
+                                        for p, c in self.terms.items()
+                                        for q, d in fn(p).terms.items()))
 
     def __repr__(self):
         """Each term is labelled by its dim and f-vector, which tell
@@ -143,22 +101,19 @@ class FormalSum:
 # -- ring multiplications -------------------------------------------------
 
 
-def mul_product(a, b):
+def _bilinear(op, a, b):
     a._check(b)
-    out = FormalSum(a.ambient)
-    for p, cp in a.terms.items():
-        for q, cq in b.terms.items():
-            out = out + FormalSum.of(pb.product(p, q), a.ambient, cp * cq)
-    return out
+    return FormalSum(a.ambient, ((op(p, q), cp * cq)
+                                 for p, cp in a.terms.items()
+                                 for q, cq in b.terms.items()))
+
+
+def mul_product(a, b):
+    return _bilinear(pb.product, a, b)
 
 
 def mul_join(a, b):
-    a._check(b)
-    out = FormalSum(a.ambient)
-    for p, cp in a.terms.items():
-        for q, cq in b.terms.items():
-            out = out + FormalSum.of(pb.join(p, q), a.ambient, cp * cq)
-    return out
+    return _bilinear(pb.join, a, b)
 
 
 # -- face operators -------------------------------------------------------
@@ -180,18 +135,21 @@ def d_k(s, k):
     the join ring and nothing in the product ring."""
     if k <= 0:
         raise ValueError("face operators need k >= 1")
-    out = FormalSum(s.ambient)
+    return FormalSum(s.ambient, _codim_faces(s, k))
+
+
+def _codim_faces(s, k):
+    """The (face, coefficient) pairs that d_k sums."""
     for poly, coeff in s.terms.items():
         n = poly.dim
         if n == -1 or k > n + 1:
             continue
         if k == n + 1:
             if s.ambient == JOIN_RING:
-                out = out + FormalSum.of(pb.empty(), s.ambient, coeff)
+                yield pb.empty(), coeff
             continue
         for f, mult in _face_classes(poly, k):
-            out = out + FormalSum.of(f, s.ambient, coeff * mult)
-    return out
+            yield f, coeff * mult
 
 
 def phi_poly(s):
@@ -220,21 +178,15 @@ def apply_operator(word, s):
 
 def xi_alpha(s):
     """Dimension character of the product ring."""
-    out = AlphaPoly()
-    for p, c in s.terms.items():
-        if p.is_empty():
-            raise ValueError("dimension character undefined on the empty "
-                             "polytope")
-        out = out + AlphaPoly.term(p.dim, c)
-    return out
+    if any(p.is_empty() for p in s.terms):
+        raise ValueError("dimension character undefined on the empty "
+                         "polytope")
+    return AlphaPoly((p.dim, c) for p, c in s.terms.items())
 
 
 def epsilon_alpha(s):
     """Rank character of the join ring; at 0 it is the counit."""
-    out = AlphaPoly()
-    for p, c in s.terms.items():
-        out = out + AlphaPoly.term(p.dim + 1, c)
-    return out
+    return AlphaPoly((p.dim + 1, c) for p, c in s.terms.items())
 
 
 def counit(s):
@@ -291,18 +243,10 @@ def _antipode(poly):
         return hit
     if poly.is_empty():
         return store.antipodes.setdefault(poly.key, ((pb.empty(), 1),))
-    pairs = {}
-    for pair in comodule_pairs(poly):
-        pairs[pair] = pairs.get(pair, 0) + 1
-    terms = {}
-    for (face, quot), mult in pairs.items():
-        for r, c in _antipode(quot):
-            j = pb.join(face, r)
-            w = terms.get(j, 0) - mult * c
-            if w:
-                terms[j] = w
-            else:
-                del terms[j]
+    terms = merge_terms((pb.join(face, r), -mult * c)
+                        for (face, quot), mult
+                        in collections.Counter(comodule_pairs(poly)).items()
+                        for r, c in _antipode(quot))
     return store.antipodes.setdefault(poly.key, tuple(terms.items()))
 
 
@@ -329,24 +273,22 @@ def antipode_rp_chain_route(s):
         lat = poly.lattice
         if lat.n == 1:
             return FormalSum.of(pb.empty(), JOIN_RING)
-        out = FormalSum(JOIN_RING)
 
         def walk(x, acc, length):
-            nonlocal out
             if x == lat.top:
                 sign = -1 if length % 2 else 1
                 term = FormalSum.of(pb.empty(), JOIN_RING, sign)
                 for piece in acc:
                     term = mul_join(term, FormalSum.of(piece, JOIN_RING))
-                out = out + term
+                yield from term.terms.items()
                 return
             for y in range(lat.n):
                 if y != x and lat.leq(x, y):
-                    walk(y, acc + [pb.interval_polytope(poly, x, y)],
-                         length + 1)
+                    yield from walk(
+                        y, acc + [pb.interval_polytope(poly, x, y)],
+                        length + 1)
 
-        walk(lat.bottom, [], 0)
-        return out
+        return FormalSum(JOIN_RING, walk(lat.bottom, [], 0))
 
     return s.map_terms(chi)
 

@@ -42,26 +42,19 @@ def composition_of_flag_set(n, s):
 def f_poly_from_flags(n, flags):
     """Assemble the flag polynomial from a dimension and a full flag-number
     table {subset: value}."""
-    out = QSym()
-    for s, value in flags.items():
-        if not value:
-            continue
-        alpha = s[0] if s else n
-        out = out + QSym.monomial(composition_of_flag_set(n, s), value,
-                                  alpha=alpha)
-    return out
+    return QSym(((s[0] if s else n, composition_of_flag_set(n, s)), value)
+                for s, value in flags.items() if value)
 
 
 def f_poly(s):
     """Flag route: linear extension over the terms."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, PRODUCT_RING)
-    out = QSym()
-    for poly, coeff in s.terms.items():
-        if poly.is_empty():
-            raise ValueError("flag polynomial is defined on the product ring")
-        out = out + coeff * f_poly_from_flags(poly.dim, pb.flag_vector(poly))
-    return out
+    if any(poly.is_empty() for poly in s.terms):
+        raise ValueError("flag polynomial is defined on the product ring")
+    return QSym((k, coeff * v) for poly, coeff in s.terms.items()
+                for k, v in f_poly_from_flags(
+                    poly.dim, pb.flag_vector(poly)).terms.items())
 
 
 def f_poly_operator_route(poly, r):
@@ -82,12 +75,8 @@ def f_poly_operator_route(poly, r):
                 key = tuple(e)
                 nxt[key] = nxt.get(key, FormalSum(PRODUCT_RING)) + piece
         state = nxt
-    terms = {}
-    for exps, s in state.items():
-        for power, c in xi_alpha(s).c.items():
-            key = (power, exps)
-            terms[key] = terms.get(key, 0) + c
-    return MultiPoly(r, terms)
+    return MultiPoly(r, (((power, exps), c) for exps, s in state.items()
+                         for power, c in xi_alpha(s).terms.items()))
 
 
 # -- poset transform ---------------------------------------------------------
@@ -99,18 +88,21 @@ def ehrenborg_F(s):
     n-a_k).  `ehrenborg_F_chain_route` is its chain-sum test oracle."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, JOIN_RING)
-    out = QSym()
+    return QSym(_chain_monomials(s))
+
+
+def _chain_monomials(s):
+    """The (key, coefficient) pairs that ehrenborg_F sums."""
     for poly, coeff in s.terms.items():
         n = poly.dim
         if n < 0:
-            out = out + coeff * QSym.one()
+            yield (0, ()), coeff
             continue
         for subset, value in pb.flag_vector(poly).items():
             comp = ((subset[0] + 1,)
                     + composition_of_flag_set(n, subset)[::-1]
                     if subset else (n + 1,))
-            out = out + QSym.monomial(comp, coeff * value)
-    return out
+            yield (0, comp), coeff * value
 
 
 def ehrenborg_F_chain_route(poly):
@@ -118,17 +110,17 @@ def ehrenborg_F_chain_route(poly):
     lattice, enumerated one by one."""
     lat = poly.lattice
     lat._ensure_masks()
-    out = QSym()
+    chains = []
     stack = [(lat.bottom, ())]
     while stack:
         x, gaps = stack.pop()
         if x == lat.top:
-            out = out + QSym.monomial(gaps)
+            chains.append(((0, gaps), 1))
             continue
         for y in range(lat.n):
             if y != x and lat.leq(x, y):
                 stack.append((y, gaps + (lat.ranks[y] - lat.ranks[x],)))
-    return out
+    return QSym(chains)
 
 
 def f_rp(s):
@@ -137,29 +129,27 @@ def f_rp(s):
     word-coaction test oracle."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, JOIN_RING)
-    out = QSym()
+    return QSym(_star_plus_alpha_f(s))
+
+
+def _star_plus_alpha_f(s):
+    """The (key, coefficient) pairs of F(P)* + alpha f(P), over the terms."""
     for poly, coeff in s.terms.items():
-        value = ehrenborg_F(poly).star()
+        for k, v in ehrenborg_F(poly).star().terms.items():
+            yield k, coeff * v
         if not poly.is_empty():
-            value = value + QSym({(a + 1, c): v for (a, c), v
-                                  in f_poly(poly).terms.items()})
-        out = out + coeff * value
-    return out
+            for (a, c), v in f_poly(poly).terms.items():
+                yield (a + 1, c), coeff * v
 
 
 def f_rp_coaction_route(poly):
     """Oracle for `f_rp`: the rank character of every word's action on the
     polytope."""
-    out = QSym()
     base = FormalSum.of(poly, JOIN_RING)
-    for total in range(poly.dim + 3):
-        for word in compositions(total):
-            r = apply_operator(word, base)
-            if r.is_zero():
-                continue
-            for power, c in epsilon_alpha(r).c.items():
-                out = out + QSym.monomial(word[::-1], c, alpha=power)
-    return out
+    return QSym(((power, word[::-1]), c) for total in range(poly.dim + 3)
+                for word in compositions(total)
+                for power, c in epsilon_alpha(
+                    apply_operator(word, base)).terms.items())
 
 
 # -- image equations ----------------------------------------------------------
@@ -315,12 +305,9 @@ def project_bb(s, n):
             for si in range(len(basis.psi_sets))]
     rhs = [flag_number_of_sum(s, subset) for subset in basis.psi_sets]
     coeffs = solve_exact(rows, rhs)
-    out = FormalSum(PRODUCT_RING)
-    for q, c in zip(basis.omega_polys, coeffs):
-        if c.denominator != 1:
-            raise AssertionError("unimodular solve returned a fraction")
-        out = out + FormalSum.of(q, PRODUCT_RING, int(c))
-    return out
+    if any(c.denominator != 1 for c in coeffs):
+        raise AssertionError("unimodular solve returned a fraction")
+    return FormalSum(PRODUCT_RING, zip(basis.omega_polys, map(int, coeffs)))
 
 
 def bb_multiply(x, y):
@@ -336,34 +323,18 @@ def bb_multiply(x, y):
 def _alpha_to_slot(g, m):
     """g with the grading slot read as t_m and the variables t_m, t_{m+1},
     .. set to zero: the m-th summand of the cone formula."""
-    r = g.r
-    out = {}
-    for (a, e), v in g.terms.items():
-        if any(e[i] for i in range(m - 1, r)):
-            continue
-        e2 = list(e)
-        e2[m - 1] = a
-        key = (0, tuple(e2))
-        out[key] = out.get(key, 0) + v
-    return MultiPoly(r, out)
+    return MultiPoly(g.r, (((0, e[:m - 1] + (a,) + e[m:]), v)
+                           for (a, e), v in g.terms.items()
+                           if not any(e[m - 1:])))
 
 
 def _shift_up(g, m):
     """g(alpha, t_m, t_{m+1}, ..): the j-th variable of g reads t_{m-1+j};
     terms that overflow the variable window drop (they sit at zero)."""
-    r = g.r
-    out = {}
-    for (a, e), v in g.terms.items():
-        width = max((i + 1 for i, p in enumerate(e) if p), default=0)
-        if width + m - 1 > r:
-            continue
-        e2 = [0] * r
-        for i, p in enumerate(e):
-            if p:
-                e2[i + m - 1] = p
-        key = (a, tuple(e2))
-        out[key] = out.get(key, 0) + v
-    return MultiPoly(r, out)
+    keep = g.r - m + 1
+    return MultiPoly(g.r, (((a, (0,) * (m - 1) + e[:keep]), v)
+                           for (a, e), v in g.terms.items()
+                           if not any(e[keep:])))
 
 
 def cone_qsym(g):
@@ -372,10 +343,9 @@ def cone_qsym(g):
     r = n + 2
     gx = g.expand(r)
     sigma1 = QSym.sigma(1).expand(r) + MultiPoly.alpha(r)
-    acc = sigma1 * gx
-    for m in range(1, r + 1):
-        acc = acc + MultiPoly.var(r, m - 1) * _alpha_to_slot(gx, m)
-    return lift_from_expansion(acc)
+    return lift_from_expansion(_sum_of(r, [sigma1 * gx] + [
+        MultiPoly.var(r, m - 1) * _alpha_to_slot(gx, m)
+        for m in range(1, r + 1)]))
 
 
 def a_qsym(g):
@@ -386,14 +356,16 @@ def a_qsym(g):
     gx = g.expand(r)
     g0 = MultiPoly(r, {(a, e): v for (a, e), v in gx.terms.items()
                        if not any(e)})
-    acc = MultiPoly.alpha(r) * g0
-    acc = acc + MultiPoly.var(r, 0) * gx
-    for m in range(2, r + 1):
-        coeff = MultiPoly.var(r, m - 1) + MultiPoly.var(r, m - 2)
-        acc = acc + coeff * _shift_up(gx, m)
+    parts = [MultiPoly.alpha(r) * g0, MultiPoly.var(r, 0) * gx]
+    parts += [(MultiPoly.var(r, m - 1) + MultiPoly.var(r, m - 2))
+              * _shift_up(gx, m) for m in range(2, r + 1)]
     # the tail m = r+1 contributes t_r * g(alpha, 0, 0, ..)
-    acc = acc + MultiPoly.var(r, r - 1) * g0
-    return lift_from_expansion(acc)
+    parts.append(MultiPoly.var(r, r - 1) * g0)
+    return lift_from_expansion(_sum_of(r, parts))
+
+
+def _sum_of(r, polys):
+    return MultiPoly(r, (t for p in polys for t in p.terms.items()))
 
 
 def b_qsym(g):
@@ -471,16 +443,10 @@ def phi_image_law_holds(s):
     n = psi.max_degree
     for deg in range(0, n + 1):
         for sigma in (basis_words(deg) if deg else [()]):
-            acc = AlphaPoly()
-            for k in range(0, n - deg + 1):
-                word = ((k,) + sigma) if k else sigma
-                v = psi.value(word)
-                if isinstance(v, int):
-                    v = AlphaPoly.const(v)
-                acc = acc + v.negate_variable().shift(k)
-            want = psi.value(sigma)
-            if isinstance(want, int):
-                want = AlphaPoly.const(want)
-            if acc != want:
+            acc = AlphaPoly(
+                (p + k, -c if p % 2 else c) for k in range(n - deg + 1)
+                for p, c in AlphaPoly.coerce(psi.value(
+                    ((k,) + sigma) if k else sigma)).terms.items())
+            if acc != psi.value(sigma):
                 return False
     return True

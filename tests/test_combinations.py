@@ -1,0 +1,82 @@
+"""The sparse-combination base shared by FormalSum, QSym, AlphaPoly,
+MultiPoly and NCPoly: construction from pairs, the module operations,
+equality and hashing, and the refusal to mix types or spaces."""
+
+import itertools
+
+import pytest
+
+from polyqsym import polytopes as pb
+from polyqsym.ncalg import NCPoly
+from polyqsym.polys import AlphaPoly, MultiPoly
+from polyqsym.qsym import QSym
+from polyqsym.ring import JOIN_RING, PRODUCT_RING, FormalSum
+
+# type name -> (constructor from terms, three distinct valid keys)
+TYPES = {
+    "FormalSum": (lambda terms: FormalSum(PRODUCT_RING, terms),
+                  lambda: [pb.point(), pb.segment(), pb.cube(2)]),
+    "QSym": (QSym, lambda: [(0, (1,)), (1, (2, 1)), (0, ())]),
+    "AlphaPoly": (AlphaPoly, lambda: [0, 1, 3]),
+    "MultiPoly": (lambda terms: MultiPoly(2, terms),
+                  lambda: [(0, (1, 0)), (1, (0, 2)), (0, (0, 0))]),
+    "NCPoly": (NCPoly, lambda: [(1,), (2, 1), ()]),
+}
+
+
+def _value(name):
+    make, keys = TYPES[name]
+    k0, k1, _ = keys()
+    return make({k0: 2, k1: -3})
+
+
+@pytest.mark.parametrize("name", TYPES)
+def test_combination_laws(name):
+    make, keys = TYPES[name]
+    k0, k1, k2 = keys()
+    x = make({k0: 2, k1: -3})
+    assert (x + (-x)).is_zero()
+    assert x + (-x) == make({}) == make(())
+    assert x - x == make(None)
+    assert 3 * x - x == x + x == x * 2
+    assert (0 * x).is_zero()
+    # equal values hash equal, whatever order built them
+    y = make([(k1, -3), (k0, 2)])
+    assert x == y and hash(x) == hash(y)
+    assert x != make({k0: 2})
+    # a pair iterable merges repeated keys and drops zeros
+    z = make([(k0, 1), (k1, 2), (k0, -1), (k2, 0), (k1, 1)])
+    assert z.terms == {k1: 3}
+    assert z == make({k1: 3})
+
+
+@pytest.mark.parametrize("left, right",
+                         list(itertools.permutations(TYPES, 2)))
+def test_mixed_types_raise(left, right):
+    x, y = _value(left), _value(right)
+    with pytest.raises(TypeError, match="cannot combine"):
+        x + y
+    with pytest.raises(TypeError, match="cannot combine"):
+        x - y
+    assert x != y
+
+
+def test_mixed_spaces_raise():
+    p = FormalSum.of(pb.point(), PRODUCT_RING)
+    with pytest.raises(ValueError, match="cannot combine"):
+        p + FormalSum.of(pb.point(), JOIN_RING)
+    with pytest.raises(ValueError, match="cannot combine"):
+        MultiPoly.const(2, 1) + MultiPoly.const(3, 1)
+    with pytest.raises(ValueError, match="cannot combine"):
+        MultiPoly.var(2, 0) * MultiPoly.var(3, 0)
+    assert p != FormalSum.of(pb.point(), JOIN_RING)
+    assert MultiPoly.zero(2) != MultiPoly.zero(3)
+
+
+def test_alpha_poly_takes_ints():
+    a = AlphaPoly.term(1)
+    assert AlphaPoly.const(1) + 2 == 3 == 2 + AlphaPoly.const(1)
+    assert a - 1 == AlphaPoly({1: 1, 0: -1})
+    assert 1 - a == AlphaPoly({0: 1, 1: -1})
+    assert sum([a, a], 0) == 2 * a
+    assert AlphaPoly() == 0 and not AlphaPoly()

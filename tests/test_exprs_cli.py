@@ -251,6 +251,10 @@ def test_sum_repr_tells_types_apart():
     (["fpoly", "cube(3)", "--r", "400"], "more than 1000000"),
     (["fpoly", "pt", "--r", "1000000000"], "more than 1000000"),
     (["fpoly", "cube(2)", "--r", "-1"], "--r must be >= 0"),
+    (["lyndon", "--weight", "0"], "--weight must be >= 1"),
+    (["lyndon", "--weight", "-3"], "--weight must be >= 1"),
+    (["lyndon", "--k-table", "-5"], "--k-table must be >= 1"),
+    (["lyndon", "--k-table", "0"], "--k-table must be >= 1"),
 ])
 def test_cli_integer_bounds(argv, message, capsys, monkeypatch,
                             empty_store):

@@ -216,6 +216,26 @@ def test_coproduct_pairing_duality_against_quasi_shuffle():
                 assert lhs == rhs
 
 
+def _log_series_by_powers(nmax):
+    """Oracle for s_series: log(1 + u) with u = Z_1 t + Z_2 t^2 + ..,
+    multiplied out power by power of u."""
+    out = [NCPoly() for _ in range(nmax + 1)]
+    power = {0: NCPoly.one()}
+    for m in range(1, nmax + 1):
+        nxt = {}
+        for d1, poly in power.items():
+            for k in range(1, nmax - d1 + 1):
+                nxt[d1 + k] = nxt.get(d1 + k, NCPoly()) + poly * Z(k)
+        power = nxt
+        for d, poly in power.items():
+            out[d] = out[d] + Fraction((-1) ** (m + 1), m) * poly
+    return out
+
+
+def test_s_series_matches_power_expansion():
+    assert s_series(7) == _log_series_by_powers(7)
+
+
 def test_s_series():
     s = s_series(6)
     assert s[1] == Z(1)

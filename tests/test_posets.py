@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -166,10 +167,10 @@ def test_random_relabel_of_irregular_poset():
 
 def test_json_round_trip():
     b3 = boolean_lattice(3)
-    again = GradedPoset.from_json(b3.to_json())
+    again = GradedPoset.from_json_obj(json.loads(json.dumps(b3.to_json_obj())))
     assert again.canonical_key() == b3.canonical_key()
     with pytest.raises(PosetError):
-        GradedPoset.from_json('{"ranks": [0, 2]}')
+        GradedPoset.from_json_obj(json.loads('{"ranks": [0, 2]}'))
 
 
 def _random_graded_poset(rng, widths):
