@@ -3,7 +3,9 @@ identities that tie generator numbers to the Fibonacci series.
 
 Words are tuples over a totally ordered integer alphabet; the order is the
 lexicographic one in which a proper prefix is smaller than the word.  The
-weight of a word is the sum of its letters.
+weight of a word is the sum of its letters.  Series exponents are read off
+the logarithmic derivative by Moebius inversion; the degree-by-degree solve
+is their test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -141,37 +143,23 @@ def poly_mul_trunc(a, b, nmax):
     return out
 
 
-def _one_minus_power_series(i, k, nmax):
-    """(1 - t^i)^(-k) truncated; k may be negative (then the finite
-    binomial expansion)."""
-    out = [0] * (nmax + 1)
-    if k >= 0:
-        for m in range(0, nmax // i + 1):
-            out[i * m] = comb(k + m - 1, m) if k > 0 else (1 if m == 0 else 0)
-    else:
-        j = -k
-        for m in range(0, min(j, nmax // i) + 1):
-            out[i * m] = (-1) ** m * comb(j, m)
-    return out
-
-
 def series_exponents(target, nmax):
     """Exponents k_i with product over i of (1 - t^i)^(-k_i) matching the
-    target series through degree nmax, solved degree by degree."""
+    target series through degree nmax, by the logarithmic derivative: the
+    coefficients c_n = n a_n - sum_{0<j<n} c_j a_{n-j} of t A'/A satisfy
+    c_n = sum_{d|n} d k_d, so n k_n = sum_{d|n} mu(n/d) c_d."""
     if not target or target[0] != 1:
         raise ValueError("target series must have constant term 1")
-    want = list(target) + [0] * max(0, nmax + 1 - len(target))
-    partial = [1] + [0] * nmax
-    ks = [0] * (nmax + 1)
-    for i in range(1, nmax + 1):
-        k = want[i] - partial[i]
-        ks[i] = k
-        if k:
-            partial = poly_mul_trunc(partial,
-                                     _one_minus_power_series(i, k, nmax), nmax)
-    if partial != want[:nmax + 1]:
-        raise AssertionError("degreewise solve failed to reproduce target")
-    return ks[1:]
+    a = list(target[:nmax + 1]) + [0] * max(0, nmax + 1 - len(target))
+    c = [0] * (nmax + 1)
+    ks = []
+    for n in range(1, nmax + 1):
+        c[n] = n * a[n] - sum(c[j] * a[n - j] for j in range(1, n))
+        k, rest = divmod(sum(moebius(n // d) * c[d] for d in _divisors(n)), n)
+        if rest:
+            raise AssertionError("exponent of degree %d is not integral" % n)
+        ks.append(k)
+    return ks
 
 
 def fibonacci_series(nmax):

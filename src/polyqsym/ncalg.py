@@ -2,17 +2,20 @@
 quotient by the Euler relations.
 
 Words are tuples of generator indices (>= 1); polynomials carry exact
-rational coefficients.  The quotient modulo the two-sided ideal generated
-by the alternating convolution relations admits a terminating rewriting
-system whose normal-form words contain the index 1 at most once, and then
-only as the leftmost letter.  Linear functionals on the quotient are stored
-on normal-form basis words and evaluated anywhere through the rewriting.
+rational coefficients.  The antipode is the closed form on words, a signed
+sum of concatenated compositions; multiplying out the generator antipodes
+is its test oracle in `tests/oracles.py`.  The quotient modulo the
+two-sided ideal generated by the alternating convolution relations admits
+a terminating rewriting system whose normal-form words contain the index 1
+at most once, and then only as the leftmost letter.  Linear functionals on
+the quotient are stored on normal-form basis words and evaluated anywhere
+through the rewriting.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
+import itertools
 from fractions import Fraction
 
 from .polys import AlphaPoly, Combination, merge_terms
@@ -91,21 +94,15 @@ def counit(a):
     return a.terms.get((), Fraction(0))
 
 
-@functools.lru_cache(maxsize=None)
-def _antipode_gen(n):
-    """Closed form: alternating sum over all compositions of n."""
-    return NCPoly({w: -1 if len(w) % 2 else 1 for w in compositions(n)})
-
-
 def antipode(a):
-    """Antihomomorphic extension of the generator formula."""
-    return NCPoly((w, v * c) for word, v in a.terms.items()
-                  for w, c in _antipode_word(word).terms.items())
-
-
-def _antipode_word(word):
-    return functools.reduce(operator.mul, map(_antipode_gen, reversed(word)),
-                            NCPoly.one())
+    """S(Z_w) is the sum of (-1)^(number of parts) Z_(c_1 c_2 ..) with c_i
+    running over the compositions of the i-th letter of w read backwards
+    (Gelfand, Krob, Lascoux, Leclerc, Retakh & Thibon, "Noncommutative
+    symmetric functions", 1995)."""
+    return NCPoly((w, -v if len(w) % 2 else v)
+                  for word, v in a.terms.items()
+                  for w in (sum(parts, ()) for parts in itertools.product(
+                      *map(compositions, reversed(word)))))
 
 
 # -- the quotient by the Euler relations -----------------------------------

@@ -147,17 +147,6 @@ class GradedPoset:
         return GradedPoset([h - r for r in self.ranks],
                            [(b, a) for a, b in self.covers])
 
-    def relabel(self, perm):
-        """Rename element i to perm[i]; used to test invariance."""
-        n = self.n
-        if sorted(perm) != list(range(n)):
-            raise PosetError("not a permutation")
-        ranks = [0] * n
-        for i in range(n):
-            ranks[perm[i]] = self.ranks[i]
-        covers = [(perm[a], perm[b]) for a, b in self.covers]
-        return GradedPoset(ranks, covers)
-
     # -- tests ------------------------------------------------------------
 
     def is_eulerian(self):
@@ -290,15 +279,6 @@ class GradedPoset:
         return "GradedPoset(n=%d, height=%d)" % (self.n, self.height)
 
 
-def one_element_poset():
-    return GradedPoset([0], [])
-
-
-def chain_poset(length):
-    """Chain with `length` cover steps, i.e. length+1 elements."""
-    return GradedPoset(range(length + 1), [(i, i + 1) for i in range(length)])
-
-
 def boolean_lattice(n):
     """The lattice of subsets of an n-set."""
     ranks = [bin(s).count("1") for s in range(1 << n)]
@@ -319,9 +299,3 @@ def poset_product(p, q):
         for a, b in q.covers:
             covers.append((x * qn + a, x * qn + b))
     return GradedPoset(ranks, covers)
-
-
-def poset_coproduct(p):
-    """Rota coproduct: one ([bottom,z], [z,top]) pair per element z."""
-    return [(p.interval(p.bottom, z), p.interval(z, p.top))
-            for z in range(p.n)]

@@ -4,7 +4,9 @@ FormalSum is an integer combination of canonical polytopes.  The ambient
 tag distinguishes the product ring (unit: the point, empty polytope
 forbidden) from the join ring (unit: the empty polytope).  Face operators,
 characters, cone/bipyramid operators, the join-ring antipode and the
-comodule coactions all live here as functions on FormalSums.
+comodule coactions all live here as functions on FormalSums.  The chain-sum
+antipode that checks the memoized recursion is a test oracle in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -254,43 +256,10 @@ def antipode_rp(s):
     """Antipode of the join ring, from the antipode axiom: S(empty) = empty
     and S(P) = -sum over nonempty faces F of F * S(P/F).  Equal (face,
     quotient) pairs are grouped, and S is memoized per combinatorial type,
-    so each type's face lattice is split into intervals once per process.
-    `antipode_rp_chain_route` is its chain-sum test oracle."""
+    so each type's face lattice is split into intervals once per process."""
     if s.ambient != JOIN_RING:
         raise ValueError("the antipode lives in the join ring")
     return s.map_terms(lambda p: FormalSum(JOIN_RING, _antipode(p)))
-
-
-def antipode_rp_chain_route(s):
-    """Chain-sum antipode of the join ring: alternating sum over strictly
-    increasing flags from the empty face to the top, each contributing the
-    join of its interval quotients (Takeuchi's formula).  The test oracle
-    of `antipode_rp`; no production call reaches it."""
-    if s.ambient != JOIN_RING:
-        raise ValueError("the antipode lives in the join ring")
-
-    def chi(poly):
-        lat = poly.lattice
-        if lat.n == 1:
-            return FormalSum.of(pb.empty(), JOIN_RING)
-
-        def walk(x, acc, length):
-            if x == lat.top:
-                sign = -1 if length % 2 else 1
-                term = FormalSum.of(pb.empty(), JOIN_RING, sign)
-                for piece in acc:
-                    term = mul_join(term, FormalSum.of(piece, JOIN_RING))
-                yield from term.terms.items()
-                return
-            for y in range(lat.n):
-                if y != x and lat.leq(x, y):
-                    yield from walk(
-                        y, acc + [pb.interval_polytope(poly, x, y)],
-                        length + 1)
-
-        return FormalSum(JOIN_RING, walk(lat.bottom, [], 0))
-
-    return s.map_terms(chi)
 
 
 def comodule_pairs(poly):
@@ -305,11 +274,10 @@ def comodule_pairs(poly):
 
 def l_alpha(poly):
     """Group the face quotients by face dimension: {power: sum of P/F}."""
-    out = {}
+    counts = {}
     for face, quot in comodule_pairs(poly):
-        p = out.setdefault(face.dim, FormalSum(JOIN_RING))
-        out[face.dim] = p + FormalSum.of(quot, JOIN_RING)
-    return out
+        counts.setdefault(face.dim, collections.Counter())[quot] += 1
+    return {dim: FormalSum(JOIN_RING, c) for dim, c in counts.items()}
 
 
 def coaction(s):

@@ -95,15 +95,12 @@ def suite_phi_unit():
                 series = phi_poly(s)
                 top = len(series)
                 for k in range(1, top + 2):
-                    acc = FormalSum(ambient)
-                    for i in range(k + 1):
-                        j = k - i
-                        dj = s if j == 0 else (
-                            series[j] if j < top else FormalSum(ambient))
-                        if dj.is_zero():
-                            continue
-                        di = dj if i == 0 else d_k(dj, i)
-                        acc = acc + (di if i % 2 == 0 else -di)
+                    # sum over i + j = k of (-1)^i d_i d_j s, with d_0 = 1
+                    acc = FormalSum(ambient, (
+                        (q, -c if i % 2 else c)
+                        for i in range(k + 1) if k - i < top
+                        for q, c in (d_k(series[k - i], i) if i
+                                     else series[k]).terms.items()))
                     assert acc.is_zero(), \
                         "degree %d residue %r" % (k, acc)
                 return "degrees 1..%d" % (top + 1)
@@ -214,11 +211,14 @@ def suite_comodule():
         # antipode_rp is built from the left-sided sum; the right-sided one
         # checks it
         for p in (pt, seg, tri, sq):
-            left = right = FormalSum(JOIN_RING)
-            for f, quot in hopf_coproduct_pairs(p):
-                f, quot = fs(f, JOIN_RING), fs(quot, JOIN_RING)
-                left = left + mul_join(f, antipode_rp(quot))
-                right = right + mul_join(antipode_rp(f), quot)
+            pairs = [(fs(f, JOIN_RING), fs(quot, JOIN_RING))
+                     for f, quot in hopf_coproduct_pairs(p)]
+            left = FormalSum(JOIN_RING, (
+                t for f, quot in pairs
+                for t in mul_join(f, antipode_rp(quot)).terms.items()))
+            right = FormalSum(JOIN_RING, (
+                t for f, quot in pairs
+                for t in mul_join(antipode_rp(f), quot).terms.items()))
             assert left.is_zero(), p
             assert right.is_zero(), p
         return ""
@@ -253,31 +253,34 @@ def suite_comodule():
 
     def ehrenborg_compatibility():
         for p in (tri, d3):
-            left = {}
-            for f, quot in comodule_pairs(p):
-                left[f.key] = left.get(f.key, QSym()) + ehrenborg_F(quot)
-            right = {}
-            for word, result in coaction(fs(p)):
-                for poly, c in result.terms.items():
-                    right[poly.key] = right.get(poly.key, QSym()) \
-                        + c * QSym.monomial(word)
-            left = {k: v for k, v in left.items() if not v.is_zero()}
-            right = {k: v for k, v in right.items() if not v.is_zero()}
+            left = _qsym_by_key((f.key, t) for f, quot in comodule_pairs(p)
+                                for t in ehrenborg_F(quot).terms.items())
+            right = _qsym_by_key((poly.key, ((0, word), c))
+                                 for word, result in coaction(fs(p))
+                                 for poly, c in result.terms.items())
             assert left == right, p
         return ""
     checks.append(("coaction-vs-word-coaction", ehrenborg_compatibility))
 
     def l_alpha_identity():
         for p in (pt, seg, tri, sq, d3, pb.cone(sq)):
-            acc = QSym()
-            for power, ssum in l_alpha(p).items():
-                g = ehrenborg_F(ssum).star()
-                acc = acc + QSym({(a + power, c): v
-                                  for (a, c), v in g.terms.items()})
+            acc = QSym(((a + power, c), v)
+                       for power, ssum in l_alpha(p).items()
+                       for (a, c), v in ehrenborg_F(ssum).star().terms.items())
             assert acc == f_poly(p), p
         return ""
     checks.append(("l-alpha-reconstruction", l_alpha_identity))
     return checks
+
+
+def _qsym_by_key(pairs):
+    """{key: QSym} from (key, (monomial key, coefficient)) pairs, the
+    keys whose sum is zero left out."""
+    grouped = {}
+    for key, term in pairs:
+        grouped.setdefault(key, []).append(term)
+    sums = {key: QSym(terms) for key, terms in grouped.items()}
+    return {key: q for key, q in sums.items() if not q.is_zero()}
 
 
 def suite_operators():

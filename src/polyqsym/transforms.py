@@ -2,11 +2,12 @@
 
 The graded flag polynomial `f_poly`, the poset transform `ehrenborg_F` and
 the join-ring transform `f_rp` = F(P)* + alpha f(P) are each read off the
-flag vector.  Their second routes are test oracles: `f_poly_operator_route`
-(face-operator series), `ehrenborg_F_chain_route` (chain sums) and
-`f_rp_coaction_route` (word coaction).  The image equations, the sparse-flag
-basis with its unimodular matrix, the projection onto it, and the
-cone/bipyramid operators on the quasi-symmetric side also live here.
+flag vector.  The image equations, the sparse-flag basis with its
+unimodular matrix, the projection onto it, and the cone/bipyramid operators
+on the quasi-symmetric side, as closed forms on the monomial basis, also
+live here.  The second route of each transform and of the cone operators
+(face-operator series, chain sums, word coaction, expansion into
+t-variables) is a test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from . import store
 from .intlinalg import det_bareiss, solve_exact
 from .ncalg import DualFunctional, basis_words
 from .polys import AlphaPoly, MultiPoly
-from .qsym import QSym, compositions, lift_from_expansion
-from .ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator, d_k,
-                   epsilon_alpha, mul_product, xi_alpha)
+from .qsym import QSym
+from .ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
+                   mul_product, xi_alpha)
 
 
 # -- generalized flag polynomial --------------------------------------------
@@ -57,35 +58,13 @@ def f_poly(s):
                     poly.dim, pb.flag_vector(poly)).terms.items())
 
 
-def f_poly_operator_route(poly, r):
-    """Operator route: the dimension character of the r-fold iterated
-    face-operator series, one fresh variable per application."""
-    state = {(0,) * r: FormalSum.of(poly, PRODUCT_RING)}
-    for step in range(r):
-        nxt = {}
-        for exps, s in state.items():
-            pieces = [s]
-            for k in range(1, s.max_dim() + 2):
-                pieces.append(d_k(s, k))
-            for k, piece in enumerate(pieces):
-                if piece.is_zero():
-                    continue
-                e = list(exps)
-                e[step] = k
-                key = tuple(e)
-                nxt[key] = nxt.get(key, FormalSum(PRODUCT_RING)) + piece
-        state = nxt
-    return MultiPoly(r, (((power, exps), c) for exps, s in state.items()
-                         for power, c in xi_alpha(s).terms.items()))
-
-
 # -- poset transform ---------------------------------------------------------
 
 
 def ehrenborg_F(s):
     """Chain transform of the face lattice, read off the flag vector: the
     flag set {a_1 < .. < a_k} of dimension n gives M_(a_1+1, a_2-a_1, ..,
-    n-a_k).  `ehrenborg_F_chain_route` is its chain-sum test oracle."""
+    n-a_k)."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, JOIN_RING)
     return QSym(_chain_monomials(s))
@@ -105,28 +84,9 @@ def _chain_monomials(s):
             yield (0, comp), coeff * value
 
 
-def ehrenborg_F_chain_route(poly):
-    """Oracle for `ehrenborg_F`: one monomial per maximal chain of the face
-    lattice, enumerated one by one."""
-    lat = poly.lattice
-    lat._ensure_masks()
-    chains = []
-    stack = [(lat.bottom, ())]
-    while stack:
-        x, gaps = stack.pop()
-        if x == lat.top:
-            chains.append(((0, gaps), 1))
-            continue
-        for y in range(lat.n):
-            if y != x and lat.leq(x, y):
-                stack.append((y, gaps + (lat.ranks[y] - lat.ranks[x],)))
-    return QSym(chains)
-
-
 def f_rp(s):
     """Rank-character transform of the join ring, by the star-transform
-    identity f_RP(P) = F(P)* + alpha f(P).  `f_rp_coaction_route` is its
-    word-coaction test oracle."""
+    identity f_RP(P) = F(P)* + alpha f(P)."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, JOIN_RING)
     return QSym(_star_plus_alpha_f(s))
@@ -140,16 +100,6 @@ def _star_plus_alpha_f(s):
         if not poly.is_empty():
             for (a, c), v in f_poly(poly).terms.items():
                 yield (a + 1, c), coeff * v
-
-
-def f_rp_coaction_route(poly):
-    """Oracle for `f_rp`: the rank character of every word's action on the
-    polytope."""
-    base = FormalSum.of(poly, JOIN_RING)
-    return QSym(((power, word[::-1]), c) for total in range(poly.dim + 3)
-                for word in compositions(total)
-                for power, c in epsilon_alpha(
-                    apply_operator(word, base)).terms.items())
 
 
 # -- image equations ----------------------------------------------------------
@@ -320,52 +270,20 @@ def bb_multiply(x, y):
 # -- cone and bipyramid on the quasi-symmetric side ---------------------------
 
 
-def _alpha_to_slot(g, m):
-    """g with the grading slot read as t_m and the variables t_m, t_{m+1},
-    .. set to zero: the m-th summand of the cone formula."""
-    return MultiPoly(g.r, (((0, e[:m - 1] + (a,) + e[m:]), v)
-                           for (a, e), v in g.terms.items()
-                           if not any(e[m - 1:])))
-
-
-def _shift_up(g, m):
-    """g(alpha, t_m, t_{m+1}, ..): the j-th variable of g reads t_{m-1+j};
-    terms that overflow the variable window drop (they sit at zero)."""
-    keep = g.r - m + 1
-    return MultiPoly(g.r, (((a, (0,) * (m - 1) + e[:keep]), v)
-                           for (a, e), v in g.terms.items()
-                           if not any(e[keep:])))
-
-
 def cone_qsym(g):
-    """Quasi-symmetric counterpart of the cone operator."""
-    n = g.degree() + 1
-    r = n + 2
-    gx = g.expand(r)
-    sigma1 = QSym.sigma(1).expand(r) + MultiPoly.alpha(r)
-    return lift_from_expansion(_sum_of(r, [sigma1 * gx] + [
-        MultiPoly.var(r, m - 1) * _alpha_to_slot(gx, m)
-        for m in range(1, r + 1)]))
+    """Quasi-symmetric counterpart of the cone operator, on the monomial
+    basis: (alpha + M_1) g plus M_(c, a+1) for each term alpha^a M_c."""
+    return c_rp_qsym(g) + QSym(((0, c + (a + 1,)), v)
+                               for (a, c), v in g.terms.items())
 
 
 def a_qsym(g):
     """Quasi-symmetric counterpart of twice-cone-minus-bipyramid on the
-    product-ring side."""
-    n = g.degree() + 1
-    r = n + 2
-    gx = g.expand(r)
-    g0 = MultiPoly(r, {(a, e): v for (a, e), v in gx.terms.items()
-                       if not any(e)})
-    parts = [MultiPoly.alpha(r) * g0, MultiPoly.var(r, 0) * gx]
-    parts += [(MultiPoly.var(r, m - 1) + MultiPoly.var(r, m - 2))
-              * _shift_up(gx, m) for m in range(2, r + 1)]
-    # the tail m = r+1 contributes t_r * g(alpha, 0, 0, ..)
-    parts.append(MultiPoly.var(r, r - 1) * g0)
-    return lift_from_expansion(_sum_of(r, parts))
-
-
-def _sum_of(r, polys):
-    return MultiPoly(r, (t for p in polys for t in p.terms.items()))
+    product-ring side: alpha^a M_c goes to 2 alpha^a M_(1, c) +
+    alpha^a M_(c_1+1, c_2, ..), read as alpha^(a+1) when c is empty."""
+    return QSym(term for (a, c), v in g.terms.items() for term in (
+        ((a, (1,) + c), 2 * v),
+        ((a, (c[0] + 1,) + c[1:]) if c else (a + 1, ()), v)))
 
 
 def b_qsym(g):

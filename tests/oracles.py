@@ -1,0 +1,260 @@
+"""Second routes kept as test oracles.
+
+Each quantity has one production route in `polyqsym`; the independent
+routes that check it live here, unchanged apart from their imports and from
+`relabel`, which was a `GradedPoset` method.  No module under `src`
+imports this file.
+
+- `f_poly_operator_route`, `ehrenborg_F_chain_route` and
+  `f_rp_coaction_route` check the flag-vector transforms;
+- `antipode_rp_chain_route` (Takeuchi's chain sum) checks the memoized
+  join-ring antipode;
+- `cone_qsym` and `a_qsym` expand into t-variables, multiply and lift back,
+  and check the monomial-basis closed forms in `polyqsym.transforms`;
+- `antipode` multiplies the generator antipodes out word by word, and
+  checks the composition closed form in `polyqsym.ncalg`;
+- `series_exponents` solves degree by degree with `_one_minus_power_series`,
+  and checks the logarithmic-derivative form in `polyqsym.lyndon`;
+- `relabel`, `one_element_poset`, `chain_poset` and `poset_coproduct` are
+  poset helpers only the tests call.
+"""
+
+from __future__ import annotations
+
+import functools
+import operator
+from math import comb
+
+from polyqsym import polytopes as pb
+from polyqsym.lyndon import poly_mul_trunc
+from polyqsym.ncalg import NCPoly
+from polyqsym.polys import MultiPoly
+from polyqsym.posets import GradedPoset, PosetError
+from polyqsym.qsym import QSym, compositions, lift_from_expansion
+from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
+                           d_k, epsilon_alpha, mul_join, xi_alpha)
+
+
+# -- flag-vector transforms ---------------------------------------------------
+
+
+def f_poly_operator_route(poly, r):
+    """Operator route: the dimension character of the r-fold iterated
+    face-operator series, one fresh variable per application."""
+    state = {(0,) * r: FormalSum.of(poly, PRODUCT_RING)}
+    for step in range(r):
+        nxt = {}
+        for exps, s in state.items():
+            pieces = [s]
+            for k in range(1, s.max_dim() + 2):
+                pieces.append(d_k(s, k))
+            for k, piece in enumerate(pieces):
+                if piece.is_zero():
+                    continue
+                e = list(exps)
+                e[step] = k
+                key = tuple(e)
+                nxt[key] = nxt.get(key, FormalSum(PRODUCT_RING)) + piece
+        state = nxt
+    return MultiPoly(r, (((power, exps), c) for exps, s in state.items()
+                         for power, c in xi_alpha(s).terms.items()))
+
+
+def ehrenborg_F_chain_route(poly):
+    """Oracle for `ehrenborg_F`: one monomial per maximal chain of the face
+    lattice, enumerated one by one."""
+    lat = poly.lattice
+    lat._ensure_masks()
+    chains = []
+    stack = [(lat.bottom, ())]
+    while stack:
+        x, gaps = stack.pop()
+        if x == lat.top:
+            chains.append(((0, gaps), 1))
+            continue
+        for y in range(lat.n):
+            if y != x and lat.leq(x, y):
+                stack.append((y, gaps + (lat.ranks[y] - lat.ranks[x],)))
+    return QSym(chains)
+
+
+def f_rp_coaction_route(poly):
+    """Oracle for `f_rp`: the rank character of every word's action on the
+    polytope."""
+    base = FormalSum.of(poly, JOIN_RING)
+    return QSym(((power, word[::-1]), c) for total in range(poly.dim + 3)
+                for word in compositions(total)
+                for power, c in epsilon_alpha(
+                    apply_operator(word, base)).terms.items())
+
+
+# -- join-ring antipode -------------------------------------------------------
+
+
+def antipode_rp_chain_route(s):
+    """Chain-sum antipode of the join ring: alternating sum over strictly
+    increasing flags from the empty face to the top, each contributing the
+    join of its interval quotients (Takeuchi's formula).  The test oracle
+    of `antipode_rp`; no production call reaches it."""
+    if s.ambient != JOIN_RING:
+        raise ValueError("the antipode lives in the join ring")
+
+    def chi(poly):
+        lat = poly.lattice
+        if lat.n == 1:
+            return FormalSum.of(pb.empty(), JOIN_RING)
+
+        def walk(x, acc, length):
+            if x == lat.top:
+                sign = -1 if length % 2 else 1
+                term = FormalSum.of(pb.empty(), JOIN_RING, sign)
+                for piece in acc:
+                    term = mul_join(term, FormalSum.of(piece, JOIN_RING))
+                yield from term.terms.items()
+                return
+            for y in range(lat.n):
+                if y != x and lat.leq(x, y):
+                    yield from walk(
+                        y, acc + [pb.interval_polytope(poly, x, y)],
+                        length + 1)
+
+        return FormalSum(JOIN_RING, walk(lat.bottom, [], 0))
+
+    return s.map_terms(chi)
+
+
+# -- cone and bipyramid on the quasi-symmetric side, through t-variables ------
+
+
+def _alpha_to_slot(g, m):
+    """g with the grading slot read as t_m and the variables t_m, t_{m+1},
+    .. set to zero: the m-th summand of the cone formula."""
+    return MultiPoly(g.r, (((0, e[:m - 1] + (a,) + e[m:]), v)
+                           for (a, e), v in g.terms.items()
+                           if not any(e[m - 1:])))
+
+
+def _shift_up(g, m):
+    """g(alpha, t_m, t_{m+1}, ..): the j-th variable of g reads t_{m-1+j};
+    terms that overflow the variable window drop (they sit at zero)."""
+    keep = g.r - m + 1
+    return MultiPoly(g.r, (((a, (0,) * (m - 1) + e[:keep]), v)
+                           for (a, e), v in g.terms.items()
+                           if not any(e[keep:])))
+
+
+def cone_qsym(g):
+    """Quasi-symmetric counterpart of the cone operator."""
+    n = g.degree() + 1
+    r = n + 2
+    gx = g.expand(r)
+    sigma1 = QSym.sigma(1).expand(r) + MultiPoly.alpha(r)
+    return lift_from_expansion(_sum_of(r, [sigma1 * gx] + [
+        MultiPoly.var(r, m - 1) * _alpha_to_slot(gx, m)
+        for m in range(1, r + 1)]))
+
+
+def a_qsym(g):
+    """Quasi-symmetric counterpart of twice-cone-minus-bipyramid on the
+    product-ring side."""
+    n = g.degree() + 1
+    r = n + 2
+    gx = g.expand(r)
+    g0 = MultiPoly(r, {(a, e): v for (a, e), v in gx.terms.items()
+                       if not any(e)})
+    parts = [MultiPoly.alpha(r) * g0, MultiPoly.var(r, 0) * gx]
+    parts += [(MultiPoly.var(r, m - 1) + MultiPoly.var(r, m - 2))
+              * _shift_up(gx, m) for m in range(2, r + 1)]
+    # the tail m = r+1 contributes t_r * g(alpha, 0, 0, ..)
+    parts.append(MultiPoly.var(r, r - 1) * g0)
+    return lift_from_expansion(_sum_of(r, parts))
+
+
+def _sum_of(r, polys):
+    return MultiPoly(r, (t for p in polys for t in p.terms.items()))
+
+
+# -- free-algebra antipode, generator by generator ----------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _antipode_gen(n):
+    """Closed form: alternating sum over all compositions of n."""
+    return NCPoly({w: -1 if len(w) % 2 else 1 for w in compositions(n)})
+
+
+def antipode(a):
+    """Antihomomorphic extension of the generator formula."""
+    return NCPoly((w, v * c) for word, v in a.terms.items()
+                  for w, c in _antipode_word(word).terms.items())
+
+
+def _antipode_word(word):
+    return functools.reduce(operator.mul, map(_antipode_gen, reversed(word)),
+                            NCPoly.one())
+
+
+# -- series exponents, degree by degree ---------------------------------------
+
+
+def _one_minus_power_series(i, k, nmax):
+    """(1 - t^i)^(-k) truncated; k may be negative (then the finite
+    binomial expansion)."""
+    out = [0] * (nmax + 1)
+    if k >= 0:
+        for m in range(0, nmax // i + 1):
+            out[i * m] = comb(k + m - 1, m) if k > 0 else (1 if m == 0 else 0)
+    else:
+        j = -k
+        for m in range(0, min(j, nmax // i) + 1):
+            out[i * m] = (-1) ** m * comb(j, m)
+    return out
+
+
+def series_exponents(target, nmax):
+    """Exponents k_i with product over i of (1 - t^i)^(-k_i) matching the
+    target series through degree nmax, solved degree by degree."""
+    if not target or target[0] != 1:
+        raise ValueError("target series must have constant term 1")
+    want = list(target) + [0] * max(0, nmax + 1 - len(target))
+    partial = [1] + [0] * nmax
+    ks = [0] * (nmax + 1)
+    for i in range(1, nmax + 1):
+        k = want[i] - partial[i]
+        ks[i] = k
+        if k:
+            partial = poly_mul_trunc(partial,
+                                     _one_minus_power_series(i, k, nmax), nmax)
+    if partial != want[:nmax + 1]:
+        raise AssertionError("degreewise solve failed to reproduce target")
+    return ks[1:]
+
+
+# -- poset helpers ------------------------------------------------------------
+
+
+def relabel(poset, perm):
+    """Rename element i to perm[i]; used to test invariance."""
+    n = poset.n
+    if sorted(perm) != list(range(n)):
+        raise PosetError("not a permutation")
+    ranks = [0] * n
+    for i in range(n):
+        ranks[perm[i]] = poset.ranks[i]
+    covers = [(perm[a], perm[b]) for a, b in poset.covers]
+    return GradedPoset(ranks, covers)
+
+
+def one_element_poset():
+    return GradedPoset([0], [])
+
+
+def chain_poset(length):
+    """Chain with `length` cover steps, i.e. length+1 elements."""
+    return GradedPoset(range(length + 1), [(i, i + 1) for i in range(length)])
+
+
+def poset_coproduct(p):
+    """Rota coproduct: one ([bottom,z], [z,top]) pair per element z."""
+    return [(p.interval(p.bottom, z), p.interval(z, p.top))
+            for z in range(p.n)]

@@ -16,11 +16,10 @@ from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING,
                            l_alpha)
 from polyqsym.suites import run_suite
 from polyqsym.transforms import (bb_basis, bb_det, basis_word_strings,
-                                 dehn_sommerville_check, ehrenborg_F,
-                                 ehrenborg_F_chain_route, f_poly,
-                                 f_poly_operator_route, phi_zero,
-                                 sparse_index_sets)
+                                 dehn_sommerville_check, ehrenborg_F, f_poly,
+                                 phi_zero, sparse_index_sets)
 from conftest import antipode_axiom_sums, fs
+from oracles import ehrenborg_F_chain_route, f_poly_operator_route
 
 M = QSym.monomial
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]

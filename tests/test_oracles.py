@@ -1,0 +1,112 @@
+"""The closed forms of the quasi-symmetric cone operators, the free-algebra
+antipode and the series exponents against the routes they replaced, kept
+in `oracles`, each on at least 300 seeded random inputs."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from polyqsym import polytopes as pb
+from polyqsym.lyndon import fibonacci_series, series_exponents
+from polyqsym.ncalg import NCPoly, antipode
+from polyqsym.qsym import QSym
+from polyqsym.transforms import a_qsym, cone_qsym, f_poly
+
+CASES = 300
+
+
+def _random_qsym(rng):
+    """A few terms alpha^a M_c with small parts, empty c included."""
+    terms = []
+    for _ in range(rng.randint(0, 4)):
+        comp = tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 3)))
+        terms.append(((rng.randint(0, 2), comp), rng.randint(-4, 4)))
+    return QSym(terms)
+
+
+def _qsym_inputs():
+    rng = random.Random(20100)
+    out = [QSym(), QSym.one(), QSym.alpha_power(1), QSym.alpha_power(3, -2),
+           QSym.alpha_power(2) + QSym.monomial((1, 2), 3, alpha=1)]
+    out += [f_poly(p) for p in (pb.point(), pb.segment(), pb.simplex(2),
+                                pb.cube(2), pb.simplex(3), pb.cross(3))]
+    while len(out) < CASES:
+        out.append(_random_qsym(rng))
+    return out
+
+
+def test_cone_qsym_matches_expansion_route():
+    gs = _qsym_inputs()
+    # alpha powers on the empty composition, the unit and zero are inputs
+    assert any(a and not c for g in gs for (a, c) in g.terms)
+    assert any(g.is_zero() for g in gs)
+    for g in gs:
+        assert cone_qsym(g) == oracles.cone_qsym(g), g
+
+
+def test_a_qsym_matches_expansion_route():
+    for g in _qsym_inputs():
+        assert a_qsym(g) == oracles.a_qsym(g), g
+
+
+def _random_ncpoly(rng):
+    """A few words in letters 1..5, the empty word included."""
+    terms = []
+    for _ in range(rng.randint(0, 3)):
+        word = tuple(rng.randint(1, 5) for _ in range(rng.randint(0, 3)))
+        terms.append((word, Fraction(rng.randint(-6, 6), rng.randint(1, 3))))
+    return NCPoly(terms)
+
+
+def _ncpoly_inputs():
+    rng = random.Random(1995)
+    out = [NCPoly(), NCPoly.one(), NCPoly.gen(5), NCPoly.word((5, 5, 5)),
+           NCPoly.word((1, 2, 3, 4, 5)) - 2 * NCPoly.one()]
+    while len(out) < CASES:
+        out.append(_random_ncpoly(rng))
+    return out
+
+
+def test_antipode_matches_generator_route():
+    polys = _ncpoly_inputs()
+    assert sum(() in a.terms for a in polys) > 1
+    for a in polys:
+        assert antipode(a) == oracles.antipode(a), a
+
+
+def _series_inputs():
+    """(target, nmax) pairs: random integer series, some shorter than
+    nmax + 1 and some longer, and the series of 1/(1 - sum t^a)."""
+    rng = random.Random(2010)
+    out = [([1], 0), ([1], 5), ([1] + [0] * 10, 10),
+           (fibonacci_series(40), 40), (fibonacci_series(20), 30)]
+    while len(out) < CASES:
+        nmax = rng.randint(0, 40)
+        if rng.random() < 0.5:
+            letters = rng.sample(range(1, 8), rng.randint(1, 4))
+            target = [1] + [0] * nmax
+            for n in range(1, nmax + 1):
+                target[n] = sum(target[n - a] for a in letters if a <= n)
+            target = target[:rng.randint(1, nmax + 1)]
+        else:
+            target = [1] + [rng.randint(-3, 5)
+                            for _ in range(rng.randint(0, nmax + 5))]
+        out.append((target, nmax))
+    return out
+
+
+def test_series_exponents_match_degreewise_route():
+    cases = _series_inputs()
+    assert any(len(t) < n + 1 for t, n in cases)
+    for target, nmax in cases:
+        assert series_exponents(target, nmax) == \
+            oracles.series_exponents(target, nmax), (target, nmax)
+
+
+@pytest.mark.parametrize("target", [[], [0, 1], [2, 1], [-1], [0]])
+def test_series_exponents_need_constant_term_one(target):
+    for solve in (series_exponents, oracles.series_exponents):
+        with pytest.raises(ValueError):
+            solve(target, 3)
