@@ -7,7 +7,7 @@ from .polytopes import (Polytope, bipyramid, build_named, cell24, cone,
                         flag_number, flag_vector, from_incidence, from_word,
                         join, point, polygon, product, simplex)
 from .polys import AlphaPoly, MultiPoly
-from .qsym import QSym, is_quasisymmetric, lift_from_expansion, quasi_shuffle
+from .qsym import QSym, is_quasisymmetric, quasi_shuffle
 from .ring import (FormalSum, JOIN_RING, PRODUCT_RING, antipode_rp,
                    apply_operator, a_op, bipyramid_op, comodule_pairs,
                    cone_op, coaction, d_k, delta_derivation, dual_sum,

@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 I/O error.
+An output error, such as a full device, is an I/O error too, reported in
+one line; a write to a pipe whose reader has gone exits 3 without a
+message.
 All numeric output is exact; rationals cross the JSON boundary as strings.
 Integer arguments are bounded, as expressions are by `exprs.MAX_FACES`
 (`bb_basis` bounds `bb-matrix` and `project --dim`): past a bound a
@@ -316,6 +319,17 @@ def build_parser():
     return ap
 
 
+def _drop_stdout():
+    """Point stdout at the null device, so that the flush at exit does not
+    fail again on what is left in its buffer."""
+    try:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    except (OSError, ValueError):
+        pass
+
+
 def main(argv=None):
     ap = build_parser()
     try:
@@ -326,6 +340,7 @@ def main(argv=None):
         if args.cache and args.verb != "cache" and os.path.exists(args.cache):
             _load_cache(args.cache)
         code = args.fn(args)
+        sys.stdout.flush()
         if args.cache and args.verb != "cache" and code == 0:
             _save_cache(args.cache)
         return code
@@ -334,6 +349,14 @@ def main(argv=None):
         return 2
     except CliIOError as exc:
         print(str(exc), file=sys.stderr)
+        return 3
+    except BrokenPipeError:
+        # the reader of stdout has gone: nobody is left to tell
+        _drop_stdout()
+        return 3
+    except OSError as exc:
+        _drop_stdout()
+        print("I/O error: %s" % exc, file=sys.stderr)
         return 3
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -239,16 +239,6 @@ class MultiPoly(Combination):
     def const(cls, r, v):
         return cls(r, {(0, (0,) * r): v})
 
-    @classmethod
-    def alpha(cls, r, power=1, coeff=1):
-        return cls(r, {(power, (0,) * r): coeff})
-
-    @classmethod
-    def var(cls, r, i, power=1, coeff=1):
-        e = [0] * r
-        e[i] = power
-        return cls(r, {(0, tuple(e)): coeff})
-
     def __mul__(self, other):
         if isinstance(other, int):
             return self._scale(other)

@@ -8,13 +8,24 @@ by the canonical key, so equal combinatorial types are the same object and
 carry a shared flag-number cache.  A type carries no name: it is only its
 face lattice, so nothing printed depends on which expression built it.
 
-The key of a polytope of dim >= 2 is its dim followed by the canonical key
-of its vertex-facet incidence, encoded as a height-3 poset (bottom,
-vertices, facets, top).  A face lattice is atomic and coatomic, so the
-incidence fixes it (Kaibel & Schwartz, Graphs & Combin. 19, 2003); the key
-is exact on face lattices only, which is why `registry_restore` and
-`from_incidence` check that property.  Below dim 2 the whole lattice is
-keyed.  `GradedPoset.canonical_key` on the whole lattice is the test oracle.
+A key takes one of three routes, each exact on face lattices:
+
+- dim <= 2: the dim and the vertex count, since an Eulerian lattice of
+  height <= 2 is the empty polytope, the point or the segment, and one of
+  height 3 whose proper part is one cycle is the polygon with that many
+  vertices;
+- a d-polytope with d + 1 vertices and 2^(d+1) faces: the dim, since its
+  faces are all the vertex sets, ordered by inclusion: the d-simplex;
+- otherwise: the dim followed by the canonical key of the vertex-facet
+  incidence, encoded as a height-3 poset (bottom, vertices, facets, top).
+  A face lattice is atomic and coatomic, so the incidence fixes it
+  (Kaibel & Schwartz, Graphs & Combin. 19, 2003).
+
+Faces and quotients of a face lattice are face lattices, and
+`registry_restore` and `from_incidence` check that property, including
+that every interval of height 3 is a polygon, on lattices read from
+outside.  `GradedPoset.canonical_key` on the whole lattice is the test
+oracle.
 
 Memos: the generators `empty`, `point`, `segment` and every catalogue
 request live in `store.names`; `product`, `join`, `bipyramid` and `dual`
@@ -43,13 +54,18 @@ class Polytope:
 
     @property
     def key(self):
-        """The dim, then the canonical key of the vertex-facet incidence
-        (of the whole lattice below dim 2); exact on face lattices."""
+        """The type's key, exact on face lattices: the dim and vertex count
+        up to dim 2, the dim alone for a simplex, and otherwise the dim and
+        the canonical key of the vertex-facet incidence."""
         if self._key is None:
-            lat = self.lattice
-            if self.dim >= 2:
-                lat = _incidence_poset(lat)
-            self._key = b"%d:" % self.dim + lat.canonical_key()
+            lat, dim = self.lattice, self.dim
+            if dim <= 2:
+                self._key = b"%d:v%d" % (dim, self.vertex_count)
+            elif self.vertex_count == dim + 1 and lat.n == 1 << (dim + 1):
+                self._key = b"%d:simplex" % dim
+            else:
+                self._key = (b"%d:" % dim
+                             + _incidence_poset(lat).canonical_key())
         return self._key
 
     def __hash__(self):
@@ -163,12 +179,47 @@ def _is_facet_closure(lat):
     return len(closure) == lat.n
 
 
+def _height3_intervals_are_polygons(lat):
+    """The proper part of every interval of height 3 is one cycle, as in a
+    face lattice, where such an interval is a 2-face or a quotient by a
+    face of codimension 3: a polygon.  Assumes the lattice is Eulerian, so
+    that each proper part is a union of cycles; the walk from its lowest
+    atom must reach all of its atoms."""
+    lat._ensure_masks()
+    up, dn, rank = lat._upmask, lat._dnmask, lat._rankmask
+    for x in range(lat.n):
+        r = lat.ranks[x]
+        if r + 3 > lat.height:
+            continue
+        ux = up[x]
+        atoms, mids, tops = (ux & rank[r + 1], ux & rank[r + 2],
+                             ux & rank[r + 3])
+        while tops:
+            z = tops & -tops
+            tops ^= z
+            below = dn[z.bit_length() - 1]
+            cycle_atoms, cycle_mids = atoms & below, mids & below
+            a = cycle_atoms & -cycle_atoms
+            b = seen = 0
+            while a and not seen & a:
+                seen |= a
+                b = up[a.bit_length() - 1] & cycle_mids & ~b
+                b &= -b
+                a = dn[b.bit_length() - 1] & cycle_atoms & ~a
+            if seen != cycle_atoms:
+                return False
+    return True
+
+
 def _face_lattice_from_json(obj):
     """A lattice read from outside, checked to be one that `Polytope.key`
     keys exactly; raises PosetError otherwise."""
     lat = GradedPoset.from_json_obj(obj)
     if not lat.is_eulerian():
         raise PosetError("not an Eulerian lattice")
+    if not _height3_intervals_are_polygons(lat):
+        raise PosetError("not a polytope face lattice: an interval of "
+                         "height 3 is not a polygon")
     if not (_faces_are_separated(lat) and _order_is_atom_inclusion(lat)
             and _is_facet_closure(lat)):
         raise PosetError("not a polytope face lattice")
@@ -178,8 +229,9 @@ def _face_lattice_from_json(obj):
 def registry_restore(entries):
     """Register the face lattices of a saved registry list.  Raises
     PosetError on an entry that is not an Eulerian graded poset whose
-    elements are separated by atoms and by coatoms, ordered by inclusion
-    of atom sets, and rebuilt by their vertex-facet incidence."""
+    intervals of height 3 are polygons and whose elements are separated
+    by atoms and by coatoms, ordered by inclusion of atom sets, and
+    rebuilt by their vertex-facet incidence."""
     if not isinstance(entries, list):
         raise PosetError("registry must be a list")
     for obj in entries:
@@ -358,6 +410,9 @@ def from_incidence(facet_vertex_sets):
         raise ValueError("not a valid polytope incidence: %s" % exc) from None
     if not lattice.is_eulerian():
         raise ValueError("not a valid polytope incidence: closure not Eulerian")
+    if not _height3_intervals_are_polygons(lattice):
+        raise ValueError("not a valid polytope incidence: an interval of "
+                         "height 3 is not a polygon")
     if not (_order_is_atom_inclusion(lattice) and _is_facet_closure(lattice)):
         raise ValueError("not a valid polytope incidence: closure not "
                          "rebuilt by its own vertex-facet incidence")
@@ -464,11 +519,17 @@ def dual(p):
 
 def interval_polytope(p, x, y):
     """The interval [x, y] of the face lattice of p, registered, memoized
-    on p like its flag numbers."""
+    on p like its flag numbers.  An interval of height 0, 1 or 2 is the
+    empty polytope, the point or the segment, and is not cut out."""
     hit = p._intervals.get((x, y))
     if hit is None:
-        hit = p._intervals.setdefault(
-            (x, y), canonical(Polytope(p.lattice.interval(x, y))))
+        lat = p.lattice
+        height = lat.ranks[y] - lat.ranks[x]
+        if height <= 2 and lat.leq(x, y):
+            made = (empty, point, segment)[height]()
+        else:
+            made = canonical(Polytope(lat.interval(x, y)))
+        hit = p._intervals.setdefault((x, y), made)
     return hit
 
 

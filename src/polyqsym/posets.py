@@ -153,17 +153,22 @@ class GradedPoset:
         """Every interval of rank >= 1 has equally many odd and even
         rank elements."""
         self._ensure_masks()
+        even = odd = 0
+        for r, m in enumerate(self._rankmask):
+            if r % 2:
+                odd |= m
+            else:
+                even |= m
+        dn = self._dnmask
         for x in range(self.n):
             ux = self._upmask[x]
-            for y in range(self.n):
-                if y == x or not (ux >> y & 1):
-                    continue
-                between = ux & self._dnmask[y]
-                total = 0
-                for r in range(self.ranks[x], self.ranks[y] + 1):
-                    c = (between & self._rankmask[r]).bit_count()
-                    total += c if r % 2 == 0 else -c
-                if total != 0:
+            ex, ox = ux & even, ux & odd
+            above = ux ^ (1 << x)
+            while above:
+                low = above & -above
+                above ^= low
+                below = dn[low.bit_length() - 1]
+                if (ex & below).bit_count() != (ox & below).bit_count():
                     return False
         return True
 

@@ -194,22 +194,6 @@ def _increasing_tuples(k, r):
     return tuple(itertools.combinations(range(r), k))
 
 
-def lift_from_expansion(poly):
-    """Inverse of expand on quasi-symmetric input: read coefficients off
-    the prefix-supported monomials, then verify by re-expanding."""
-    r = poly.r
-    terms = {}
-    for (a, e), v in poly.terms.items():
-        support = [i for i, p in enumerate(e) if p]
-        if support == list(range(len(support))):
-            terms[(a, tuple(e[i] for i in support))] = v
-    q = QSym(terms)
-    if q.expand(r) != poly:
-        raise ValueError("polynomial is not quasi-symmetric in %d variables"
-                         % r)
-    return q
-
-
 def is_quasisymmetric(poly, r=None):
     """A polynomial is a combination of quasi-symmetric monomials iff
     setting any one variable slot to zero gives the same polynomial in the

@@ -1,8 +1,9 @@
 """The process-wide memo store.
 
 Plain dicts, one per memoized quantity that depends on a polytope type.
-Polytope keys are the dim and the canonical key of the vertex-facet
-incidence (see `polytopes`).
+A polytope key is the dim and the vertex count up to dim 2, the dim
+alone for a simplex, and otherwise the dim and the canonical key of the
+vertex-facet incidence (see `polytopes`).
 
     types          polytope key -> the registered Polytope of that type
     names          catalogue request text -> Polytope (the generators

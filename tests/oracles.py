@@ -16,7 +16,10 @@ imports this file.
 - `series_exponents` solves degree by degree with `_one_minus_power_series`,
   and checks the logarithmic-derivative form in `polyqsym.lyndon`;
 - `relabel`, `one_element_poset`, `chain_poset` and `poset_coproduct` are
-  poset helpers only the tests call.
+  poset helpers only the tests call;
+- `lift_from_expansion` reads a quasi-symmetric function back off its
+  expansion, and `multipoly_alpha` and `multipoly_var` build the monomials
+  alpha^k and t_i^k, for the expand-and-lift routes and the tests.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from polyqsym.lyndon import poly_mul_trunc
 from polyqsym.ncalg import NCPoly
 from polyqsym.polys import MultiPoly
 from polyqsym.posets import GradedPoset, PosetError
-from polyqsym.qsym import QSym, compositions, lift_from_expansion
+from polyqsym.qsym import QSym, compositions
 from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
                            d_k, epsilon_alpha, mul_join, xi_alpha)
 
@@ -143,14 +146,42 @@ def _shift_up(g, m):
                            if not any(e[keep:])))
 
 
+def multipoly_alpha(r, power=1, coeff=1):
+    """coeff * alpha^power in r variables."""
+    return MultiPoly(r, {(power, (0,) * r): coeff})
+
+
+def multipoly_var(r, i, power=1, coeff=1):
+    """coeff * t_(i+1)^power in r variables."""
+    e = [0] * r
+    e[i] = power
+    return MultiPoly(r, {(0, tuple(e)): coeff})
+
+
+def lift_from_expansion(poly):
+    """Inverse of expand on quasi-symmetric input: read coefficients off
+    the prefix-supported monomials, then verify by re-expanding."""
+    r = poly.r
+    terms = {}
+    for (a, e), v in poly.terms.items():
+        support = [i for i, p in enumerate(e) if p]
+        if support == list(range(len(support))):
+            terms[(a, tuple(e[i] for i in support))] = v
+    q = QSym(terms)
+    if q.expand(r) != poly:
+        raise ValueError("polynomial is not quasi-symmetric in %d variables"
+                         % r)
+    return q
+
+
 def cone_qsym(g):
     """Quasi-symmetric counterpart of the cone operator."""
     n = g.degree() + 1
     r = n + 2
     gx = g.expand(r)
-    sigma1 = QSym.sigma(1).expand(r) + MultiPoly.alpha(r)
+    sigma1 = QSym.sigma(1).expand(r) + multipoly_alpha(r)
     return lift_from_expansion(_sum_of(r, [sigma1 * gx] + [
-        MultiPoly.var(r, m - 1) * _alpha_to_slot(gx, m)
+        multipoly_var(r, m - 1) * _alpha_to_slot(gx, m)
         for m in range(1, r + 1)]))
 
 
@@ -162,11 +193,11 @@ def a_qsym(g):
     gx = g.expand(r)
     g0 = MultiPoly(r, {(a, e): v for (a, e), v in gx.terms.items()
                        if not any(e)})
-    parts = [MultiPoly.alpha(r) * g0, MultiPoly.var(r, 0) * gx]
-    parts += [(MultiPoly.var(r, m - 1) + MultiPoly.var(r, m - 2))
+    parts = [multipoly_alpha(r) * g0, multipoly_var(r, 0) * gx]
+    parts += [(multipoly_var(r, m - 1) + multipoly_var(r, m - 2))
               * _shift_up(gx, m) for m in range(2, r + 1)]
     # the tail m = r+1 contributes t_r * g(alpha, 0, 0, ..)
-    parts.append(MultiPoly.var(r, r - 1) * g0)
+    parts.append(multipoly_var(r, r - 1) * g0)
     return lift_from_expansion(_sum_of(r, parts))
 
 

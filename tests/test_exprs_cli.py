@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -381,3 +383,91 @@ def test_cli_cache_rejects_invalid(case, tmp_path, capsys, empty_store):
 
 def test_cli_io_error(capsys):
     assert main(["cache", "load", "/nonexistent/nope.json"]) == 3
+
+
+def _two_triangles():
+    """Two disjoint triangles as one lattice of height 3: Eulerian,
+    separated, ordered by inclusion and rebuilt by its facets, but its
+    proper part is two cycles, not one polygon."""
+    ranks = [0] + [1] * 6 + [2] * 6 + [3]
+    covers = [[0, 1 + v] for v in range(6)] + [[7 + e, 13] for e in range(6)]
+    for e in range(6):
+        first = 3 * (e // 3)
+        covers += [[1 + first + e % 3, 7 + e],
+                   [1 + first + (e + 1) % 3, 7 + e]]
+    return {"ranks": ranks, "covers": covers}
+
+
+def test_cli_cache_rejects_two_triangles(tmp_path, capsys, empty_store):
+    # as a type, two triangles would share the key of the hexagon
+    path = tmp_path / "cache.json"
+    path.write_text(json.dumps({"schema": 1,
+                                "registry": [_two_triangles()]}))
+    assert main(["--cache", str(path), "build", "polygon(6)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "polygon" in captured.err and "Traceback" not in captured.err
+    assert not store.types
+    with pytest.raises(ValueError, match="polygon"):
+        pb.from_incidence([{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}])
+
+
+def test_cache_reloads_catalogue_and_faces(tmp_path, capsys, catalogue,
+                                           empty_store):
+    """Every catalogue polytope and every face and quotient of one passes
+    the load-time checks, and keeps its key."""
+    polys = {}
+    for p in catalogue.values():
+        for x in range(p.lattice.n):
+            for q in (pb.face_as_polytope(p, x), pb.face_polytope(p, x)):
+                polys[q.key] = q
+    path = tmp_path / "cache.json"
+    assert main(["cache", "save", str(path)]) == 0
+    empty_store()
+    assert main(["cache", "load", str(path)]) == 0
+    capsys.readouterr()
+    assert set(store.types) == set(polys)
+
+
+def _cli(argv, unbuffered, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "polyqsym.cli"] + argv,
+                          stderr=subprocess.PIPE, env=env, timeout=120,
+                          **kwargs)
+
+
+# A buffered stdout fails when it is flushed, an unbuffered one at the
+# first print; a small output and a large one each take both ways.
+_OUTPUT_CASES = [(argv, unbuffered)
+                 for argv in (["build", "cube(2)"],
+                              ["lyndon", "--k-table", "300"])
+                 for unbuffered in (False, True)]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv, unbuffered", _OUTPUT_CASES)
+def test_cli_full_device_exits_3(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = _cli(argv, unbuffered, stdout=full)
+    err = proc.stderr.decode()
+    assert proc.returncode == 3
+    assert len(err.splitlines()) == 1, err
+    assert "Traceback" not in err and "No space" in err
+
+
+@pytest.mark.parametrize("argv, unbuffered", _OUTPUT_CASES + [
+    (["verify", "dehn-sommerville", "--json"], False)])
+def test_cli_closed_pipe_exits_quietly(argv, unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli(argv, unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == b""

@@ -299,17 +299,49 @@ def _relabelled(rng, lat):
     return relabel(lat, perm)
 
 
-def test_incidence_key_matches_lattice_key(catalogue):
-    """Oracle for the key: two incidence keys are equal exactly when the
-    whole-lattice canonical keys are, on the catalogue and on random
-    constructions, each also under a random relabelling."""
+def _faces_and_quotients(polys):
+    """The lattices of every face and quotient of each polytope, cut out
+    with `GradedPoset.interval` so that no polytope key is involved."""
+    out = []
+    for p in polys:
+        lat = p.lattice
+        for x in range(lat.n):
+            out += [lat.interval(lat.bottom, x), lat.interval(x, lat.top)]
+    return out
+
+
+def test_incidence_key_matches_lattice_key(catalogue, monkeypatch):
+    """Oracle for the key: two keys are equal exactly when the whole-lattice
+    canonical keys are, on the catalogue, polygons, simplices and their
+    duals, every face and quotient of the catalogue and random
+    constructions, each also under a random relabelling; polytopes of dim
+    <= 2 and simplices are keyed with no canonical-labeling search."""
     rng = random.Random(7)
     lattices = [pb.empty().lattice] + [p.lattice for p in catalogue.values()]
+    shapes = ([pb.polygon(m) for m in range(3, 13)]
+              + [pb.simplex(n) for n in range(7)])
+    lattices += [p.lattice for p in shapes]
+    lattices += [p.lattice.dual() for p in shapes]
+    faces = _faces_and_quotients(catalogue.values())
+    # one lattice for each labelled face type keeps the run short
+    lattices += list({(f.ranks, f.covers): f for f in faces}.values())
     lattices += _random_lattices(rng, 60)
     lattices += [_relabelled(rng, lat) for lat in lattices]
+    real = GradedPoset.canonical_key
+    searched = []
+    monkeypatch.setattr(GradedPoset, "canonical_key",
+                        lambda lat: searched.append(lat) or real(lat))
     by_key, by_full, by_counts = {}, {}, {}
+    unsearched = set()
     for lat in lattices:
-        key, full = pb.Polytope(lat).key, lat.canonical_key()
+        del searched[:]
+        poly = pb.Polytope(lat)
+        key = poly.key
+        if not searched:
+            unsearched.add(key)
+        if poly.dim <= 2 or poly.vertex_count == poly.dim + 1:
+            assert not searched, poly
+        full = real(lat)
         assert by_key.setdefault(key, full) == full
         assert by_full.setdefault(full, key) == key
         counts = tuple(len(lat.elements_of_rank(r))
@@ -317,6 +349,7 @@ def test_incidence_key_matches_lattice_key(catalogue):
         by_counts.setdefault(counts, set()).add(key)
     # types that no face count tells apart are among them
     assert sum(len(keys) > 1 for keys in by_counts.values()) >= 3
+    assert {pb.polygon(6).key, pb.simplex(5).key} <= unsearched
 
 
 def test_key_runs_one_route(monkeypatch):
@@ -366,11 +399,22 @@ def test_constructions_are_memoized(monkeypatch, empty_store):
     prism = pb.product(tri, seg)
     assert pb.product(tri, seg) is prism
     assert len(built) == 2
-    # faces and quotients are cut out of a lattice once per polytope
+    # faces and quotients are cut out of a lattice once per polytope, and
+    # those of height <= 2 (empty, point, segment) not at all
+    lat = prism.lattice
     before = len(intervals)
-    firsts = [pb.face_as_polytope(sq, x) for x in range(sq.lattice.n)]
-    assert [pb.face_as_polytope(sq, x) for x in range(sq.lattice.n)] == firsts
+    firsts = [pb.face_as_polytope(prism, x) for x in range(lat.n)]
+    assert [pb.face_as_polytope(prism, x) for x in range(lat.n)] == firsts
     # [bottom, top] was cut out above, as the face `top`
-    assert pb.face_polytope(sq, sq.lattice.bottom) is sq
-    assert len(intervals) - before == sq.lattice.n
+    assert pb.face_polytope(prism, lat.bottom) is prism
+    # two triangles, three squares and the prism itself
+    assert len(intervals) - before == 6
+    short = (pb.empty(), pb.point(), pb.segment())
+    assert all(firsts[x] is short[lat.ranks[x]]
+               for x in range(lat.n) if lat.ranks[x] <= 2)
+    # and the quotients by the six vertices, triangles
+    quotients = [pb.face_polytope(prism, x) for x in range(lat.n)]
+    assert len(intervals) - before == 6 + 6
+    assert all(quotients[x] is short[lat.height - lat.ranks[x]]
+               for x in range(lat.n) if lat.ranks[x] >= 2)
     assert set(store.constructions.values()) == {sq, prism}

@@ -120,6 +120,32 @@ def test_eulerian():
     assert chain_poset(1).is_eulerian()
 
 
+def test_eulerian_matches_definition():
+    """`is_eulerian` against its definition, summed element by element:
+    every interval [x, y] with x < y has as many elements of even rank as
+    of odd rank."""
+    def by_definition(lat):
+        return all(
+            sum((-1) ** lat.ranks[z] for z in range(lat.n)
+                if lat.leq(x, z) and lat.leq(z, y)) == 0
+            for x in range(lat.n) for y in range(lat.n)
+            if x != y and lat.leq(x, y))
+    rng = random.Random(11)
+    posets = [_random_graded_poset(rng, [rng.randint(1, 3) for _ in
+                                         range(rng.randint(1, 4))])
+              for _ in range(400)]
+    # every interval from the bottom is Eulerian, but [a3, top] has one
+    # element in the middle
+    lopsided = GradedPoset([0, 1, 1, 1, 2, 2, 2, 3], [
+        (0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (1, 5), (2, 5), (1, 6),
+        (3, 6), (4, 7), (5, 7), (6, 7)])
+    posets += [boolean_lattice(4), lopsided,
+               poset_product(chain_poset(2), boolean_lattice(2))]
+    verdicts = [p.is_eulerian() for p in posets]
+    assert verdicts == [by_definition(p) for p in posets]
+    assert 10 < sum(verdicts) < len(posets) - 10
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.randoms(use_true_random=False))
 def test_canonical_invariant_under_relabeling(n, rng):

@@ -19,7 +19,7 @@ from polyqsym.transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                                  sparse_index_sets, verify_image_equations)
 from conftest import fs
 from oracles import (ehrenborg_F_chain_route, f_poly_operator_route,
-                     f_rp_coaction_route)
+                     f_rp_coaction_route, multipoly_alpha, multipoly_var)
 
 M = QSym.monomial
 alpha = QSym.alpha_power
@@ -307,14 +307,14 @@ def test_simple_polytope_collapse():
         n = p.dim
         t = MultiPoly.zero(r)
         for i in range(r):
-            t = t + MultiPoly.var(r, i)
-        acc = MultiPoly.alpha(r, n)
+            t = t + multipoly_var(r, i)
+        acc = multipoly_alpha(r, n)
         powers = [MultiPoly.const(r, 1)]
         for _ in range(n):
             powers.append(powers[-1] * t)
         for i in range(n):
             acc = acc + pb.flag_number(p, (i,)) \
-                * MultiPoly.alpha(r, i) * powers[n - i]
+                * multipoly_alpha(r, i) * powers[n - i]
         return acc
 
     for p in (pb.cube(2), pb.cube(3), pb.simplex(3), pb.simplex(4)):
