@@ -6,8 +6,8 @@ one line; a write to a pipe whose reader has gone exits 3 without a
 message.
 All numeric output is exact; rationals cross the JSON boundary as strings.
 Integer arguments are bounded, as expressions are by `exprs.MAX_FACES`
-(`bb_basis` bounds `bb-matrix` and `project --dim`): past a bound a
-command exits 2 before doing the work.
+(`transforms.MAX_BB_DIM` bounds `bb-matrix` and `project --dim`, which
+build no basis polytope): past a bound a command exits 2 before the work.
 """
 
 from __future__ import annotations
@@ -201,11 +201,8 @@ def _cmd_bb_matrix(args):
 
 def _cmd_project(args):
     s = parse_expression(args.expr, ambient=PRODUCT_RING)
-    out = transforms.project_bb(s, args.dim)
-    basis = bb_basis(args.dim)
-    terms = [("word(%s)" % w, out.terms[q])
-             for w, q in zip(basis.omega_words, basis.omega_polys)
-             if q in out.terms]
+    terms = [("word(%s)" % w, c)
+             for w, c in transforms.bb_coordinates(s, args.dim)]
     if args.json:
         print(json.dumps([{"expr": w, "coeff": c} for w, c in terms]))
     else:

@@ -5,74 +5,48 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _eliminate(a):
+    """Bareiss elimination, in place, of the n rows of `a` on their first n
+    columns, carrying further columns along; below the diagonal is left
+    stale.  Returns the determinant of that block, cut short at 0."""
+    n = len(a)
+    sign = prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, top = a[k][k], a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(x * pivot - f * y) // prev
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def det_bareiss(matrix):
     """Determinant of a square integer matrix, fraction-free."""
     a = [list(map(int, row)) for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(a) for row in a):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def rank(matrix):
-    """Rank over the rationals via fraction-free elimination."""
-    a = [list(map(int, row)) for row in matrix]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
-    r = 0
-    prev = 1
-    for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return _eliminate(a)
 
 
 def solve_exact(matrix, rhs):
-    """Solve A x = b for square integer A with |det A| >= 1, exactly.
-
-    Returns a list of Fractions (integral when det = +-1 and the system is
-    unimodular, which is the project_bb case).
-    """
+    """Solve A x = b for square integer A with |det A| >= 1, exactly: one
+    elimination of [A | b], then back-substitution in Fractions."""
     n = len(matrix)
-    d = det_bareiss(matrix)
-    if d == 0:
+    a = [list(map(int, row)) + [int(b)] for row, b in zip(matrix, rhs)]
+    if len(a) != n or any(len(row) != n + 1 for row in a):
+        raise ValueError("matrix must be square")
+    if _eliminate(a) == 0:
         raise ValueError("singular system")
-    out = []
-    for j in range(n):
-        col = [[matrix[i][k] if k != j else rhs[i] for k in range(n)]
-               for i in range(n)]
-        out.append(Fraction(det_bareiss(col), d))
-    return out
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        x[i] = Fraction(row[n] - sum(row[j] * x[j] for j in range(i + 1, n)),
+                        row[i])
+    return x

@@ -67,17 +67,6 @@ def shuffle(u, v):
     return dict(_shuffle(tuple(u), tuple(v)))
 
 
-def shuffle_many(words):
-    acc = {(): 1}
-    for w in words:
-        nxt = {}
-        for done, c in acc.items():
-            for res, c2 in _shuffle(done, tuple(w)).items():
-                nxt[res] = nxt.get(res, 0) + c * c2
-        acc = nxt
-    return acc
-
-
 ODD = "odd"
 
 

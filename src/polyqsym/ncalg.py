@@ -206,21 +206,6 @@ class DualFunctional:
             if not is_normal_word(w):
                 raise ValueError("values must be keyed by basis words")
 
-    @classmethod
-    def from_word_values(cls, word_values, max_degree):
-        """Build from values on arbitrary words, checking consistency with
-        the quotient relations."""
-        basis_vals = {}
-        for w, v in word_values.items():
-            if is_normal_word(tuple(w)):
-                basis_vals[tuple(w)] = v
-        psi = cls(basis_vals, max_degree)
-        for w, v in word_values.items():
-            if psi.value(tuple(w)) != v:
-                raise ValueError("not a functional on the quotient: value on "
-                                 "%r conflicts with the relations" % (w,))
-        return psi
-
     def value(self, word):
         word = tuple(word)
         if sum(word) > self.max_degree:

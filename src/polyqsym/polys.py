@@ -179,14 +179,6 @@ class AlphaPoly(Combination):
 
     __rmul__ = __mul__
 
-    def shift(self, k):
-        """Multiply by the k-th power of the variable."""
-        return AlphaPoly({p + k: v for p, v in self.terms.items()})
-
-    def negate_variable(self):
-        return AlphaPoly({p: (v if p % 2 == 0 else -v)
-                          for p, v in self.terms.items()})
-
     def coeff(self, power):
         return self.terms.get(power, 0)
 

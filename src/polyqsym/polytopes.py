@@ -95,7 +95,8 @@ class Polytope:
 
     @classmethod
     def from_json_obj(cls, obj):
-        p = canonical(cls(_face_lattice_from_json(obj)))
+        p = canonical(cls(_checked_face_lattice(
+            GradedPoset.from_json_obj(obj))))
         if "dim" in obj and obj["dim"] != p.dim:
             raise PosetError("dim field disagrees with the lattice height")
         return p
@@ -211,10 +212,12 @@ def _height3_intervals_are_polygons(lat):
     return True
 
 
-def _face_lattice_from_json(obj):
-    """A lattice read from outside, checked to be one that `Polytope.key`
-    keys exactly; raises PosetError otherwise."""
-    lat = GradedPoset.from_json_obj(obj)
+def _checked_face_lattice(lat):
+    """Return `lat`, a lattice built from outside input, after checking
+    that `Polytope.key` keys it exactly: it is Eulerian, its intervals of
+    height 3 are polygons, and its elements are separated by atoms and by
+    coatoms, ordered by inclusion of atom sets, and rebuilt by their
+    vertex-facet incidence.  Raises PosetError otherwise."""
     if not lat.is_eulerian():
         raise PosetError("not an Eulerian lattice")
     if not _height3_intervals_are_polygons(lat):
@@ -228,16 +231,15 @@ def _face_lattice_from_json(obj):
 
 def registry_restore(entries):
     """Register the face lattices of a saved registry list.  Raises
-    PosetError on an entry that is not an Eulerian graded poset whose
-    intervals of height 3 are polygons and whose elements are separated
-    by atoms and by coatoms, ordered by inclusion of atom sets, and
-    rebuilt by their vertex-facet incidence."""
+    PosetError on an entry that is not a graded poset or that fails
+    `_checked_face_lattice`."""
     if not isinstance(entries, list):
         raise PosetError("registry must be a list")
     for obj in entries:
         if not isinstance(obj, dict):
             raise PosetError("registry entry must be an object")
-        canonical(Polytope(_face_lattice_from_json(obj)))
+        canonical(Polytope(_checked_face_lattice(
+            GradedPoset.from_json_obj(obj))))
     return len(entries)
 
 
@@ -363,8 +365,8 @@ def from_word(word):
 def from_incidence(facet_vertex_sets):
     """Face lattice from facet vertex sets, by intersection closure.
 
-    Validates that the closure is a graded Eulerian lattice; arbitrary set
-    systems are rejected.
+    Validates that the closure is graded and passes the checks of
+    `_checked_face_lattice`; arbitrary set systems are rejected.
     """
     facets = [frozenset(f) for f in facet_vertex_sets]
     if not facets:
@@ -405,17 +407,9 @@ def from_incidence(facet_vertex_sets):
     if any(ranks[b] != ranks[a] + 1 for a, b in covers):
         raise ValueError("not a valid polytope incidence: closure not graded")
     try:
-        lattice = GradedPoset(ranks, covers)
+        lattice = _checked_face_lattice(GradedPoset(ranks, covers))
     except PosetError as exc:
         raise ValueError("not a valid polytope incidence: %s" % exc) from None
-    if not lattice.is_eulerian():
-        raise ValueError("not a valid polytope incidence: closure not Eulerian")
-    if not _height3_intervals_are_polygons(lattice):
-        raise ValueError("not a valid polytope incidence: an interval of "
-                         "height 3 is not a polygon")
-    if not (_order_is_atom_inclusion(lattice) and _is_facet_closure(lattice)):
-        raise ValueError("not a valid polytope incidence: closure not "
-                         "rebuilt by its own vertex-facet incidence")
     return canonical(Polytope(lattice))
 
 

@@ -65,15 +65,6 @@ class FormalSum(Combination):
     def max_dim(self):
         return max(self.degree_set(), default=-1)
 
-    def graded_piece(self, dim):
-        return self._like({p: c for p, c in self.terms.items()
-                           if p.dim == dim})
-
-    def bigraded_piece(self, dim, facets):
-        """Piece of the product-ring bigrading (dimension, facet count)."""
-        return self._like({p: c for p, c in self.terms.items()
-                           if p.dim == dim and p.facet_count == facets})
-
     def map_terms(self, fn):
         """The linear extension of fn, a map from polytopes to sums."""
         return FormalSum(self.ambient, ((q, c * d)

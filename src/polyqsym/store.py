@@ -12,12 +12,12 @@ vertex-facet incidence (see `polytopes`).
                    join, bipyramid and dual
     face_classes   (polytope key, codimension) -> ((face, multiplicity), ..)
     antipodes      polytope key -> join-ring antipode ((polytope, coeff), ..)
-    bb             dimension n -> sparse-flag basis
 
 `MEMOS` names every one of them, so a caller that needs a fresh store
 (a test) can empty them all.  Interval polytopes are memoized on each
-Polytope, not here.  Every access is a single dict operation (`get` or
-`setdefault`), so threads that race on a key agree on the stored value.
+Polytope, not here, and the sparse-flag basis, cheap to rebuild, nowhere.
+Every access is a single dict operation (`get` or `setdefault`), so
+threads that race on a key agree on the stored value.
 """
 
 from __future__ import annotations
@@ -27,6 +27,5 @@ names = {}
 constructions = {}
 face_classes = {}
 antipodes = {}
-bb = {}
 
-MEMOS = ("types", "names", "constructions", "face_classes", "antipodes", "bb")
+MEMOS = ("types", "names", "constructions", "face_classes", "antipodes")

@@ -5,18 +5,16 @@ the join-ring transform `f_rp` = F(P)* + alpha f(P) are each read off the
 flag vector.  The image equations, the sparse-flag basis with its
 unimodular matrix, the projection onto it, and the cone/bipyramid operators
 on the quasi-symmetric side, as closed forms on the monomial basis, also
-live here.  The second route of each transform and of the cone operators
-(face-operator series, chain sums, word coaction, expansion into
-t-variables) is a test oracle in `tests/oracles.py`.
+live here.  The second route of each transform, of the cone operators and
+of the basis matrix (face-operator series, chain sums, word coaction,
+t-variables, basis polytopes) is a test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import exprs
 from . import polytopes as pb
-from . import store
 from .intlinalg import det_bareiss, solve_exact
 from .ncalg import DualFunctional, basis_words
 from .polys import AlphaPoly, MultiPoly
@@ -189,13 +187,12 @@ def basis_word_strings(n):
 
 
 class BBBasis:
-    __slots__ = ("n", "psi_sets", "omega_words", "omega_polys", "matrix")
+    __slots__ = ("n", "psi_sets", "omega_words", "matrix")
 
-    def __init__(self, n, psi_sets, omega_words, omega_polys, matrix):
+    def __init__(self, n, psi_sets, omega_words, matrix):
         self.n = n
         self.psi_sets = psi_sets
         self.omega_words = omega_words
-        self.omega_polys = omega_polys
         self.matrix = matrix
 
     def det(self):
@@ -207,28 +204,32 @@ class BBBasis:
                 "matrix": [list(r) for r in self.matrix]}
 
 
-def _largest_basis_faces(n):
-    """Faces of the largest basis polytope of dim n, word (BC)^(n//2) then
-    C or CC, counted by `exprs._grow` (only until they pass MAX_FACES)."""
-    return exprs._grow(itertools.chain(
-        "C" * (1 + n % 2), itertools.islice(itertools.cycle("CB"),
-                                            2 * (n // 2))))
+# bb-matrix and project take seconds at n = 11, and 12 s and 26 s at 12
+MAX_BB_DIM = 11
 
 
 def bb_basis(n):
+    """The sparse-flag basis of dim n, its flag numbers f_S read off f of
+    each word, built from f(pt) = 1: the words of dim k are C.w for each w
+    of dim k - 1, and B.w for each such w that starts with C."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    if _largest_basis_faces(n) > exprs.MAX_FACES:
-        raise ValueError("basis of dim %d too large: its polytopes pass %d "
-                         "faces" % (n, exprs.MAX_FACES))
-    hit = store.bb.get(n)
-    if hit is not None:
-        return hit
+    if n > MAX_BB_DIM:
+        raise ValueError("basis of dim %d too large: at most %d"
+                         % (n, MAX_BB_DIM))
+    level = {"CC": cone_qsym(QSym.one())}
+    for _ in range(n - 1):
+        nxt = {}
+        for w, g in level.items():
+            nxt["C" + w] = cone_qsym(g)
+            if w[0] == "C":
+                nxt["B" + w] = b_qsym(g)
+        level = nxt
     psi = tuple(sparse_index_sets(n))
     words = tuple(basis_word_strings(n))
-    polys = tuple(pb.from_word(w) for w in words)
-    matrix = tuple(tuple(pb.flag_number(q, s) for s in psi) for q in polys)
-    return store.bb.setdefault(n, BBBasis(n, psi, words, polys, matrix))
+    keys = [(s[0] if s else n, composition_of_flag_set(n, s)) for s in psi]
+    return BBBasis(n, psi, words, tuple(
+        tuple(level[w].terms.get(k, 0) for k in keys) for w in words))
 
 
 def bb_det(n):
@@ -242,22 +243,26 @@ def flag_number_of_sum(s, subset):
     return out
 
 
-def project_bb(s, n):
-    """Solve the unimodular sparse-flag system for the unique basis
-    combination with the same flag vector."""
+def bb_coordinates(s, n):
+    """The nonzero (word, coefficient) pairs, in basis order, of the basis
+    combination with the flag vector of s."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, PRODUCT_RING)
     if s.dims() not in ([], [n]):
         raise ValueError("projection needs a homogeneous input of the "
                          "stated dimension")
     basis = bb_basis(n)
-    rows = [[basis.matrix[qi][si] for qi in range(len(basis.omega_polys))]
-            for si in range(len(basis.psi_sets))]
     rhs = [flag_number_of_sum(s, subset) for subset in basis.psi_sets]
-    coeffs = solve_exact(rows, rhs)
+    coeffs = solve_exact(list(zip(*basis.matrix)), rhs)
     if any(c.denominator != 1 for c in coeffs):
         raise AssertionError("unimodular solve returned a fraction")
-    return FormalSum(PRODUCT_RING, zip(basis.omega_polys, map(int, coeffs)))
+    return [(w, int(c)) for w, c in zip(basis.omega_words, coeffs) if c]
+
+
+def project_bb(s, n):
+    """`bb_coordinates` as a sum of basis polytopes."""
+    return FormalSum(PRODUCT_RING, ((pb.from_word(w), c)
+                                    for w, c in bb_coordinates(s, n)))
 
 
 def bb_multiply(x, y):

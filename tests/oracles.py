@@ -19,23 +19,34 @@ imports this file.
   poset helpers only the tests call;
 - `lift_from_expansion` reads a quasi-symmetric function back off its
   expansion, and `multipoly_alpha` and `multipoly_var` build the monomials
-  alpha^k and t_i^k, for the expand-and-lift routes and the tests.
+  alpha^k and t_i^k, for the expand-and-lift routes and the tests;
+- `bb_matrix_lattice_route` builds every basis polytope and runs one flag
+  DP per index set, and checks the flag-polynomial route of `bb_basis`;
+- `solve_exact_cramer` solves by Cramer's rule, one Bareiss determinant a
+  column, and checks the one-elimination `solve_exact`; `rank` is the
+  fraction-free rank the tests read off flag-number matrices;
+- `shuffle_many`, `dual_functional_from_word_values`, `shift`,
+  `negate_variable`, `graded_piece` and `bigraded_piece` are helpers only
+  the tests call.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+from fractions import Fraction
 from math import comb
 
 from polyqsym import polytopes as pb
-from polyqsym.lyndon import poly_mul_trunc
-from polyqsym.ncalg import NCPoly
-from polyqsym.polys import MultiPoly
+from polyqsym.intlinalg import det_bareiss
+from polyqsym.lyndon import poly_mul_trunc, shuffle
+from polyqsym.ncalg import DualFunctional, NCPoly, is_normal_word
+from polyqsym.polys import AlphaPoly, MultiPoly
 from polyqsym.posets import GradedPoset, PosetError
 from polyqsym.qsym import QSym, compositions
 from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
                            d_k, epsilon_alpha, mul_join, xi_alpha)
+from polyqsym.transforms import basis_word_strings, sparse_index_sets
 
 
 # -- flag-vector transforms ---------------------------------------------------
@@ -289,3 +300,113 @@ def poset_coproduct(p):
     """Rota coproduct: one ([bottom,z], [z,top]) pair per element z."""
     return [(p.interval(p.bottom, z), p.interval(z, p.top))
             for z in range(p.n)]
+
+
+# -- the sparse-flag basis, through its polytopes -----------------------------
+
+
+def bb_matrix_lattice_route(n):
+    """Oracle for `bb_basis(n).matrix`: the flag numbers f_S of every built
+    basis polytope, one flag DP per sparse index set S."""
+    psi = sparse_index_sets(n)
+    polys = [pb.from_word(w) for w in basis_word_strings(n)]
+    return tuple(tuple(pb.flag_number(q, s) for s in psi) for q in polys)
+
+
+# -- exact linear algebra -----------------------------------------------------
+
+
+def solve_exact_cramer(matrix, rhs):
+    """Oracle for `solve_exact`: Cramer's rule, one Bareiss determinant for
+    each unknown; Fractions, ValueError on a singular system."""
+    n = len(matrix)
+    d = det_bareiss(matrix)
+    if d == 0:
+        raise ValueError("singular system")
+    out = []
+    for j in range(n):
+        col = [[matrix[i][k] if k != j else rhs[i] for k in range(n)]
+               for i in range(n)]
+        out.append(Fraction(det_bareiss(col), d))
+    return out
+
+
+def rank(matrix):
+    """Rank over the rationals via fraction-free elimination."""
+    a = [list(map(int, row)) for row in matrix]
+    if not a:
+        return 0
+    rows, cols = len(a), len(a[0])
+    r = 0
+    prev = 1
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if a[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                a[i][j] = (a[i][j] * a[r][c] - a[i][c] * a[r][j]) // prev
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+# -- test-only helpers --------------------------------------------------------
+
+
+def shuffle_many(words):
+    """The shuffle product of several words, with multiplicity."""
+    acc = {(): 1}
+    for w in words:
+        nxt = {}
+        for done, c in acc.items():
+            for res, c2 in shuffle(done, w).items():
+                nxt[res] = nxt.get(res, 0) + c * c2
+        acc = nxt
+    return acc
+
+
+def dual_functional_from_word_values(word_values, max_degree):
+    """A DualFunctional from values on arbitrary words, checking consistency
+    with the quotient relations."""
+    basis_vals = {}
+    for w, v in word_values.items():
+        if is_normal_word(tuple(w)):
+            basis_vals[tuple(w)] = v
+    psi = DualFunctional(basis_vals, max_degree)
+    for w, v in word_values.items():
+        if psi.value(tuple(w)) != v:
+            raise ValueError("not a functional on the quotient: value on "
+                             "%r conflicts with the relations" % (w,))
+    return psi
+
+
+def shift(p, k):
+    """An AlphaPoly multiplied by the k-th power of its variable."""
+    return AlphaPoly({e + k: v for e, v in p.terms.items()})
+
+
+def negate_variable(p):
+    """An AlphaPoly at minus its variable."""
+    return AlphaPoly({e: (v if e % 2 == 0 else -v)
+                      for e, v in p.terms.items()})
+
+
+def graded_piece(s, dim):
+    """The terms of a FormalSum of one dimension."""
+    return FormalSum(s.ambient, ((p, c) for p, c in s.terms.items()
+                                 if p.dim == dim))
+
+
+def bigraded_piece(s, dim, facets):
+    """Piece of the product-ring bigrading (dimension, facet count)."""
+    return FormalSum(s.ambient, ((p, c) for p, c in s.terms.items()
+                                 if p.dim == dim and p.facet_count == facets))

@@ -6,7 +6,6 @@ pytest with -s to see them); a failure surfaces as an ordinary assertion.
 """
 
 from polyqsym import lyndon, polytopes as pb
-from polyqsym.intlinalg import rank
 from polyqsym.ncalg import (NCPoly, basis_words, coproduct, d_even_formula,
                             normal_form, s_series)
 from polyqsym.qsym import QSym
@@ -19,7 +18,7 @@ from polyqsym.transforms import (bb_basis, bb_det, basis_word_strings,
                                  dehn_sommerville_check, ehrenborg_F, f_poly,
                                  phi_zero, sparse_index_sets)
 from conftest import antipode_axiom_sums, fs
-from oracles import ehrenborg_F_chain_route, f_poly_operator_route
+from oracles import ehrenborg_F_chain_route, f_poly_operator_route, rank
 
 M = QSym.monomial
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89]

@@ -8,6 +8,7 @@ import pytest
 from polyqsym import exprs
 from polyqsym import polytopes as pb
 from polyqsym import store
+from polyqsym import transforms
 from polyqsym.cli import main
 from polyqsym.exprs import ExprError, parse_expression
 from polyqsym.posets import GradedPoset
@@ -244,7 +245,7 @@ def test_sum_repr_tells_types_apart():
 @pytest.mark.parametrize("argv, message", [
     (["project", "0*pt", "--dim", "12"], "basis of dim 12 too large"),
     (["bb-matrix", "14", "--det"], "basis of dim 14 too large"),
-    (["bb-matrix", "10"], "basis of dim 10 too large"),
+    (["bb-matrix", "12"], "basis of dim 12 too large"),
     (["lyndon", "--weight", "60"], "more than 200000"),
     (["lyndon", "--alphabet", "odd", "--weight", "40"], "more than 200000"),
     (["lyndon", "--alphabet", "2", "--weight", "1000000000000"],
@@ -261,12 +262,14 @@ def test_sum_repr_tells_types_apart():
 def test_cli_integer_bounds(argv, message, capsys, monkeypatch,
                             empty_store):
     """Integer arguments past their bound exit 2 before the work they
-    size: no basis polytope, enumeration, series or expansion is made."""
+    size: no basis polytope or flag polynomial, enumeration, series or
+    expansion is made."""
     from polyqsym import lyndon, qsym
 
     def refuse(*args):
         raise AssertionError("work started")
     monkeypatch.setattr(pb, "from_word", refuse)
+    monkeypatch.setattr(transforms, "cone_qsym", refuse)
     monkeypatch.setattr(lyndon, "words_of_weight", refuse)
     monkeypatch.setattr(lyndon, "fibonacci_series", refuse)
     monkeypatch.setattr(qsym.QSym, "expand", refuse)
@@ -274,6 +277,24 @@ def test_cli_integer_bounds(argv, message, capsys, monkeypatch,
     captured = capsys.readouterr()
     assert message in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_basis_verbs_build_no_basis_polytope(capsys, monkeypatch,
+                                             empty_store):
+    """`bb-matrix` reads the basis off flag polynomials and `project` prints
+    the words of its solution: neither builds or registers a basis
+    polytope."""
+    def refuse(*args):
+        raise AssertionError("basis polytope built")
+    monkeypatch.setattr(pb, "from_word", refuse)
+    assert main(["bb-matrix", "9", "--det"]) == 0
+    assert capsys.readouterr().out == "det K^9 = 1\n"
+    assert not store.types
+    parse_expression("simplex(9)")
+    types = set(store.types)
+    assert main(["project", "simplex(9)", "--dim", "9"]) == 0
+    assert capsys.readouterr().out == "word(CCCCCCCCCC)\n"
+    assert set(store.types) == types
 
 
 def test_cli_bounds_keep_documented_values(capsys):
@@ -324,7 +345,6 @@ def test_cli_cache_ignores_stored_bases_and_names(tmp_path, capsys,
                 "matrix": [[1, 3], [1, 5]]}]}))
     assert main(["cache", "load", str(path)]) == 0
     capsys.readouterr()
-    assert not store.bb
     assert main(["--cache", str(path), "project", "polygon(5)",
                  "--dim", "2"]) == 0
     assert capsys.readouterr().out == "2*word(BCC) - word(CCC)\n"
@@ -375,7 +395,6 @@ def test_cli_cache_rejects_invalid(case, tmp_path, capsys, empty_store):
     assert main(["cache", "load", str(path)]) == 3
     err = capsys.readouterr().err
     assert "cache" in err and "Traceback" not in err
-    assert not store.bb
     if case in ("non-eulerian", "digon", "not-atom-inclusion",
                 "not-facet-closure"):
         assert not store.types

@@ -1,6 +1,8 @@
 """The closed forms of the quasi-symmetric cone operators, the free-algebra
-antipode and the series exponents against the routes they replaced, kept
-in `oracles`, each on at least 300 seeded random inputs."""
+antipode and the series exponents, and the one-elimination exact solve,
+against the routes they replaced, kept in `oracles`, each on at least 300
+seeded random inputs; and the sparse-flag matrix read off flag
+polynomials against the flag numbers of the built basis polytopes."""
 
 import random
 from fractions import Fraction
@@ -10,9 +12,10 @@ import pytest
 import oracles
 from polyqsym import polytopes as pb
 from polyqsym.lyndon import fibonacci_series, series_exponents
+from polyqsym.intlinalg import solve_exact
 from polyqsym.ncalg import NCPoly, antipode
 from polyqsym.qsym import QSym
-from polyqsym.transforms import a_qsym, cone_qsym, f_poly
+from polyqsym.transforms import a_qsym, bb_basis, cone_qsym, f_poly
 
 CASES = 300
 
@@ -110,3 +113,60 @@ def test_series_exponents_need_constant_term_one(target):
     for solve in (series_exponents, oracles.series_exponents):
         with pytest.raises(ValueError):
             solve(target, 3)
+
+
+def test_bb_matrix_matches_lattice_route():
+    for n in range(1, 8):
+        assert bb_basis(n).matrix == oracles.bb_matrix_lattice_route(n), n
+
+
+def _unimodular(rng, n):
+    """A product of random elementary integer matrices and a signed
+    permutation: determinant +-1."""
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * (n - 1)):
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-3, 3)
+        a[i] = [x + k * y for x, y in zip(a[i], a[j])]
+    rng.shuffle(a)
+    return [[-x for x in row] if rng.random() < 0.5 else row for row in a]
+
+
+def _systems():
+    """Seeded square systems (matrix, rhs), by turns unimodular, general
+    (Fraction answers), with a zero right-hand side, and singular (one row
+    a multiple of another); and the 0 x 0 system."""
+    rng = random.Random(1968)
+    out = [([], [])]
+    while len(out) < CASES:
+        kind = len(out) % 4
+        n = rng.randint(2 if kind == 3 else 1, 7)
+        a = (_unimodular(rng, n) if kind == 0 else
+             [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+        if kind == 3:
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-2, 2)
+            a[i] = [k * x for x in a[j]]
+        b = [0 if kind == 2 else rng.randint(-20, 20) for _ in range(n)]
+        out.append((a, b))
+    return out
+
+
+def test_solve_exact_matches_cramer():
+    solved = fractional = singular = 0
+    for a, b in _systems():
+        try:
+            want = oracles.solve_exact_cramer(a, b)
+        except ValueError:
+            with pytest.raises(ValueError, match="singular"):
+                solve_exact(a, b)
+            singular += 1
+            continue
+        got = solve_exact(a, b)
+        assert got == want, (a, b)
+        assert all(isinstance(x, Fraction) for x in got)
+        solved += 1
+        fractional += any(x.denominator != 1 for x in got)
+    assert solve_exact([], []) == []
+    assert solved > CASES // 2 and fractional and singular >= CASES // 4, \
+        (solved, fractional, singular)

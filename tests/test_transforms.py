@@ -8,6 +8,7 @@ from polyqsym.polys import MultiPoly
 from polyqsym.qsym import QSym, theta_substitution_invariant
 from polyqsym.ring import (JOIN_RING, a_op, antipode_rp, bipyramid_op,
                            cone_op, l_alpha, mul_join, mul_product)
+from polyqsym.suites import omega_polytopes
 from polyqsym.transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                                  a0_qsym, a_rp_qsym, b0_qsym, b_qsym,
                                  b_rp_qsym, bb_basis, bb_det, bb_multiply,
@@ -181,22 +182,20 @@ def test_sparse_sets_and_words():
             assert w.endswith("CC") and "BB" not in w and len(w) == n + 1
 
 
-def test_bb_basis_size_bound():
-    """The bound names the largest basis polytope by its word, without
-    listing the words; checked against every word, and against the built
-    lattices while they are small."""
-    from polyqsym.exprs import MAX_FACES, _grow
-    for n in range(1, 12):
-        largest = max(_grow(reversed(w)) for w in basis_word_strings(n))
-        bound = transforms._largest_basis_faces(n)
-        assert (bound > MAX_FACES) == (largest > MAX_FACES) == (n >= 10)
-        if n < 10:
-            assert bound == largest, n
-        if n <= 5:
-            assert bound == max(pb.from_word(w).lattice.n
-                                for w in basis_word_strings(n))
-    with pytest.raises(ValueError, match="too large"):
-        bb_basis(10)
+def test_bb_basis_size_bound(monkeypatch):
+    """Past MAX_BB_DIM, and below 1, the basis is refused before any flag
+    polynomial or index set is made."""
+    def refuse(*args):
+        raise AssertionError("work started")
+    for name in ("cone_qsym", "b_qsym", "sparse_index_sets",
+                 "basis_word_strings"):
+        monkeypatch.setattr(transforms, name, refuse)
+    n = transforms.MAX_BB_DIM + 1
+    with pytest.raises(ValueError, match="basis of dim %d too large" % n):
+        bb_basis(n)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            bb_basis(n)
 
 
 def test_bb_matrix_golden():
@@ -214,7 +213,7 @@ def test_project():
     got = project_bb(penta, 2)
     assert got == 2 * fs(pb.cube(2)) - fs(pb.simplex(2))
     for n in (1, 2, 3):
-        for q in bb_basis(n).omega_polys:
+        for q in omega_polytopes(n):
             assert project_bb(q, n) == fs(q)
     with pytest.raises(ValueError):
         project_bb(fs(pb.segment()) + fs(pb.simplex(2)), 2)
@@ -249,7 +248,7 @@ def test_bb_multiply():
         fs(pb.cube(2))
     out = bb_multiply(fs(pb.segment()), fs(pb.simplex(2)))
     assert f_poly(out) == f_poly(pb.segment()) * f_poly(pb.simplex(2))
-    assert all(q in set(bb_basis(3).omega_polys) for q in out.terms)
+    assert all(q in set(omega_polytopes(3)) for q in out.terms)
 
 
 def test_qsym_operators_match_polytope_side():
