@@ -30,8 +30,9 @@ from . import transforms
 CACHE_SCHEMA = 1
 # exponents in an `fpoly --r` expansion: r per monomial
 MAX_EXPANDED = 1_000_000
-# words `lyndon --weight` enumerates (every composition of the weight over
-# the alphabet), and the weight itself, which is the enumeration's depth
+# compositions of the weight over the alphabet that `lyndon --weight` admits,
+# which bounds the input and so its Lyndon words, and the weight itself,
+# which bounds the depth of their walk
 MAX_WORDS = 200_000
 MAX_WEIGHT = 500
 MAX_K_TABLE = 300

@@ -5,7 +5,9 @@ Words are tuples over a totally ordered integer alphabet; the order is the
 lexicographic one in which a proper prefix is smaller than the word.  The
 weight of a word is the sum of its letters.  Series exponents are read off
 the logarithmic derivative by Moebius inversion; the degree-by-degree solve
-is their test oracle in `tests/oracles.py`.
+is their test oracle in `tests/oracles.py`.  Lyndon words of a weight are
+generated by a walk over prenecklaces; the filter that tests every
+composition of the weight with `is_lyndon` is their oracle there.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 from math import comb
-
-from .qsym import compositions
 
 
 def is_lyndon(word):
@@ -70,16 +70,9 @@ def shuffle(u, v):
 ODD = "odd"
 
 
-def words_of_weight(alphabet, weight):
-    """All words over the alphabet with letter sum equal to weight, in
-    lexicographic order."""
-    if alphabet == ODD:
-        alphabet = range(1, weight + 1, 2)
-    return compositions(weight, alphabet)
-
-
 def count_words_of_weight(alphabet, weight):
-    """len(words_of_weight(alphabet, weight)), without listing them."""
+    """The number of words over the alphabet with letter sum equal to
+    weight, without listing them."""
     if alphabet == ODD:
         alphabet = range(1, weight + 1, 2)
     letters = sorted({a for a in alphabet if 0 < a <= weight})
@@ -90,7 +83,41 @@ def count_words_of_weight(alphabet, weight):
 
 
 def lyndon_words(alphabet, weight):
-    return [w for w in words_of_weight(alphabet, weight) if is_lyndon(w)]
+    """The Lyndon words over the alphabet with letter sum equal to weight,
+    in lexicographic order.  A depth-first walk over the prenecklaces of
+    weight at most `weight`, letters in increasing order (Fredricksen,
+    Kessler and Maiorana; Cattell, Ruskey, Sawada, Serra and Miers,
+    J. Algorithms 37, 2000): a next letter equal to the one a period back
+    keeps the period p, a larger one makes the whole prefix its period, and
+    a word of the full weight is Lyndon when p is its length.  Letters above
+    the weight are never used; a letter below 1 raises."""
+    if alphabet == ODD:
+        alphabet = range(1, weight + 1, 2)
+    letters = sorted(set(alphabet))
+    if letters and letters[0] < 1:
+        raise ValueError("composition parts must be positive")
+    letters = [a for a in letters if a <= weight]
+    if not letters:
+        return []
+    # the next larger letter; past the largest, one the weight cannot take
+    larger = dict(zip(letters, letters[1:] + [weight + 1]))
+    out = []
+    word = []
+    a, p, s = letters[0], 1, 0    # next letter, its period, weight of word
+    while True:
+        if s + a < weight:
+            word.append(a)
+            s += a
+            a = word[-p]
+            continue
+        if s + a == weight and p == len(word) + 1:
+            out.append(tuple(word) + (a,))
+        # a larger letter here would pass the weight: step back
+        if not word:
+            return out
+        b = word.pop()
+        s -= b
+        a, p = larger[b], len(word) + 1
 
 
 def count_lyndon(alphabet, weight):

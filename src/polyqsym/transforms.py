@@ -211,7 +211,8 @@ MAX_BB_DIM = 11
 def bb_basis(n):
     """The sparse-flag basis of dim n, its flag numbers f_S read off f of
     each word, built from f(pt) = 1: the words of dim k are C.w for each w
-    of dim k - 1, and B.w for each such w that starts with C."""
+    of dim k - 1, and B.w = 2 C.w - A.w for each such w that starts with
+    C."""
     if n < 1:
         raise ValueError("needs n >= 1")
     if n > MAX_BB_DIM:
@@ -221,9 +222,9 @@ def bb_basis(n):
     for _ in range(n - 1):
         nxt = {}
         for w, g in level.items():
-            nxt["C" + w] = cone_qsym(g)
+            c = nxt["C" + w] = cone_qsym(g)
             if w[0] == "C":
-                nxt["B" + w] = b_qsym(g)
+                nxt["B" + w] = 2 * c - a_qsym(g)
         level = nxt
     psi = tuple(sparse_index_sets(n))
     words = tuple(basis_word_strings(n))

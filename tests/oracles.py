@@ -15,6 +15,9 @@ imports this file.
   checks the composition closed form in `polyqsym.ncalg`;
 - `series_exponents` solves degree by degree with `_one_minus_power_series`,
   and checks the logarithmic-derivative form in `polyqsym.lyndon`;
+- `lyndon_words` lists every composition of the weight (`words_of_weight`)
+  and keeps the Lyndon ones, and checks the prenecklace walk in
+  `polyqsym.lyndon`;
 - `relabel`, `one_element_poset`, `chain_poset` and `poset_coproduct` are
   poset helpers only the tests call;
 - `lift_from_expansion` reads a quasi-symmetric function back off its
@@ -39,7 +42,7 @@ from math import comb
 
 from polyqsym import polytopes as pb
 from polyqsym.intlinalg import det_bareiss
-from polyqsym.lyndon import poly_mul_trunc, shuffle
+from polyqsym.lyndon import ODD, is_lyndon, poly_mul_trunc, shuffle
 from polyqsym.ncalg import DualFunctional, NCPoly, is_normal_word
 from polyqsym.polys import AlphaPoly, MultiPoly
 from polyqsym.posets import GradedPoset, PosetError
@@ -270,6 +273,21 @@ def series_exponents(target, nmax):
     if partial != want[:nmax + 1]:
         raise AssertionError("degreewise solve failed to reproduce target")
     return ks[1:]
+
+
+# -- Lyndon words by filtering every composition ------------------------------
+
+
+def words_of_weight(alphabet, weight):
+    """All words over the alphabet with letter sum equal to weight, in
+    lexicographic order."""
+    if alphabet == ODD:
+        alphabet = range(1, weight + 1, 2)
+    return compositions(weight, alphabet)
+
+
+def lyndon_words(alphabet, weight):
+    return [w for w in words_of_weight(alphabet, weight) if is_lyndon(w)]
 
 
 # -- poset helpers ------------------------------------------------------------

@@ -143,6 +143,16 @@ def test_cli_lyndon(capsys):
     assert ks == [1, 1, 1, 1, 2, 2, 4, 5, 8, 11, 18, 25]
     # a zero letter admits infinitely many words of each weight
     assert main(["lyndon", "--alphabet", "0,1", "--weight", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: composition parts must be positive\n"
+
+
+def test_cli_lyndon_at_the_weight_bound(capsys):
+    # one letter of the full weight; then the deepest walk, 499 ones
+    assert main(["lyndon", "--alphabet", "1,500", "--weight", "500"]) == 0
+    assert capsys.readouterr().out == "[[500]]\n"
+    assert main(["lyndon", "--alphabet", "1", "--weight", "500"]) == 0
+    assert capsys.readouterr().out == "[]\n"
 
 
 def test_cli_bb_and_project(capsys):
@@ -270,7 +280,7 @@ def test_cli_integer_bounds(argv, message, capsys, monkeypatch,
         raise AssertionError("work started")
     monkeypatch.setattr(pb, "from_word", refuse)
     monkeypatch.setattr(transforms, "cone_qsym", refuse)
-    monkeypatch.setattr(lyndon, "words_of_weight", refuse)
+    monkeypatch.setattr(lyndon, "lyndon_words", refuse)
     monkeypatch.setattr(lyndon, "fibonacci_series", refuse)
     monkeypatch.setattr(qsym.QSym, "expand", refuse)
     assert main(argv) == 2
@@ -441,6 +451,9 @@ def test_cache_reloads_catalogue_and_faces(tmp_path, capsys, catalogue,
         for x in range(p.lattice.n):
             for q in (pb.face_as_polytope(p, x), pb.face_polytope(p, x)):
                 polys[q.key] = q
+    # the session's catalogue memoized its faces in an earlier store
+    for q in polys.values():
+        pb.canonical(q)
     path = tmp_path / "cache.json"
     assert main(["cache", "save", str(path)]) == 0
     empty_store()

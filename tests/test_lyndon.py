@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,8 +80,39 @@ def test_count_words_of_weight():
     for alphabet in ((1, 2), ODD, (2, 3, 7), (1,), (3,)):
         for weight in range(-1, 16):
             assert lyndon.count_words_of_weight(alphabet, weight) == \
-                len(lyndon.words_of_weight(alphabet, weight)), \
+                len(oracles.words_of_weight(alphabet, weight)), \
                 (alphabet, weight)
+
+
+def test_lyndon_words_match_filter():
+    """The prenecklace walk lists the same words, in the same order, as
+    the filter over every composition of the weight."""
+    for alphabet in ((1,), (3,), (1, 2), (2, 1, 2), (1, 3), (2, 3, 7),
+                     (1, 4, 5), (1, 2, 3, 4, 5), (1, 30), ODD, range(2, 6)):
+        for weight in range(1, 19):
+            assert lyndon_words(alphabet, weight) == \
+                oracles.lyndon_words(alphabet, weight), (alphabet, weight)
+        for weight in (-1, 0):
+            assert lyndon_words(alphabet, weight) == []
+    for alphabet in ((0, 1), (-2, 3), (1, 1, 0)):
+        for weight in (-1, 0, 3):
+            with pytest.raises(ValueError, match="must be positive"):
+                lyndon_words(alphabet, weight)
+
+
+def test_lyndon_counts_match_series_exponents():
+    """Words over an alphabet factor uniquely into Lyndon words, so the
+    Lyndon words of weight n number the n-th exponent of
+    1/(1 - sum of t^a over the letters a)."""
+    rng = random.Random(14)
+    nmax = 24
+    for _ in range(12):
+        alphabet = tuple(rng.sample(range(1, 11), rng.randint(1, 3)))
+        ks = series_exponents(
+            [lyndon.count_words_of_weight(alphabet, n)
+             for n in range(nmax + 1)], nmax)
+        assert [count_lyndon(alphabet, n) for n in range(1, nmax + 1)] == \
+            ks, alphabet
 
 
 def test_fibonacci_and_partitions():

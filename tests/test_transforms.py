@@ -187,7 +187,7 @@ def test_bb_basis_size_bound(monkeypatch):
     polynomial or index set is made."""
     def refuse(*args):
         raise AssertionError("work started")
-    for name in ("cone_qsym", "b_qsym", "sparse_index_sets",
+    for name in ("cone_qsym", "a_qsym", "b_qsym", "sparse_index_sets",
                  "basis_word_strings"):
         monkeypatch.setattr(transforms, name, refuse)
     n = transforms.MAX_BB_DIM + 1
