@@ -8,6 +8,8 @@ All numeric output is exact; rationals cross the JSON boundary as strings.
 Integer arguments are bounded, as expressions are by `exprs.MAX_FACES`
 (`transforms.MAX_BB_DIM` bounds `bb-matrix` and `project --dim`, which
 build no basis polytope): past a bound a command exits 2 before the work.
+A cache entry with more than `exprs.MAX_FACES` faces exits 3 before any
+lattice is built.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 import tempfile
 
 from . import polytopes as pb
-from .exprs import ExprError, format_terms, parse_expression
+from .exprs import MAX_FACES, ExprError, format_terms, parse_expression
 from .ring import JOIN_RING, PRODUCT_RING
 from .suites import SUITES, run_suite
 from .transforms import bb_basis, ehrenborg_F, f_poly, f_rp
@@ -54,7 +56,7 @@ def _load_cache(path):
         raise CliIOError("cache %s has schema %r, expected %r"
                          % (path, data.get("schema"), CACHE_SCHEMA))
     try:
-        return pb.registry_restore(data.get("registry", []))
+        return pb.registry_restore(data.get("registry", []), MAX_FACES)
     except ValueError as exc:
         raise CliIOError("invalid cache %s: %s" % (path, exc)) from None
 
@@ -105,12 +107,10 @@ def _cmd_flag(args):
     if len(dims) != 1:
         print("flag vectors need a homogeneous sum", file=sys.stderr)
         return 2
-    n = dims[0]
     table = {}
-    import itertools
-    for k in range(max(n, 0) + 1):
-        for subset in itertools.combinations(range(max(n, 0)), k):
-            table[subset] = transforms.flag_number_of_sum(s, subset)
+    for poly, coeff in s.terms.items():
+        for subset, value in pb.flag_vector(poly).items():
+            table[subset] = table.get(subset, 0) + coeff * value
     if args.json:
         print(json.dumps([{"S": list(k), "value": v}
                           for k, v in sorted(table.items())]))

@@ -245,26 +245,14 @@ def s_series(nmax):
 
 def d_even_formula(k):
     """The even generator written in odd generators: the square-root series
-    of the even/odd splitting of the relations."""
+    of the even/odd splitting of the relations.  Its words are the
+    compositions of 2k into odd parts, each of even length 2i."""
     if k < 1:
         raise ValueError("k >= 1")
     from math import comb
-    return NCPoly((word, Fraction((-1) ** (i - 1) * comb(2 * i - 2, i - 1),
-                                  i * 2 ** (2 * i - 1)))
-                  for i in range(1, k + 1)
-                  for word in _odd_words(2 * i, i + k))
 
-
-def _odd_words(length, half_sum):
-    """Words of fixed length in odd generators with (sum+length)/2 fixed:
-    indices 2 j_l - 1 with the j_l summing to half_sum."""
-    def rec(slots, remaining):
-        if slots == 0:
-            return [()] if remaining == 0 else []
-        out = []
-        for j in range(1, remaining - slots + 2):
-            for rest in rec(slots - 1, remaining - j):
-                out.append((2 * j - 1,) + rest)
-        return out
-
-    return rec(length, half_sum)
+    def coeff(i):
+        return Fraction((-1) ** (i - 1) * comb(2 * i - 2, i - 1),
+                        i * 2 ** (2 * i - 1))
+    return NCPoly((word, coeff(len(word) // 2))
+                  for word in compositions(2 * k, range(1, 2 * k, 2)))

@@ -27,11 +27,11 @@ that every interval of height 3 is a polygon, on lattices read from
 outside.  `GradedPoset.canonical_key` on the whole lattice is the test
 oracle.
 
-Memos: the generators `empty`, `point`, `segment` and every catalogue
-request live in `store.names`; `product`, `join`, `bipyramid` and `dual`
-live in `store.constructions` under (operation, operand keys); interval
+Memos: the generators `empty`, `point`, `segment`, every catalogue
+request and operator word, and `product`, `join`, `bipyramid` and `dual`
+live in `store.memo`, under the request tuples that `store` lists; interval
 polytopes (faces and quotients) are kept per Polytope in `_intervals`,
-like flag numbers in `_flags`.
+like flag numbers in `_flags`.  All of them go through `store.memoized`.
 """
 
 from __future__ import annotations
@@ -229,15 +229,21 @@ def _checked_face_lattice(lat):
     return lat
 
 
-def registry_restore(entries):
+def registry_restore(entries, max_faces):
     """Register the face lattices of a saved registry list.  Raises
-    PosetError on an entry that is not a graded poset or that fails
-    `_checked_face_lattice`."""
+    PosetError, before any lattice is built, if an entry lists more than
+    `max_faces` ranks, and on an entry that is not a graded poset or that
+    fails `_checked_face_lattice`."""
     if not isinstance(entries, list):
         raise PosetError("registry must be a list")
     for obj in entries:
         if not isinstance(obj, dict):
             raise PosetError("registry entry must be an object")
+        if isinstance(obj.get("ranks"), list) and \
+                len(obj["ranks"]) > max_faces:
+            raise PosetError("a lattice of %d faces, more than %d"
+                             % (len(obj["ranks"]), max_faces))
+    for obj in entries:
         canonical(Polytope(_checked_face_lattice(
             GradedPoset.from_json_obj(obj))))
     return len(entries)
@@ -246,22 +252,13 @@ def registry_restore(entries):
 # -- named generators ---------------------------------------------------
 
 
-def _once(request, make):
-    """The polytope `make()` builds, made once per process and kept in
-    `store.names` under the request text."""
-    hit = store.names.get(request)
-    if hit is None:
-        hit = store.names.setdefault(request, make())
-    return hit
-
-
 def empty():
-    return _once(repr(("empty",)), lambda: canonical(
+    return store.memoized(store.memo, ("empty",), lambda: canonical(
         Polytope(GradedPoset([0], []))))
 
 
 def point():
-    return _once(repr(("pt",)), lambda: canonical(
+    return store.memoized(store.memo, ("pt",), lambda: canonical(
         Polytope(GradedPoset([0, 1], [(0, 1)]))))
 
 
@@ -272,7 +269,7 @@ def simplex(n):
 
 
 def segment():
-    return _once(repr(("cube", 1)), lambda: canonical(
+    return store.memoized(store.memo, ("cube", 1), lambda: canonical(
         Polytope(boolean_lattice(2))))
 
 
@@ -344,7 +341,8 @@ def build_named(name, *params):
     fn, arity = makers[name]
     if len(params) != arity:
         raise ValueError("%s takes %d parameter(s)" % (name, arity))
-    return _once(repr((name,) + tuple(params)), lambda: fn(*params))
+    return store.memoized(store.memo, (name,) + params,
+                          lambda: fn(*params))
 
 
 def from_word(word):
@@ -359,7 +357,7 @@ def from_word(word):
         for ch in reversed(word):
             p = cone(p) if ch == "C" else bipyramid(p)
         return p
-    return _once("word(%s)" % word, make)
+    return store.memoized(store.memo, ("word", word), make)
 
 
 def from_incidence(facet_vertex_sets):
@@ -416,23 +414,13 @@ def from_incidence(facet_vertex_sets):
 # -- constructions ------------------------------------------------------
 
 
-def _constructed(op, operands, build):
-    """The polytope whose lattice `build()` returns, memoized in
-    `store.constructions` on (op, operand keys)."""
-    request = (op,) + tuple(p.key for p in operands)
-    hit = store.constructions.get(request)
-    if hit is None:
-        hit = store.constructions.setdefault(
-            request, canonical(Polytope(build())))
-    return hit
-
-
 def product(p, q):
     """Direct product; nonempty faces are pairs of nonempty faces."""
     if p.is_empty() or q.is_empty():
         raise ValueError("product is defined on nonempty polytopes")
-    return _constructed("prod", (p, q),
-                        lambda: _product_lattice(p.lattice, q.lattice))
+    return store.memoized(
+        store.memo, ("prod", p.key, q.key),
+        lambda: canonical(Polytope(_product_lattice(p.lattice, q.lattice))))
 
 
 def _product_lattice(lp, lq):
@@ -463,8 +451,9 @@ def _product_lattice(lp, lq):
 
 def join(p, q):
     """Join: the face lattice is the product of the face lattices."""
-    return _constructed("join", (p, q),
-                        lambda: poset_product(p.lattice, q.lattice))
+    return store.memoized(
+        store.memo, ("join", p.key, q.key),
+        lambda: canonical(Polytope(poset_product(p.lattice, q.lattice))))
 
 
 def cone(p):
@@ -476,8 +465,9 @@ def bipyramid(p):
     of P survive, each acquires two cones, and a new top is added."""
     if p.is_empty():
         return point()
-    return _constructed("bipyramid", (p,),
-                        lambda: _bipyramid_lattice(p.lattice))
+    return store.memoized(
+        store.memo, ("bipyramid", p.key),
+        lambda: canonical(Polytope(_bipyramid_lattice(p.lattice))))
 
 
 def _bipyramid_lattice(lat):
@@ -508,23 +498,21 @@ def _bipyramid_lattice(lat):
 
 
 def dual(p):
-    return _constructed("dual", (p,), p.lattice.dual)
+    return store.memoized(store.memo, ("dual", p.key),
+                          lambda: canonical(Polytope(p.lattice.dual())))
 
 
 def interval_polytope(p, x, y):
     """The interval [x, y] of the face lattice of p, registered, memoized
     on p like its flag numbers.  An interval of height 0, 1 or 2 is the
     empty polytope, the point or the segment, and is not cut out."""
-    hit = p._intervals.get((x, y))
-    if hit is None:
+    def make():
         lat = p.lattice
         height = lat.ranks[y] - lat.ranks[x]
         if height <= 2 and lat.leq(x, y):
-            made = (empty, point, segment)[height]()
-        else:
-            made = canonical(Polytope(lat.interval(x, y)))
-        hit = p._intervals.setdefault((x, y), made)
-    return hit
+            return (empty, point, segment)[height]()
+        return canonical(Polytope(lat.interval(x, y)))
+    return store.memoized(p._intervals, (x, y), make)
 
 
 def face_polytope(p, face):
@@ -569,14 +557,16 @@ def flag_number(p, subset):
     """Number of strictly increasing face chains hitting exactly the
     dimensions in `subset` (convention: -1 and dim are dropped)."""
     s = _normalize_flag_set(p, subset)
-    if s in p._flags:
-        return p._flags[s]
-    lat = p.lattice
+    return store.memoized(p._flags, s, lambda: _chain_count(p.lattice, s))
+
+
+def _chain_count(lat, s):
+    """The number of chains of `lat` with one element of each rank a + 1,
+    a in the sorted tuple `s`: a DP over the ranks, bottom up."""
     lat._ensure_masks()
-    target_ranks = [a + 1 for a in s]
     count_vec = None
     prev_rank = None
-    for r in target_ranks:
+    for r in (a + 1 for a in s):
         stratum = lat.elements_of_rank(r)
         if count_vec is None:
             count_vec = {x: 1 for x in stratum}
@@ -593,9 +583,7 @@ def flag_number(p, subset):
                 nxt[y] = total
             count_vec = nxt
         prev_rank = r
-    value = 1 if count_vec is None else sum(count_vec.values())
-    p._flags[s] = value
-    return value
+    return 1 if count_vec is None else sum(count_vec.values())
 
 
 def flag_vector(p):

@@ -113,14 +113,10 @@ def mul_join(a, b):
 
 def _face_classes(poly, k):
     """Codimension-k faces of a single polytope, collected by class."""
-    key = (poly.key, k)
-    hit = store.face_classes.get(key)
-    if hit is not None:
-        return hit
-    counts = {}
-    for _, f in pb.faces(poly, poly.dim - k):
-        counts[f] = counts.get(f, 0) + 1
-    return store.face_classes.setdefault(key, tuple(counts.items()))
+    def make():
+        faces = pb.faces(poly, poly.dim - k)
+        return tuple(collections.Counter(f for _, f in faces).items())
+    return store.memoized(store.memo, ("faces", poly.key, k), make)
 
 
 def d_k(s, k):
@@ -231,16 +227,14 @@ def hopf_coproduct_pairs(poly):
 def _antipode(poly):
     """S(poly) as a tuple of (polytope, coefficient) terms, memoized by
     canonical key.  The tuple is shared; callers build fresh sums from it."""
-    hit = store.antipodes.get(poly.key)
-    if hit is not None:
-        return hit
-    if poly.is_empty():
-        return store.antipodes.setdefault(poly.key, ((pb.empty(), 1),))
-    terms = merge_terms((pb.join(face, r), -mult * c)
-                        for (face, quot), mult
-                        in collections.Counter(comodule_pairs(poly)).items()
-                        for r, c in _antipode(quot))
-    return store.antipodes.setdefault(poly.key, tuple(terms.items()))
+    def make():
+        if poly.is_empty():
+            return ((pb.empty(), 1),)
+        pairs = collections.Counter(comodule_pairs(poly))
+        return tuple(merge_terms((pb.join(face, r), -mult * c)
+                                 for (face, quot), mult in pairs.items()
+                                 for r, c in _antipode(quot)).items())
+    return store.memoized(store.memo, ("antipode", poly.key), make)
 
 
 def antipode_rp(s):

@@ -1,31 +1,39 @@
 """The process-wide memo store.
 
-Plain dicts, one per memoized quantity that depends on a polytope type.
-A polytope key is the dim and the vertex count up to dim 2, the dim
-alone for a simplex, and otherwise the dim and the canonical key of the
+Two dicts.  `types` is the registry: polytope key -> the registered
+Polytope of that type.  `memo` holds every other quantity that depends on
+polytope types, keyed by a request tuple whose first entry names it:
+
+    (name, *params)         the generators and catalogue requests, such as
+                            ("pt",) or ("cube", 3); `segment()` is ("cube", 1)
+    ("word", w)             the polytope of an operator word over {B, C}
+    (op, *operand keys)     op one of "prod", "join", "bipyramid", "dual"
+    ("faces", key, k)       codimension-k faces ((face, multiplicity), ..)
+    ("antipode", key)       join-ring antipode ((polytope, coeff), ..)
+
+A polytope key is the dim and the vertex count up to dim 2, the dim alone
+for a simplex, and otherwise the dim and the canonical key of the
 vertex-facet incidence (see `polytopes`).
 
-    types          polytope key -> the registered Polytope of that type
-    names          catalogue request text -> Polytope (the generators
-                   empty, pt and cube(1), named atoms, operator words)
-    constructions  (operation, operand keys) -> Polytope, for product,
-                   join, bipyramid and dual
-    face_classes   (polytope key, codimension) -> ((face, multiplicity), ..)
-    antipodes      polytope key -> join-ring antipode ((polytope, coeff), ..)
-
-`MEMOS` names every one of them, so a caller that needs a fresh store
-(a test) can empty them all.  Interval polytopes are memoized on each
-Polytope, not here, and the sparse-flag basis, cheap to rebuild, nowhere.
-Every access is a single dict operation (`get` or `setdefault`), so
-threads that race on a key agree on the stored value.
+`MEMOS` names both, so a caller that needs a fresh store (a test) can
+empty them.  Flag numbers, by flag set, and interval polytopes, by pairs
+of lattice elements, belong to one Polytope and are memoized on it, in
+`_flags` and `_intervals`; they go through `memoized` too.  Every access
+is a single dict operation (`get` or `setdefault`), so threads that race
+on a request agree on the stored value.
 """
 
 from __future__ import annotations
 
 types = {}
-names = {}
-constructions = {}
-face_classes = {}
-antipodes = {}
+memo = {}
 
-MEMOS = ("types", "names", "constructions", "face_classes", "antipodes")
+MEMOS = ("types", "memo")
+
+
+def memoized(table, request, make):
+    """`table[request]`, stored from `make()` on a miss."""
+    hit = table.get(request)
+    if hit is None:
+        hit = table.setdefault(request, make())
+    return hit

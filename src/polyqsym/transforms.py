@@ -18,7 +18,7 @@ from . import polytopes as pb
 from .intlinalg import det_bareiss, solve_exact
 from .ncalg import DualFunctional, basis_words
 from .polys import AlphaPoly, MultiPoly
-from .qsym import QSym
+from .qsym import QSym, compositions
 from .ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
                    mul_product, xi_alpha)
 
@@ -173,17 +173,12 @@ def sparse_index_sets(n):
 
 
 def basis_word_strings(n):
-    """Cone/bipyramid words of the flag basis in dimension n: end in two
-    cones, no adjacent bipyramids; sorted with C before B."""
-    if n < 0:
-        return []
-    if n == 0:
-        return ["C"]
-    if n == 1:
-        return ["CC"]
-    words = ["C" + w for w in basis_word_strings(n - 1)]
-    words += ["BC" + w for w in basis_word_strings(n - 2)]
-    return sorted(words, key=lambda w: [0 if ch == "C" else 1 for ch in w])
+    """Cone/bipyramid words of the flag basis in dimension n: a composition
+    of n into parts 1 and 2, written C for 1 and BC for 2, then a final C.
+    They end in two cones and have no adjacent bipyramids, and composition
+    order sorts them with C before B."""
+    return ["".join("C" if part == 1 else "BC" for part in comp) + "C"
+            for comp in compositions(n, (1, 2))]
 
 
 class BBBasis:

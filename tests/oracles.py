@@ -13,6 +13,9 @@ imports this file.
   and check the monomial-basis closed forms in `polyqsym.transforms`;
 - `antipode` multiplies the generator antipodes out word by word, and
   checks the composition closed form in `polyqsym.ncalg`;
+- `d_even_formula_length_route` lists the odd words of each length 2i by
+  recursion (`odd_words`), and checks the one sum over compositions of 2k
+  into odd parts in `polyqsym.ncalg.d_even_formula`;
 - `series_exponents` solves degree by degree with `_one_minus_power_series`,
   and checks the logarithmic-derivative form in `polyqsym.lyndon`;
 - `lyndon_words` lists every composition of the weight (`words_of_weight`)
@@ -25,6 +28,9 @@ imports this file.
   alpha^k and t_i^k, for the expand-and-lift routes and the tests;
 - `bb_matrix_lattice_route` builds every basis polytope and runs one flag
   DP per index set, and checks the flag-polynomial route of `bb_basis`;
+- `basis_word_strings_recursion` prepends C and BC to shorter words and
+  sorts, and checks the composition route of
+  `polyqsym.transforms.basis_word_strings`;
 - `solve_exact_cramer` solves by Cramer's rule, one Bareiss determinant a
   column, and checks the one-elimination `solve_exact`; `rank` is the
   fraction-free rank the tests read off flag-number matrices;
@@ -239,6 +245,33 @@ def _antipode_word(word):
                             NCPoly.one())
 
 
+# -- the even generator, one word length at a time ----------------------------
+
+
+def d_even_formula_length_route(k):
+    """Oracle for `d_even_formula(k)`: for i = 1..k, the odd words of
+    length 2i whose indices 2 j_l - 1 have the j_l summing to i + k."""
+    return NCPoly((word, Fraction((-1) ** (i - 1) * comb(2 * i - 2, i - 1),
+                                  i * 2 ** (2 * i - 1)))
+                  for i in range(1, k + 1)
+                  for word in odd_words(2 * i, i + k))
+
+
+def odd_words(length, half_sum):
+    """Words of fixed length in odd generators with (sum+length)/2 fixed:
+    indices 2 j_l - 1 with the j_l summing to half_sum."""
+    def rec(slots, remaining):
+        if slots == 0:
+            return [()] if remaining == 0 else []
+        out = []
+        for j in range(1, remaining - slots + 2):
+            for rest in rec(slots - 1, remaining - j):
+                out.append((2 * j - 1,) + rest)
+        return out
+
+    return rec(length, half_sum)
+
+
 # -- series exponents, degree by degree ---------------------------------------
 
 
@@ -329,6 +362,20 @@ def bb_matrix_lattice_route(n):
     psi = sparse_index_sets(n)
     polys = [pb.from_word(w) for w in basis_word_strings(n)]
     return tuple(tuple(pb.flag_number(q, s) for s in psi) for q in polys)
+
+
+def basis_word_strings_recursion(n):
+    """Oracle for `basis_word_strings(n)`: C before each word of dimension
+    n - 1 and BC before each of dimension n - 2, sorted with C before B."""
+    if n < 0:
+        return []
+    if n == 0:
+        return ["C"]
+    if n == 1:
+        return ["CC"]
+    words = ["C" + w for w in basis_word_strings_recursion(n - 1)]
+    words += ["BC" + w for w in basis_word_strings_recursion(n - 2)]
+    return sorted(words, key=lambda w: [0 if ch == "C" else 1 for ch in w])
 
 
 # -- exact linear algebra -----------------------------------------------------

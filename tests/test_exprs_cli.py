@@ -95,7 +95,7 @@ def test_expression_size_limit(capsys, monkeypatch):
 
 
 def test_named_atoms_are_memoized(monkeypatch):
-    monkeypatch.setattr(store, "names", {})
+    monkeypatch.setattr(store, "memo", {})
     calls = []
     real = pb.cell24
 
@@ -440,6 +440,29 @@ def test_cli_cache_rejects_two_triangles(tmp_path, capsys, empty_store):
     assert not store.types
     with pytest.raises(ValueError, match="polygon"):
         pb.from_incidence([{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}])
+
+
+def test_cli_cache_rejects_lattice_past_face_bound(tmp_path, capsys,
+                                                  monkeypatch, empty_store):
+    """The face lattice of simplex(13), 16,384 faces, is refused on load
+    as `simplex(13)` is in an expression: before any lattice is built."""
+    n = 14
+    entry = {"ranks": [bin(x).count("1") for x in range(1 << n)],
+             "covers": [[x, x | 1 << i] for x in range(1 << n)
+                        for i in range(n) if not x >> i & 1]}
+    assert len(entry["ranks"]) > exprs.MAX_FACES
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"schema": 1, "registry": [entry]}))
+    built = []
+    real_init = GradedPoset.__init__
+    monkeypatch.setattr(GradedPoset, "__init__", lambda lat, *args: (
+        built.append(1), real_init(lat, *args))[1])
+    assert main(["--cache", str(path), "build", "pt"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "16384 faces, more than %d" % exprs.MAX_FACES in captured.err
+    assert not built and not store.types
 
 
 def test_cache_reloads_catalogue_and_faces(tmp_path, capsys, catalogue,

@@ -11,7 +11,8 @@ from polyqsym.qsym import QSym, compositions
 from polyqsym.ring import JOIN_RING, PRODUCT_RING, apply_operator
 from polyqsym.lyndon import fibonacci
 from conftest import fs
-from oracles import dual_functional_from_word_values
+from oracles import (d_even_formula_length_route,
+                     dual_functional_from_word_values)
 
 Z = NCPoly.gen
 W = NCPoly.word
@@ -260,6 +261,11 @@ def test_d_even_formula():
                                  - Fraction(1, 8) * W((1, 1, 1, 1)))
     for k in (1, 2, 3):
         assert normal_form(d_even_formula(k) - Z(2 * k)).is_zero(), k
+
+
+def test_d_even_formula_matches_length_route():
+    for k in range(1, 11):
+        assert d_even_formula(k) == d_even_formula_length_route(k), k
 
 
 def test_d_even_action():

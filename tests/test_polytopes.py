@@ -5,6 +5,7 @@ import pytest
 
 from polyqsym import polytopes as pb
 from polyqsym import store
+from polyqsym.exprs import MAX_FACES
 from polyqsym.posets import GradedPoset, poset_product
 from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, brute_flag_number,
                       cw_sphere_lattice)
@@ -379,7 +380,7 @@ def test_face_lattice_checks(catalogue):
     assert not pb._is_facet_closure(merged)
     for lat in (diagonal, merged):
         with pytest.raises(pb.PosetError, match="face lattice"):
-            pb.registry_restore([lat.to_json_obj()])
+            pb.registry_restore([lat.to_json_obj()], MAX_FACES)
 
 
 def test_constructions_are_memoized(monkeypatch, empty_store):
@@ -417,4 +418,6 @@ def test_constructions_are_memoized(monkeypatch, empty_store):
     assert len(intervals) - before == 6 + 6
     assert all(quotients[x] is short[lat.height - lat.ranks[x]]
                for x in range(lat.n) if lat.ranks[x] >= 2)
-    assert set(store.constructions.values()) == {sq, prism}
+    assert {p for request, p in store.memo.items()
+            if request[0] in ("prod", "join", "bipyramid", "dual")} \
+        == {sq, prism}

@@ -176,8 +176,35 @@ def test_antipode_runs_one_route(empty_store):
     for p in (pb.cube(3), pb.cube(4)):
         antipode_rp(fs(p, JOIN_RING))
         # a vertex of a cube has a simplex as its quotient
-        assert p.key in store.antipodes
-        assert pb.simplex(p.dim - 1).key in store.antipodes
+        assert ("antipode", p.key) in store.memo
+        assert ("antipode", pb.simplex(p.dim - 1).key) in store.memo
+
+
+# the request kinds that `store` documents for `store.memo`
+_REQUEST_KINDS = {"empty", "pt", "simplex", "cube", "cross", "polygon",
+                  "cell24", "word", "prod", "join", "bipyramid", "dual",
+                  "faces", "antipode"}
+
+
+def test_memo_holds_documented_requests(empty_store):
+    """One memo store: every memoized request is a tuple of a documented
+    kind, and a fresh store recomputes the same values."""
+    def compute():
+        atom = pb.build_named("cross", 3)
+        word = pb.from_word("BCBCC")
+        prism = pb.product(pb.simplex(2), pb.segment())
+        s = fs(prism, JOIN_RING)
+        return (atom, word, prism, d_k(s, 1), d_k(s, 2), antipode_rp(s))
+    first = compute()
+    assert store.memo
+    for request in store.memo:
+        assert isinstance(request, tuple) and request[0] in _REQUEST_KINDS, \
+            request
+    kinds = {request[0] for request in store.memo}
+    assert {"cross", "word", "prod", "faces", "antipode"} <= kinds
+    empty_store()
+    assert not store.memo and not store.types
+    assert compute() == first
 
 
 def test_comodule_pairs():

@@ -19,8 +19,9 @@ from polyqsym.transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                                  phi_image_law_holds, phi_zero, project_bb,
                                  sparse_index_sets, verify_image_equations)
 from conftest import fs
-from oracles import (ehrenborg_F_chain_route, f_poly_operator_route,
-                     f_rp_coaction_route, multipoly_alpha, multipoly_var)
+from oracles import (basis_word_strings_recursion, ehrenborg_F_chain_route,
+                     f_poly_operator_route, f_rp_coaction_route,
+                     multipoly_alpha, multipoly_var)
 
 M = QSym.monomial
 alpha = QSym.alpha_power
@@ -180,6 +181,11 @@ def test_sparse_sets_and_words():
         assert len(basis_word_strings(n)) == fib[n]
         for w in basis_word_strings(n):
             assert w.endswith("CC") and "BB" not in w and len(w) == n + 1
+
+
+def test_basis_words_match_recursion():
+    for n in range(-1, 14):
+        assert basis_word_strings(n) == basis_word_strings_recursion(n), n
 
 
 def test_bb_basis_size_bound(monkeypatch):
