@@ -239,6 +239,9 @@ def _cmd_verify(args):
 
 def _cmd_cache(args):
     if args.action == "save":
+        # merge with the file: this process has built nothing of its own
+        if os.path.exists(args.path):
+            _load_cache(args.path)
         n = _save_cache(args.path)
         print("saved %d lattices to %s" % (n, args.path))
     else:

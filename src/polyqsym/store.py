@@ -18,9 +18,7 @@ vertex-facet incidence (see `polytopes`).
 `MEMOS` names both, so a caller that needs a fresh store (a test) can
 empty them.  Flag numbers, by flag set, and interval polytopes, by pairs
 of lattice elements, belong to one Polytope and are memoized on it, in
-`_flags` and `_intervals`; they go through `memoized` too.  Every access
-is a single dict operation (`get` or `setdefault`), so threads that race
-on a request agree on the stored value.
+`_flags` and `_intervals`; they go through `memoized` too.
 """
 
 from __future__ import annotations

@@ -22,9 +22,8 @@ from .transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                          a0_qsym, a_rp_qsym, b0_qsym, b_qsym, b_rp_qsym,
                          bb_basis, bb_det, bb_multiply, basis_word_strings,
                          c0_qsym, c_rp_qsym, cone_qsym, dehn_sommerville_check,
-                         ehrenborg_F, f_poly, f_poly_from_flags, f_rp,
-                         project_bb, sparse_index_sets,
-                         verify_image_equations)
+                         ehrenborg_F, f_poly, f_rp, project_bb,
+                         sparse_index_sets, verify_image_equations)
 
 
 class Check:
@@ -139,20 +138,19 @@ def suite_image_equations():
             checks.append(("image[%s]" % word, check))
 
     def mutation():
-        # f_empty stays fixed: for even dimension it is not pinned by any
-        # relation (and rescaling it stays inside the image anyway)
+        # f_empty = alpha^n stays fixed: in even dimension no relation pins
+        # it (and rescaling it stays inside the image anyway)
         count = 0
         for n in (2, 3):
             for poly in omega_polytopes(n):
-                flags = pb.flag_vector(poly)
-                for s in flags:
-                    if not s:
+                g = f_poly(poly)
+                for a, comp in g.terms:
+                    if not comp:
                         continue
-                    bad = dict(flags)
-                    bad[s] += 1
-                    g = f_poly_from_flags(n, bad).expand(n)
-                    assert not verify_image_equations(g, n, FLAVOR_PRODUCT), \
-                        "perturbing %r went undetected" % (s,)
+                    bad = g + QSym.monomial(comp, alpha=a)
+                    assert not verify_image_equations(
+                        bad.expand(n), n, FLAVOR_PRODUCT), \
+                        "perturbing alpha^%d M%r went undetected" % (a, comp)
                     count += 1
         return "%d mutations rejected" % count
     checks.append(("image[mutation]", mutation))

@@ -1,12 +1,16 @@
 """Flag-vector transforms into quasi-symmetric functions and back.
 
-The graded flag polynomial `f_poly`, the poset transform `ehrenborg_F` and
-the join-ring transform `f_rp` = F(P)* + alpha f(P) are each read off the
-flag vector.  The image equations, the sparse-flag basis with its
-unimodular matrix, the projection onto it, and the cone/bipyramid operators
-on the quasi-symmetric side, as closed forms on the monomial basis, also
-live here.  The second route of each transform, of the cone operators and
-of the basis matrix (face-operator series, chain sums, word coaction,
+The poset transform `ehrenborg_F` is the one flag carrier, the one
+transform that reads flag vectors: f_S of dimension n goes to f_S M_c, c =
+`flag_composition(n, S)` = (a_1+1, a_2-a_1, .., n-a_k) for S = {a_1 < ..
+< a_k}.  The flag polynomial is a relabelling of F: `f_of_F` sends
+M_(c_1, .., c_k) to alpha^(c_1-1) M_(c_k, .., c_2); and `f_rp` = F(P)* +
+alpha f(P).  The image equations, the sparse-flag basis with its
+unimodular matrix, the projection onto it (which reads only the sparse
+flag numbers), and the cone/bipyramid operators on the quasi-symmetric
+side, as closed forms on the monomial basis, also live here.  The second
+route of each transform, of the cone operators and of the basis matrix
+(face-operator series, chain sums, word coaction, flag routes,
 t-variables, basis polytopes) is a test oracle in `tests/oracles.py`.
 """
 
@@ -23,63 +27,43 @@ from .ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
                    mul_product, xi_alpha)
 
 
-# -- generalized flag polynomial --------------------------------------------
+# -- the flag transforms ------------------------------------------------------
 
 
-def composition_of_flag_set(n, s):
-    """Composition attached to a flag set {a_1 < .. < a_k} in dimension n:
-    (n - a_k, a_k - a_{k-1}, .., a_2 - a_1)."""
-    s = tuple(sorted(s))
-    if not s:
-        return ()
-    gaps = [n - s[-1]]
-    for i in range(len(s) - 1, 0, -1):
-        gaps.append(s[i] - s[i - 1])
-    return tuple(gaps)
+def flag_composition(n, s):
+    """The composition of the flag set s = {a_1 < .. < a_k} of dimension n:
+    (a_1+1, a_2-a_1, .., n-a_k), and () for the empty polytope."""
+    ends = (-1,) + tuple(s) + (n,)
+    return tuple(b - a for a, b in zip(ends, ends[1:])) if n >= 0 else ()
 
 
-def f_poly_from_flags(n, flags):
-    """Assemble the flag polynomial from a dimension and a full flag-number
-    table {subset: value}."""
-    return QSym(((s[0] if s else n, composition_of_flag_set(n, s)), value)
-                for s, value in flags.items() if value)
+def ehrenborg_F(s):
+    """Chain transform of the face lattice, the one transform that reads
+    flag vectors: f_S of dimension n goes to f_S M_(flag_composition(n, S))."""
+    if isinstance(s, pb.Polytope):
+        s = FormalSum.of(s, JOIN_RING)
+    return QSym(((0, flag_composition(poly.dim, subset)), coeff * value)
+                for poly, coeff in s.terms.items()
+                for subset, value in pb.flag_vector(poly).items())
+
+
+def _f_key(comp):
+    return comp[0] - 1, comp[:0:-1]
+
+
+def f_of_F(g):
+    """The flag polynomial read off F: M_(c_1, .., c_k) goes to
+    alpha^(c_1-1) M_(c_k, .., c_2), and the constant term drops."""
+    return QSym((_f_key(comp), v) for (_, comp), v in g.terms.items() if comp)
 
 
 def f_poly(s):
-    """Flag route: linear extension over the terms."""
+    """Generalized flag polynomial, a relabelling of F."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, PRODUCT_RING)
     if any(poly.is_empty() for poly in s.terms):
         raise ValueError("flag polynomial is defined on the product ring")
-    return QSym((k, coeff * v) for poly, coeff in s.terms.items()
-                for k, v in f_poly_from_flags(
-                    poly.dim, pb.flag_vector(poly)).terms.items())
-
-
-# -- poset transform ---------------------------------------------------------
-
-
-def ehrenborg_F(s):
-    """Chain transform of the face lattice, read off the flag vector: the
-    flag set {a_1 < .. < a_k} of dimension n gives M_(a_1+1, a_2-a_1, ..,
-    n-a_k)."""
-    if isinstance(s, pb.Polytope):
-        s = FormalSum.of(s, JOIN_RING)
-    return QSym(_chain_monomials(s))
-
-
-def _chain_monomials(s):
-    """The (key, coefficient) pairs that ehrenborg_F sums."""
-    for poly, coeff in s.terms.items():
-        n = poly.dim
-        if n < 0:
-            yield (0, ()), coeff
-            continue
-        for subset, value in pb.flag_vector(poly).items():
-            comp = ((subset[0] + 1,)
-                    + composition_of_flag_set(n, subset)[::-1]
-                    if subset else (n + 1,))
-            yield (0, comp), coeff * value
+    return f_of_F(ehrenborg_F(s))
 
 
 def f_rp(s):
@@ -87,17 +71,9 @@ def f_rp(s):
     identity f_RP(P) = F(P)* + alpha f(P)."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, JOIN_RING)
-    return QSym(_star_plus_alpha_f(s))
-
-
-def _star_plus_alpha_f(s):
-    """The (key, coefficient) pairs of F(P)* + alpha f(P), over the terms."""
-    for poly, coeff in s.terms.items():
-        for k, v in ehrenborg_F(poly).star().terms.items():
-            yield k, coeff * v
-        if not poly.is_empty():
-            for (a, c), v in f_poly(poly).terms.items():
-                yield (a + 1, c), coeff * v
+    g = ehrenborg_F(s)
+    return g.star() + QSym(((a + 1, comp), v)
+                           for (a, comp), v in f_of_F(g).terms.items())
 
 
 # -- image equations ----------------------------------------------------------
@@ -162,14 +138,13 @@ def dehn_sommerville_check(poly):
 
 
 def sparse_index_sets(n):
-    """Subsets of {0..n-2} with no two consecutive members, ordered as
-    sorted tuples."""
-    out = []
-    for size in range(n):
-        for s in itertools.combinations(range(n - 1), size):
-            if all(s[i + 1] - s[i] >= 2 for i in range(len(s) - 1)):
-                out.append(s)
-    return sorted(out)
+    """Subsets of {0..n-2} with no two consecutive members, as sorted
+    tuples in order: the start offsets of the parts 2 in each composition
+    of n into parts 1 and 2."""
+    return sorted(
+        tuple(start for start, part in zip(
+            itertools.accumulate(comp, initial=0), comp) if part == 2)
+        for comp in compositions(n, (1, 2)))
 
 
 def basis_word_strings(n):
@@ -199,7 +174,8 @@ class BBBasis:
                 "matrix": [list(r) for r in self.matrix]}
 
 
-# bb-matrix and project take seconds at n = 11, and 12 s and 26 s at 12
+# at n = 11 bb-matrix takes 1.0 s and project simplex(11) 1.8 s; at 12 the
+# basis takes 3.8 s and projecting simplex(12) 8.9 s (see README)
 MAX_BB_DIM = 11
 
 
@@ -223,20 +199,13 @@ def bb_basis(n):
         level = nxt
     psi = tuple(sparse_index_sets(n))
     words = tuple(basis_word_strings(n))
-    keys = [(s[0] if s else n, composition_of_flag_set(n, s)) for s in psi]
+    keys = [_f_key(flag_composition(n, s)) for s in psi]
     return BBBasis(n, psi, words, tuple(
         tuple(level[w].terms.get(k, 0) for k in keys) for w in words))
 
 
 def bb_det(n):
     return bb_basis(n).det()
-
-
-def flag_number_of_sum(s, subset):
-    out = 0
-    for poly, coeff in s.terms.items():
-        out += coeff * pb.flag_number(poly, subset)
-    return out
 
 
 def bb_coordinates(s, n):
@@ -248,7 +217,9 @@ def bb_coordinates(s, n):
         raise ValueError("projection needs a homogeneous input of the "
                          "stated dimension")
     basis = bb_basis(n)
-    rhs = [flag_number_of_sum(s, subset) for subset in basis.psi_sets]
+    rhs = [sum(coeff * pb.flag_number(poly, subset)
+               for poly, coeff in s.terms.items())
+           for subset in basis.psi_sets]
     coeffs = solve_exact(list(zip(*basis.matrix)), rhs)
     if any(c.denominator != 1 for c in coeffs):
         raise AssertionError("unimodular solve returned a fraction")

@@ -7,6 +7,11 @@ imports this file.
 
 - `f_poly_operator_route`, `ehrenborg_F_chain_route` and
   `f_rp_coaction_route` check the flag-vector transforms;
+- `f_poly_flag_route` (with `composition_of_flag_set` and
+  `f_poly_from_flags`) assembles f from each term's flag vector, and
+  `ehrenborg_F_chain_sum` sums F over flag sets with its own spelling of
+  the composition; they check the one flag map `flag_composition` and the
+  relabelling `f_of_F` in `polyqsym.transforms`;
 - `antipode_rp_chain_route` (Takeuchi's chain sum) checks the memoized
   join-ring antipode;
 - `cone_qsym` and `a_qsym` expand into t-variables, multiply and lift back,
@@ -28,6 +33,9 @@ imports this file.
   alpha^k and t_i^k, for the expand-and-lift routes and the tests;
 - `bb_matrix_lattice_route` builds every basis polytope and runs one flag
   DP per index set, and checks the flag-polynomial route of `bb_basis`;
+- `sparse_index_sets_filter` keeps the subsets of {0..n-2} with no two
+  consecutive members, and checks `sparse_index_sets`, which reads them
+  off the compositions into parts 1 and 2;
 - `basis_word_strings_recursion` prepends C and BC to shorter words and
   sorts, and checks the composition route of
   `polyqsym.transforms.basis_word_strings`;
@@ -42,6 +50,7 @@ imports this file.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from fractions import Fraction
 from math import comb
@@ -81,6 +90,57 @@ def f_poly_operator_route(poly, r):
         state = nxt
     return MultiPoly(r, (((power, exps), c) for exps, s in state.items()
                          for power, c in xi_alpha(s).terms.items()))
+
+
+def composition_of_flag_set(n, s):
+    """Composition attached to a flag set {a_1 < .. < a_k} in dimension n:
+    (n - a_k, a_k - a_{k-1}, .., a_2 - a_1)."""
+    s = tuple(sorted(s))
+    if not s:
+        return ()
+    gaps = [n - s[-1]]
+    for i in range(len(s) - 1, 0, -1):
+        gaps.append(s[i] - s[i - 1])
+    return tuple(gaps)
+
+
+def f_poly_from_flags(n, flags):
+    """Assemble the flag polynomial from a dimension and a full flag-number
+    table {subset: value}."""
+    return QSym(((s[0] if s else n, composition_of_flag_set(n, s)), value)
+                for s, value in flags.items() if value)
+
+
+def f_poly_flag_route(s):
+    """Oracle for `f_poly`: the flag polynomial of each term assembled from
+    its own flag vector, not relabelled from F."""
+    if isinstance(s, pb.Polytope):
+        s = FormalSum.of(s, PRODUCT_RING)
+    if any(poly.is_empty() for poly in s.terms):
+        raise ValueError("flag polynomial is defined on the product ring")
+    return QSym((k, coeff * v) for poly, coeff in s.terms.items()
+                for k, v in f_poly_from_flags(
+                    poly.dim, pb.flag_vector(poly)).terms.items())
+
+
+def ehrenborg_F_chain_sum(s):
+    """Oracle for `ehrenborg_F`: the chain sum over flag sets, each
+    composition spelled as (a_1+1) followed by the reversed
+    `composition_of_flag_set`; the empty polytope gives 1."""
+    if isinstance(s, pb.Polytope):
+        s = FormalSum.of(s, JOIN_RING)
+    out = []
+    for poly, coeff in s.terms.items():
+        n = poly.dim
+        if n < 0:
+            out.append(((0, ()), coeff))
+            continue
+        for subset, value in pb.flag_vector(poly).items():
+            comp = ((subset[0] + 1,)
+                    + composition_of_flag_set(n, subset)[::-1]
+                    if subset else (n + 1,))
+            out.append(((0, comp), coeff * value))
+    return QSym(out)
 
 
 def ehrenborg_F_chain_route(poly):
@@ -354,6 +414,17 @@ def poset_coproduct(p):
 
 
 # -- the sparse-flag basis, through its polytopes -----------------------------
+
+
+def sparse_index_sets_filter(n):
+    """Oracle for `sparse_index_sets(n)`: every subset of {0..n-2}, kept
+    when no two members are consecutive."""
+    out = []
+    for size in range(n):
+        for s in itertools.combinations(range(n - 1), size):
+            if all(s[i + 1] - s[i] >= 2 for i in range(len(s) - 1)):
+                out.append(s)
+    return sorted(out)
 
 
 def bb_matrix_lattice_route(n):

@@ -344,6 +344,31 @@ def test_cli_cache_round_trip(tmp_path, capsys, empty_store):
     assert "det K^4 = 1" in out
 
 
+def test_cli_cache_save_merges_with_the_file(tmp_path, capsys, empty_store):
+    """The README's two commands, each in a fresh store as in a fresh
+    process: `cache save` keeps what `--cache` saved, and an invalid file
+    is an I/O error that leaves the file as it was."""
+    path = str(tmp_path / "lattices.json")
+    assert main(["--cache", path, "build", "prod(cube(2),simplex(3))"]) == 0
+    saved = json.loads(open(path).read())["registry"]
+    assert saved
+    empty_store()
+    capsys.readouterr()
+    assert main(["cache", "save", path]) == 0
+    assert capsys.readouterr().out == "saved %d lattices to %s\n" % (
+        len(saved), path)
+    assert json.loads(open(path).read())["registry"] == saved
+    empty_store()
+    assert main(["cache", "load", path]) == 0
+    assert capsys.readouterr().out == "loaded %d lattices from %s\n" % (
+        len(saved), path)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema": 99}')
+    assert main(["cache", "save", str(bad)]) == 3
+    assert "schema 99" in capsys.readouterr().err
+    assert bad.read_text() == '{"schema": 99}'
+
+
 def test_cli_cache_ignores_stored_bases_and_names(tmp_path, capsys,
                                                 empty_store):
     # the files of earlier versions held sparse-flag matrices and names;

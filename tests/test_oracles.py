@@ -1,8 +1,10 @@
 """The closed forms of the quasi-symmetric cone operators, the free-algebra
 antipode and the series exponents, and the one-elimination exact solve,
 against the routes they replaced, kept in `oracles`, each on at least 300
-seeded random inputs; and the sparse-flag matrix read off flag
-polynomials against the flag numbers of the built basis polytopes."""
+seeded random inputs; the sparse-flag matrix read off flag
+polynomials against the flag numbers of the built basis polytopes; and
+the flag transforms, read off F through one flag map, against the flag
+routes they replaced, on the catalogue and on random constructions."""
 
 import random
 from fractions import Fraction
@@ -15,7 +17,9 @@ from polyqsym.lyndon import fibonacci_series, series_exponents
 from polyqsym.intlinalg import solve_exact
 from polyqsym.ncalg import NCPoly, antipode
 from polyqsym.qsym import QSym
-from polyqsym.transforms import a_qsym, bb_basis, cone_qsym, f_poly
+from polyqsym.ring import FormalSum, JOIN_RING, PRODUCT_RING
+from polyqsym.transforms import (a_qsym, bb_basis, cone_qsym, ehrenborg_F,
+                                 f_poly, f_rp, sparse_index_sets)
 
 CASES = 300
 
@@ -170,3 +174,79 @@ def test_solve_exact_matches_cramer():
     assert solve_exact([], []) == []
     assert solved > CASES // 2 and fractional and singular >= CASES // 4, \
         (solved, fractional, singular)
+
+
+# -- the flag transforms against their flag routes ----------------------------
+
+
+def _f_rp_flag_route(s):
+    """F* + alpha f, each read off the flag vector by its own route."""
+    f = oracles.f_poly_flag_route(FormalSum(PRODUCT_RING, (
+        (poly, c) for poly, c in s.terms.items() if not poly.is_empty())))
+    return (oracles.ehrenborg_F_chain_sum(s).star()
+            + QSym.alpha_power(1) * f)
+
+
+def _assert_flag_routes_agree(s, label):
+    assert ehrenborg_F(s) == oracles.ehrenborg_F_chain_sum(s), label
+    assert f_rp(s) == _f_rp_flag_route(s), label
+    if not any(poly.is_empty() for poly in s.terms):
+        assert f_poly(s) == oracles.f_poly_flag_route(s), label
+
+
+def test_flag_transforms_match_flag_routes_on_catalogue(catalogue):
+    for name, p in catalogue.items():
+        _assert_flag_routes_agree(FormalSum.of(p, JOIN_RING), name)
+
+
+MAX_RANDOM_FACES = 400
+
+
+def _random_constructions(rng, count):
+    """Seeded `prod`, `join`, `dual` and `word` results of at most
+    MAX_RANDOM_FACES faces, each built from earlier ones or small atoms."""
+    pool = [pb.point(), pb.segment(), pb.simplex(2), pb.cube(2),
+            pb.polygon(5)]
+    out = []
+    while len(out) < count:
+        op = rng.choice(("prod", "join", "dual", "word"))
+        p, q = rng.choice(pool), rng.choice(pool)
+        if op == "word":
+            made = pb.from_word("".join(rng.choice("BC")
+                                        for _ in range(rng.randint(1, 5))))
+        elif op == "dual":
+            made = pb.dual(p)
+        elif op == "prod":
+            if (p.lattice.n - 1) * (q.lattice.n - 1) + 1 > MAX_RANDOM_FACES:
+                continue
+            made = pb.product(p, q)
+        else:
+            if p.lattice.n * q.lattice.n > MAX_RANDOM_FACES:
+                continue
+            made = pb.join(p, q)
+        if made.lattice.n <= MAX_RANDOM_FACES:
+            pool.append(made)
+            out.append((op, made))
+    return out
+
+
+def test_flag_transforms_match_flag_routes_on_random_constructions():
+    rng = random.Random(1981)
+    made = _random_constructions(rng, 80)
+    assert {op for op, _ in made} == {"prod", "join", "dual", "word"}
+    for op, p in made:
+        _assert_flag_routes_agree(FormalSum.of(p, JOIN_RING), (op, p))
+    # linear combinations, the empty polytope and cancelling terms included
+    polys = [p for _, p in made] + [pb.empty()]
+    for _ in range(40):
+        terms = [(rng.choice(polys), rng.randint(-3, 3)) for _ in range(3)]
+        s = FormalSum(JOIN_RING, terms)
+        _assert_flag_routes_agree(s, terms)
+        s = FormalSum(PRODUCT_RING, [(p, c) for p, c in terms
+                                     if not p.is_empty()])
+        assert f_poly(s) == oracles.f_poly_flag_route(s), terms
+
+
+def test_sparse_index_sets_match_subset_filter():
+    for n in range(1, 15):
+        assert sparse_index_sets(n) == oracles.sparse_index_sets_filter(n), n

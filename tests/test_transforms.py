@@ -13,9 +13,9 @@ from polyqsym.transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                                  a0_qsym, a_rp_qsym, b0_qsym, b_qsym,
                                  b_rp_qsym, bb_basis, bb_det, bb_multiply,
                                  basis_word_strings, c0_qsym, c_rp_qsym,
-                                 cone_qsym, composition_of_flag_set,
-                                 dehn_sommerville_check, ehrenborg_F,
-                                 f_poly, f_rp, phi_alpha,
+                                 cone_qsym, dehn_sommerville_check,
+                                 ehrenborg_F, f_of_F, f_poly, f_rp,
+                                 flag_composition, phi_alpha,
                                  phi_image_law_holds, phi_zero, project_bb,
                                  sparse_index_sets, verify_image_equations)
 from conftest import fs
@@ -28,10 +28,15 @@ alpha = QSym.alpha_power
 
 
 def test_flag_set_composition():
-    assert composition_of_flag_set(3, ()) == ()
-    assert composition_of_flag_set(3, (0,)) == (3,)
-    assert composition_of_flag_set(3, (0, 2)) == (1, 2)
-    assert composition_of_flag_set(5, (1, 2, 4)) == (1, 2, 1)
+    assert flag_composition(3, ()) == (4,)
+    assert flag_composition(3, (0,)) == (1, 3)
+    assert flag_composition(3, (0, 2)) == (1, 2, 1)
+    assert flag_composition(5, (1, 2, 4)) == (2, 1, 2, 1)
+    assert flag_composition(0, ()) == (1,)
+    assert flag_composition(-1, ()) == ()
+    # f relabels: M_(c_1, .., c_k) -> alpha^(c_1-1) M_(c_k, .., c_2)
+    g = M((4,)) + 5 * M((2, 1, 2, 1)) - M((1, 3)) + 7 * QSym.one()
+    assert f_of_F(g) == alpha(3) + 5 * M((1, 2, 1), alpha=1) - M((3,))
 
 
 def test_f_poly_golden():
