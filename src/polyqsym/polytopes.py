@@ -24,8 +24,8 @@ A key takes one of three routes, each exact on face lattices:
 Faces and quotients of a face lattice are face lattices, and
 `registry_restore` and `from_incidence` check that property, including
 that every interval of height 3 is a polygon, on lattices read from
-outside.  `GradedPoset.canonical_key` on the whole lattice is the test
-oracle.
+outside.  `tests/oracles.canonical_key_oracle` on the whole lattice is the
+test oracle.
 
 Memos: the generators `empty`, `point`, `segment`, every catalogue
 request and operator word, and `product`, `join`, `bipyramid` and `dual`
@@ -604,5 +604,6 @@ def f_vector(p):
 
 def sort_key(p):
     """Output order of types: dim, then f-vector, and the canonical key
-    only as the last tiebreak, so the order does not hang on key bytes."""
+    only as the last tiebreak: two types of equal dim and f-vector in one
+    sum come in a deterministic order that may move with the key bytes."""
     return (p.dim, f_vector(p), p.key)

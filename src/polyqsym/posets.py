@@ -14,22 +14,10 @@ class PosetError(ValueError):
     pass
 
 
-def _compress(signatures):
-    """Replace signatures by dense ids assigned in sorted-signature order.
-
-    Sorting makes the ids invariant under any relabeling of the elements,
-    which is what the canonical-form search relies on.
-    """
-    order = {}
-    for s in sorted(set(signatures)):
-        order[s] = len(order)
-    return [order[s] for s in signatures], len(order)
-
-
 class GradedPoset:
     __slots__ = (
         "n", "ranks", "covers", "height", "bottom", "top",
-        "_up", "_dn", "_upmask", "_dnmask", "_rankmask", "_key",
+        "_up", "_dn", "_upmask", "_dnmask", "_rankmask", "_strata", "_key",
     )
 
     def __init__(self, ranks, covers):
@@ -70,6 +58,7 @@ class GradedPoset:
         self._upmask = None
         self._dnmask = None
         self._rankmask = None
+        self._strata = None
         self._key = None
 
     # -- order relation -------------------------------------------------
@@ -81,7 +70,10 @@ class GradedPoset:
         if self._upmask is not None:
             return
         n = self.n
-        order = sorted(range(n), key=lambda x: self.ranks[x])
+        strata = [[] for _ in range(self.height + 1)]
+        for x in range(n):
+            strata[self.ranks[x]].append(x)
+        order = [x for stratum in strata for x in stratum]
         dnmask = [0] * n
         for x in order:
             m = 1 << x
@@ -94,12 +86,10 @@ class GradedPoset:
             for y in self._up[x]:
                 m |= upmask[y]
             upmask[x] = m
-        rankmask = [0] * (self.height + 1)
-        for x in range(n):
-            rankmask[self.ranks[x]] |= 1 << x
         self._dnmask = tuple(dnmask)
         self._upmask = tuple(upmask)
-        self._rankmask = tuple(rankmask)
+        self._rankmask = tuple(sum(1 << x for x in s) for s in strata)
+        self._strata = tuple(map(tuple, strata))
 
     def leq(self, x, y):
         self._ensure_masks()
@@ -120,7 +110,8 @@ class GradedPoset:
     def elements_of_rank(self, r):
         if r < 0 or r > self.height:
             return ()
-        return tuple(x for x in range(self.n) if self.ranks[x] == r)
+        self._ensure_masks()
+        return self._strata[r]
 
     # -- constructions ---------------------------------------------------
 
@@ -174,98 +165,123 @@ class GradedPoset:
 
     # -- canonical form ----------------------------------------------------
 
-    def _refine(self, colors, ncolors):
-        up, dn = self._up, self._dn
-        n = self.n
-        while ncolors < n:
-            sigs = [(colors[x],
-                     tuple(sorted(colors[y] for y in up[x])),
-                     tuple(sorted(colors[y] for y in dn[x])))
-                    for x in range(n)]
-            colors2, k = _compress(sigs)
-            if k == ncolors:
-                return colors2, k
-            colors, ncolors = colors2, k
-        return colors, ncolors
+    def _refine(self, part, queue, ncells):
+        """Refine `part` (elements by position, each element's cell start,
+        each start's cell end) from the splitter cells queued by start until
+        it is equitable or discrete; return the cell count.  A touched cell
+        splits by its members' covers in the splitter, ascending (ranks
+        separate the cells, so one count is enough); every fragment but the
+        first largest is queued, or all if the cell was queued."""
+        elems, cell, end = part
+        up, dn, n = self._up, self._dn, self.n
+        queued = set(queue)
+        for w in queue:
+            if ncells == n:
+                break
+            queued.discard(w)
+            count = {}
+            for x in elems[w:end[w]]:
+                for y in up[x]:
+                    count[y] = count.get(y, 0) + 1
+                for y in dn[x]:
+                    count[y] = count.get(y, 0) + 1
+            for c in sorted({cell[y] for y in count}):
+                e = end[c]
+                if e - c == 1:
+                    continue
+                members = elems[c:e]
+                counts = [count.get(y, 0) for y in members]
+                if min(counts) == max(counts):
+                    continue
+                order = sorted(range(e - c), key=counts.__getitem__)
+                elems[c:e] = [members[i] for i in order]
+                frags, lo = [], c
+                for p in range(c + 1, e):
+                    if counts[order[p - c]] != counts[order[p - c - 1]]:
+                        frags.append((lo, p))
+                        lo = p
+                frags.append((lo, e))
+                for a, b in frags:
+                    end[a] = b
+                    for y in elems[a:b]:
+                        cell[y] = a
+                ncells += len(frags) - 1
+                if c not in queued:
+                    frags.remove(max(frags, key=lambda f: f[1] - f[0]))
+                queue += [a for a, _ in frags if a not in queued]
+                queued.update(a for a, _ in frags)
+        return ncells
 
     def canonical_key(self):
         """Byte string identifying the isomorphism class exactly.
 
-        Individualization-refinement search for the lexicographically least
-        (ranks, covers) encoding over all rank-respecting labelings.
-        Automorphisms discovered at leaves prune symmetric branches, so
-        highly regular lattices stay tractable.
+        Individualization-refinement with the ranks as initial cells and a
+        splitter queue (`_refine`; McKay & Piperno, J. Symb. Comput. 60,
+        2014): a node individualizes each member of its first non-singleton
+        cell in turn and refines from that singleton; the least tuple of
+        up-cover bitmasks by position over the leaves wins, and automorphisms
+        found at leaves prune symmetric branches.  Only the equality classes
+        of keys are stable, not their bytes.
         """
         if self._key is not None:
             return self._key
-        n = self.n
-        ranks = self.ranks
-        cover_pairs = self.covers
-        colors, k = _compress(list(ranks))
-        colors, k = self._refine(colors, k)
+        self._ensure_masks()
+        n, up, ranks, strata = self.n, self._up, self.ranks, self._strata
+        elems = [x for stratum in strata for x in stratum]
+        starts = [elems.index(stratum[0]) for stratum in strata]
+        cell = [starts[r] for r in ranks]
+        end = [cell[x] + len(strata[ranks[x]]) for x in elems]
+        part = (elems, cell, end)
+        ncells = self._refine(part, starts, len(starts))
+        best, best_elems, autos = None, None, []
 
-        best = None
-        best_label = None
-        autos = []
-
-        def leaf(lab):
-            nonlocal best, best_label
-            enc_ranks = [0] * n
-            for x in range(n):
-                enc_ranks[lab[x]] = ranks[x]
-            enc = (tuple(enc_ranks),
-                   tuple(sorted((lab[a], lab[b]) for a, b in cover_pairs)))
+        def leaf(elems):
+            nonlocal best, best_elems
+            bit = [0] * n
+            for p, x in enumerate(elems):
+                bit[x] = 1 << p
+            enc = tuple([sum(map(bit.__getitem__, up[x])) for x in elems])
             if best is None or enc < best:
-                best, best_label = enc, lab
+                best, best_elems = enc, elems
             elif enc == best:
-                inv = [0] * n
-                for x in range(n):
-                    inv[best_label[x]] = x
-                sigma = tuple(inv[lab[x]] for x in range(n))
-                if any(sigma[i] != i for i in range(n)):
-                    autos.append(sigma)
+                autos.append(tuple(best_elems[bit[x].bit_length() - 1]
+                                   for x in range(n)))
 
         def orbit_contains(gens, fixed, seed, target):
             valid = [g for g in gens if all(g[f] == f for f in fixed)]
-            if not valid:
-                return False
-            orb = {seed}
-            stack = [seed]
-            while stack:
+            orb, stack = {seed}, [seed]
+            while stack and target not in orb:
                 z = stack.pop()
-                for g in valid:
-                    w = g[z]
-                    if w == target:
-                        return True
-                    if w not in orb:
-                        orb.add(w)
-                        stack.append(w)
-            return False
+                new = {g[z] for g in valid} - orb
+                orb |= new
+                stack += new
+            return target in orb
 
-        def search(colors, k, fixed):
-            if k == n:
-                leaf(colors)
+        def search(part, ncells, fixed):
+            elems, cell, end = part
+            if ncells == n:
+                leaf(elems)
                 return
-            cells = {}
-            for x in range(n):
-                cells.setdefault(colors[x], []).append(x)
-            target = min(c for c, mem in cells.items() if len(mem) > 1)
-            members = cells[target]
+            s = 0
+            while end[s] == s + 1:
+                s += 1
             tried = []
-            for x in members:
+            for x in elems[s:end[s]]:
                 if any(orbit_contains(autos, fixed, y, x) for y in tried):
                     continue
                 tried.append(x)
-                sig = [(c, 1) for c in colors]
-                sig[x] = (colors[x], 0)
-                c2, k2 = _compress(sig)
-                c2, k2 = self._refine(c2, k2)
-                search(c2, k2, fixed + (x,))
+                child = (elems[:], cell[:], end[:])
+                p, e = elems.index(x, s), end[s]
+                child[0][p], child[0][s] = child[0][s], x
+                child[2][s], child[2][s + 1] = s + 1, e
+                for y in child[0][s + 1:e]:
+                    child[1][y] = s + 1
+                search(child, self._refine(child, [s], ncells + 1),
+                       fixed + (x,))
 
-        search(colors, k, ())
-        key = repr((n,) + best).encode("ascii")
-        self._key = key
-        return key
+        search(part, ncells, ())
+        self._key = repr((n,) + best).encode("ascii")
+        return self._key
 
     # -- serialization ------------------------------------------------------
 

@@ -87,6 +87,30 @@ def cw_sphere_lattice(verts, faces):
     return GradedPoset(ranks, covers)
 
 
+def random_graded_poset(rng, widths):
+    """Random bottom/top graded poset with the given middle layer widths."""
+    ranks = [0] + sum(([r + 1] * w for r, w in enumerate(widths)), []) \
+        + [len(widths) + 1]
+    layers = [[0]]
+    idx = 1
+    for w in widths:
+        layers.append(list(range(idx, idx + w)))
+        idx += w
+    layers.append([idx])
+    covers = set()
+    for lo, hi in zip(layers, layers[1:]):
+        for y in hi:
+            covers.add((rng.choice(lo), y))
+        for x in lo:
+            if not any(a == x for a, _ in covers):
+                covers.add((x, rng.choice(hi)))
+        # sprinkle extra edges
+        for _ in range(len(lo)):
+            covers.add((rng.choice(lo), rng.choice(hi)))
+    from polyqsym.posets import GradedPoset
+    return GradedPoset(ranks, sorted(covers))
+
+
 # Square abdc whose diagonal ad is an edge outside it, each half of the
 # other hemisphere coned from a new vertex: the atoms of ad lie below the
 # square, but ad does not.

@@ -2,8 +2,8 @@
 
 Each quantity has one production route in `polyqsym`; the independent
 routes that check it live here, unchanged apart from their imports and from
-`relabel`, which was a `GradedPoset` method.  No module under `src`
-imports this file.
+`relabel` and `_refine`, which were `GradedPoset` methods.  No module under
+`src` imports this file.
 
 - `f_poly_operator_route`, `ehrenborg_F_chain_route` and
   `f_rp_coaction_route` check the flag-vector transforms;
@@ -26,6 +26,9 @@ imports this file.
 - `lyndon_words` lists every composition of the weight (`words_of_weight`)
   and keeps the Lyndon ones, and checks the prenecklace walk in
   `polyqsym.lyndon`;
+- `canonical_key_oracle` (with `_compress` and `_refine`) re-sorts a
+  signature of every element in every refinement round, and checks the
+  splitter-queue refinement of `GradedPoset.canonical_key`;
 - `relabel`, `one_element_poset`, `chain_poset` and `poset_coproduct` are
   poset helpers only the tests call;
 - `lift_from_expansion` reads a quasi-symmetric function back off its
@@ -411,6 +414,115 @@ def poset_coproduct(p):
     """Rota coproduct: one ([bottom,z], [z,top]) pair per element z."""
     return [(p.interval(p.bottom, z), p.interval(z, p.top))
             for z in range(p.n)]
+
+
+# -- the canonical key by whole-signature colour refinement -------------------
+
+
+def _compress(signatures):
+    """Replace signatures by dense ids assigned in sorted-signature order.
+
+    Sorting makes the ids invariant under any relabeling of the elements,
+    which is what the canonical-form search relies on.
+    """
+    order = {}
+    for s in sorted(set(signatures)):
+        order[s] = len(order)
+    return [order[s] for s in signatures], len(order)
+
+
+def _refine(poset, colors, ncolors):
+    up, dn = poset._up, poset._dn
+    n = poset.n
+    while ncolors < n:
+        sigs = [(colors[x],
+                 tuple(sorted(colors[y] for y in up[x])),
+                 tuple(sorted(colors[y] for y in dn[x])))
+                for x in range(n)]
+        colors2, k = _compress(sigs)
+        if k == ncolors:
+            return colors2, k
+        colors, ncolors = colors2, k
+    return colors, ncolors
+
+
+def canonical_key_oracle(poset):
+    """Byte string identifying the isomorphism class exactly.
+
+    Individualization-refinement search for the lexicographically least
+    (ranks, covers) encoding over all rank-respecting labelings.
+    Automorphisms discovered at leaves prune symmetric branches, so
+    highly regular lattices stay tractable.  Every refinement round
+    re-sorts a signature of every element.  Checks the splitter-queue
+    refinement of `GradedPoset.canonical_key`: equal keys exactly when
+    equal oracle keys (the bytes of the two differ).
+    """
+    n = poset.n
+    ranks = poset.ranks
+    cover_pairs = poset.covers
+    colors, k = _compress(list(ranks))
+    colors, k = _refine(poset, colors, k)
+
+    best = None
+    best_label = None
+    autos = []
+
+    def leaf(lab):
+        nonlocal best, best_label
+        enc_ranks = [0] * n
+        for x in range(n):
+            enc_ranks[lab[x]] = ranks[x]
+        enc = (tuple(enc_ranks),
+               tuple(sorted((lab[a], lab[b]) for a, b in cover_pairs)))
+        if best is None or enc < best:
+            best, best_label = enc, lab
+        elif enc == best:
+            inv = [0] * n
+            for x in range(n):
+                inv[best_label[x]] = x
+            sigma = tuple(inv[lab[x]] for x in range(n))
+            if any(sigma[i] != i for i in range(n)):
+                autos.append(sigma)
+
+    def orbit_contains(gens, fixed, seed, target):
+        valid = [g for g in gens if all(g[f] == f for f in fixed)]
+        if not valid:
+            return False
+        orb = {seed}
+        stack = [seed]
+        while stack:
+            z = stack.pop()
+            for g in valid:
+                w = g[z]
+                if w == target:
+                    return True
+                if w not in orb:
+                    orb.add(w)
+                    stack.append(w)
+        return False
+
+    def search(colors, k, fixed):
+        if k == n:
+            leaf(colors)
+            return
+        cells = {}
+        for x in range(n):
+            cells.setdefault(colors[x], []).append(x)
+        target = min(c for c, mem in cells.items() if len(mem) > 1)
+        members = cells[target]
+        tried = []
+        for x in members:
+            if any(orbit_contains(autos, fixed, y, x) for y in tried):
+                continue
+            tried.append(x)
+            sig = [(c, 1) for c in colors]
+            sig[x] = (colors[x], 0)
+            c2, k2 = _compress(sig)
+            c2, k2 = _refine(poset, c2, k2)
+            search(c2, k2, fixed + (x,))
+
+    search(colors, k, ())
+    return repr((n,) + best).encode("ascii")
 
 
 # -- the sparse-flag basis, through its polytopes -----------------------------

@@ -8,8 +8,8 @@ from polyqsym import store
 from polyqsym.exprs import MAX_FACES
 from polyqsym.posets import GradedPoset, poset_product
 from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, brute_flag_number,
-                      cw_sphere_lattice)
-from oracles import relabel
+                      cw_sphere_lattice, random_graded_poset)
+from oracles import canonical_key_oracle, relabel
 
 
 def test_named_generators():
@@ -300,12 +300,11 @@ def _relabelled(rng, lat):
     return relabel(lat, perm)
 
 
-def _faces_and_quotients(polys):
-    """The lattices of every face and quotient of each polytope, cut out
-    with `GradedPoset.interval` so that no polytope key is involved."""
+def _faces_and_quotients(lattices):
+    """The lattices of every face and quotient of each face lattice, cut
+    out with `GradedPoset.interval` so that no polytope key is involved."""
     out = []
-    for p in polys:
-        lat = p.lattice
+    for lat in lattices:
         for x in range(lat.n):
             out += [lat.interval(lat.bottom, x), lat.interval(x, lat.top)]
     return out
@@ -313,7 +312,7 @@ def _faces_and_quotients(polys):
 
 def test_incidence_key_matches_lattice_key(catalogue, monkeypatch):
     """Oracle for the key: two keys are equal exactly when the whole-lattice
-    canonical keys are, on the catalogue, polygons, simplices and their
+    oracle keys are, on the catalogue, polygons, simplices and their
     duals, every face and quotient of the catalogue and random
     constructions, each also under a random relabelling; polytopes of dim
     <= 2 and simplices are keyed with no canonical-labeling search."""
@@ -323,7 +322,7 @@ def test_incidence_key_matches_lattice_key(catalogue, monkeypatch):
               + [pb.simplex(n) for n in range(7)])
     lattices += [p.lattice for p in shapes]
     lattices += [p.lattice.dual() for p in shapes]
-    faces = _faces_and_quotients(catalogue.values())
+    faces = _faces_and_quotients(p.lattice for p in catalogue.values())
     # one lattice for each labelled face type keeps the run short
     lattices += list({(f.ranks, f.covers): f for f in faces}.values())
     lattices += _random_lattices(rng, 60)
@@ -342,7 +341,7 @@ def test_incidence_key_matches_lattice_key(catalogue, monkeypatch):
             unsearched.add(key)
         if poly.dim <= 2 or poly.vertex_count == poly.dim + 1:
             assert not searched, poly
-        full = real(lat)
+        full = canonical_key_oracle(lat)
         assert by_key.setdefault(key, full) == full
         assert by_full.setdefault(full, key) == key
         counts = tuple(len(lat.elements_of_rank(r))
@@ -351,6 +350,53 @@ def test_incidence_key_matches_lattice_key(catalogue, monkeypatch):
     # types that no face count tells apart are among them
     assert sum(len(keys) > 1 for keys in by_counts.values()) >= 3
     assert {pb.polygon(6).key, pb.simplex(5).key} <= unsearched
+
+
+def _cycle_union(lengths):
+    """Bottom, the vertices, the edges and top of disjoint cycles of the
+    given lengths.  Every vertex and every edge has two covers, so
+    refinement alone splits no rank, though cycles of different lengths lie
+    in different orbits: only the search tells them apart."""
+    ranks, covers = [0], []
+    for m in lengths:
+        first = len(ranks)
+        ranks += [1] * m + [2] * m
+        for i in range(m):
+            covers += [(0, first + i), (first + i, first + m + i),
+                       (first + (i + 1) % m, first + m + i)]
+    top = len(ranks)
+    covers += [(x, top) for x in range(top) if ranks[x] == 2]
+    return GradedPoset(ranks + [3], covers)
+
+
+def test_canonical_key_matches_oracle(catalogue):
+    """Oracle for `GradedPoset.canonical_key`: two posets get equal keys
+    exactly when `canonical_key_oracle` gives them equal keys.  The pool is
+    the catalogue, 80 random products, joins, duals and B/C words, every
+    face and quotient of those, the vertex-facet incidences of all of them,
+    random graded posets and unions of cycles; each poset also under a
+    random relabelling, and dualized under another."""
+    rng = random.Random(17)
+    lattices = ([p.lattice for p in catalogue.values()]
+                + _random_lattices(rng, 80))
+    lattices += _faces_and_quotients(lattices)
+    lattices = list({(lat.ranks, lat.covers): lat
+                     for lat in lattices}.values())
+    posets = lattices + [pb._incidence_poset(lat) for lat in lattices
+                         if lat.height >= 3]
+    posets += [random_graded_poset(rng, [rng.randint(1, 4) for _ in
+                                         range(rng.randint(1, 3))])
+               for _ in range(100)]
+    posets += [_cycle_union(lengths) for lengths in
+               ((9,), (6, 3), (5, 4), (3, 3, 3), (3, 4, 5), (6, 6), (4, 4, 4),
+                (3, 3, 6), (12,))]
+    by_key, by_oracle = {}, {}
+    for p in posets:
+        for case in (p, _relabelled(rng, p), _relabelled(rng, p.dual())):
+            key, oracle = case.canonical_key(), canonical_key_oracle(case)
+            assert by_key.setdefault(key, oracle) == oracle
+            assert by_oracle.setdefault(oracle, key) == key
+    assert len(by_key) > 150
 
 
 def test_key_runs_one_route(monkeypatch):

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polyqsym.posets import (GradedPoset, PosetError, boolean_lattice,
                              poset_product)
+from conftest import random_graded_poset
 from oracles import chain_poset, one_element_poset, poset_coproduct, relabel
 
 
@@ -131,8 +133,8 @@ def test_eulerian_matches_definition():
             for x in range(lat.n) for y in range(lat.n)
             if x != y and lat.leq(x, y))
     rng = random.Random(11)
-    posets = [_random_graded_poset(rng, [rng.randint(1, 3) for _ in
-                                         range(rng.randint(1, 4))])
+    posets = [random_graded_poset(rng, [rng.randint(1, 3) for _ in
+                                        range(rng.randint(1, 4))])
               for _ in range(400)]
     # every interval from the bottom is Eulerian, but [a3, top] has one
     # element in the middle
@@ -199,29 +201,6 @@ def test_json_round_trip():
         GradedPoset.from_json_obj(json.loads('{"ranks": [0, 2]}'))
 
 
-def _random_graded_poset(rng, widths):
-    """Random bottom/top graded poset with the given middle layer widths."""
-    ranks = [0] + sum(([r + 1] * w for r, w in enumerate(widths)), []) \
-        + [len(widths) + 1]
-    layers = [[0]]
-    idx = 1
-    for w in widths:
-        layers.append(list(range(idx, idx + w)))
-        idx += w
-    layers.append([idx])
-    covers = set()
-    for lo, hi in zip(layers, layers[1:]):
-        for y in hi:
-            covers.add((rng.choice(lo), y))
-        for x in lo:
-            if not any(a == x for a, _ in covers):
-                covers.add((x, rng.choice(hi)))
-        # sprinkle extra edges
-        for _ in range(len(lo)):
-            covers.add((rng.choice(lo), rng.choice(hi)))
-    return GradedPoset(ranks, sorted(covers))
-
-
 def _brute_isomorphic(p, q):
     import itertools
     if sorted(p.ranks) != sorted(q.ranks) or len(p.covers) != len(q.covers):
@@ -255,7 +234,7 @@ def test_canonical_key_is_exact_on_random_posets():
     pool = []
     for _ in range(18):
         widths = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
-        pool.append(_random_graded_poset(rng, widths))
+        pool.append(random_graded_poset(rng, widths))
     for i, p in enumerate(pool):
         for q in pool[i + 1:]:
             same_key = p.canonical_key() == q.canonical_key()
@@ -267,9 +246,60 @@ def test_canonical_key_is_exact_on_random_posets():
 def test_canonical_key_random_relabel_fuzz(seed):
     rng = random.Random(seed)
     widths = [rng.randint(1, 4) for _ in range(rng.randint(1, 3))]
-    p = _random_graded_poset(rng, widths)
+    p = random_graded_poset(rng, widths)
     perm = list(range(p.n))
     rng.shuffle(perm)
     q = relabel(p, perm)
     assert q.canonical_key() == p.canonical_key()
     assert q.dual().canonical_key() == p.dual().canonical_key()
+
+
+def test_rank_lists_match_the_scan():
+    """`elements_of_rank` returns the tuples built once with the masks,
+    equal to a scan of every element, and the same tuple on every call."""
+    rng = random.Random(5)
+    posets = [random_graded_poset(rng, [rng.randint(1, 4) for _ in
+                                        range(rng.randint(0, 4))])
+              for _ in range(100)]
+    posets += [one_element_poset(), chain_poset(3), boolean_lattice(4)]
+    for p in posets:
+        for r in range(-1, p.height + 2):
+            strata = p.elements_of_rank(r)
+            assert strata == tuple(x for x in range(p.n) if p.ranks[x] == r)
+            assert p.elements_of_rank(r) is strata
+
+
+def test_canonical_key_fills_its_slot_once(monkeypatch):
+    """The benchmark tracer wraps the method `GradedPoset.canonical_key`
+    and reads `_key` to tell a computed key from a cached one: the first
+    call fills `_key` once, and a second call returns those bytes without
+    refining."""
+    assert inspect.isfunction(vars(GradedPoset)["canonical_key"])
+    assert "_key" in GradedPoset.__slots__
+    writes = []
+
+    class Watched(GradedPoset):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            if name == "_key":
+                writes.append(value)
+            super().__setattr__(name, value)
+
+    b3 = boolean_lattice(3)
+    want = b3.canonical_key()
+    p = Watched(b3.ranks, b3.covers)
+    assert writes == [None] and p._key is None
+    refined = []
+    real = GradedPoset._refine
+    monkeypatch.setattr(GradedPoset, "_refine",
+                        lambda *args: refined.append(1) or real(*args))
+    key = p.canonical_key()
+    assert refined and isinstance(key, bytes)
+    assert writes == [None, key] and p._key is key
+
+    def fail(*args):
+        raise AssertionError("a cached key was searched again")
+    monkeypatch.setattr(GradedPoset, "_refine", fail)
+    assert p.canonical_key() is key
+    assert writes == [None, key] and key == want
