@@ -3,8 +3,8 @@
 Elements are the integers 0..n-1.  The Hasse diagram (cover pairs) is the
 primary data; the full order relation is derived lazily as bitsets, one
 integer mask per element.  Values are immutable after construction; the
-lazily cached masks and the canonical key are computed at most once per
-instance.
+lazily cached masks, rank lists and canonical key are computed at most
+once per instance.
 """
 
 from __future__ import annotations
