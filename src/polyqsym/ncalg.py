@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from .polys import AlphaPoly, Combination, merge_terms
@@ -31,10 +32,13 @@ class NCPoly(Combination):
 
     @staticmethod
     def _key(w):
-        w = tuple(int(x) for x in w)
-        if any(x < 1 for x in w):
+        w = tuple(w)
+        key = tuple(map(int, w))
+        if key != w:
+            raise ValueError("generator indices are integers")
+        if any(x < 1 for x in key):
             raise ValueError("generator indices start at 1")
-        return w
+        return key
 
     @classmethod
     def gen(cls, k, coeff=1):
@@ -78,15 +82,17 @@ class NCPoly(Combination):
 
 def coproduct(a):
     """Leibnitz coproduct: each generator splits as the full convolution
-    with index 0 acting as the unit.  Returns {(left, right): coeff}."""
+    with index 0 acting as the unit.  Returns {(left word, right word):
+    coefficient}, every coefficient a nonzero Fraction."""
     out = {}
     for word, v in a.terms.items():
         splits = [((), ())]
         for k in word:
             splits = [(l + ((i,) if i else ()), r + ((k - i,) if k - i else ()))
                       for (l, r) in splits for i in range(k + 1)]
-        for l, r in splits:
-            out[(l, r)] = out.get((l, r), Fraction(0)) + v
+        for key, m in Counter(splits).items():
+            c = v if m == 1 else v * m
+            out[key] = out[key] + c if key in out else c
     return {k: v for k, v in out.items() if v}
 
 
@@ -98,11 +104,16 @@ def antipode(a):
     """S(Z_w) is the sum of (-1)^(number of parts) Z_(c_1 c_2 ..) with c_i
     running over the compositions of the i-th letter of w read backwards
     (Gelfand, Krob, Lascoux, Leclerc, Retakh & Thibon, "Noncommutative
-    symmetric functions", 1995)."""
-    return NCPoly((w, -v if len(w) % 2 else v)
-                  for word, v in a.terms.items()
-                  for w in (sum(parts, ()) for parts in itertools.product(
-                      *map(compositions, reversed(word)))))
+    symmetric functions", 1995).  The words of one S(Z_w) are distinct, so
+    coefficients add only across the words of `a`."""
+    out = {}
+    for word, v in a.terms.items():
+        signed = (v, -v)
+        for parts in itertools.product(*map(compositions, reversed(word))):
+            w = sum(parts, ())
+            c = signed[len(w) % 2]
+            out[w] = out[w] + c if w in out else c
+    return a._like({w: c for w, c in out.items() if c})
 
 
 # -- the quotient by the Euler relations -----------------------------------

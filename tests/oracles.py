@@ -18,6 +18,8 @@ routes that check it live here, unchanged apart from their imports and from
   and check the monomial-basis closed forms in `polyqsym.transforms`;
 - `antipode` multiplies the generator antipodes out word by word, and
   checks the composition closed form in `polyqsym.ncalg`;
+- `coproduct_split_route` adds each word's coefficient once per split, and
+  checks `polyqsym.ncalg.coproduct`, which sums multiplicities;
 - `d_even_formula_length_route` lists the odd words of each length 2i by
   recursion (`odd_words`), and checks the one sum over compositions of 2k
   into odd parts in `polyqsym.ncalg.d_even_formula`;
@@ -306,6 +308,23 @@ def antipode(a):
 def _antipode_word(word):
     return functools.reduce(operator.mul, map(_antipode_gen, reversed(word)),
                             NCPoly.one())
+
+
+# -- free-algebra coproduct, split by split -----------------------------------
+
+
+def coproduct_split_route(a):
+    """Leibnitz coproduct: each generator splits as the full convolution
+    with index 0 acting as the unit.  Returns {(left, right): coeff}."""
+    out = {}
+    for word, v in a.terms.items():
+        splits = [((), ())]
+        for k in word:
+            splits = [(l + ((i,) if i else ()), r + ((k - i,) if k - i else ()))
+                      for (l, r) in splits for i in range(k + 1)]
+        for l, r in splits:
+            out[(l, r)] = out.get((l, r), Fraction(0)) + v
+    return {k: v for k, v in out.items() if v}
 
 
 # -- the even generator, one word length at a time ----------------------------

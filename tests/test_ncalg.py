@@ -25,6 +25,7 @@ def test_free_algebra_basics():
     assert counit(Z(3)) == 0
     with pytest.raises(ValueError):
         NCPoly.gen(0)
+    assert NCPoly.word((2.0, Fraction(1))) == W((2, 1))
 
 
 def test_coproduct():
@@ -40,6 +41,34 @@ def test_coproduct():
             k = (l1 + l2, r1 + r2)
             expected[k] = expected.get(k, 0) + v1 * v2
     assert cp == expected
+
+
+def test_coproduct_and_antipode_cancel_across_words():
+    a = W((1, 2)) - W((2, 1))
+    before = dict(a.terms)
+    assert ((1, 1), (1,)) not in coproduct(a)
+    s = antipode(a)
+    assert (1, 1, 1) not in s.terms
+    rebuilt = NCPoly(dict(s.terms))
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+    assert a.terms == before
+
+
+def test_values_are_nonzero_fractions():
+    inputs = [NCPoly.one(), W((1, 1)), W((2, 1)) + 3 * W((1, 2)),
+              W((1, 2)) - W((2, 1)), Fraction(1, 2) * W((3, 1, 1)) - Z(4)]
+    for a in inputs:
+        for values in (coproduct(a).values(), antipode(a).terms.values(),
+                       normal_form(a).terms.values()):
+            assert all(type(v) is Fraction and v for v in values), a
+
+
+@pytest.mark.parametrize("word", [(2.5, 1), ("3",), (1, Fraction(3, 2))])
+def test_letters_must_be_integers(word):
+    with pytest.raises(ValueError):
+        NCPoly.word(word)
+    with pytest.raises(ValueError):
+        NCPoly({word: 1})
 
 
 def test_antipode_generators():

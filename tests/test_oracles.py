@@ -1,7 +1,8 @@
 """The closed forms of the quasi-symmetric cone operators, the free-algebra
-antipode and the series exponents, and the one-elimination exact solve,
-against the routes they replaced, kept in `oracles`, each on at least 300
-seeded random inputs; the sparse-flag matrix read off flag
+antipode and the series exponents, the free-algebra coproduct summed by
+split multiplicities, and the one-elimination exact solve, against the
+routes they replaced, kept in `oracles`, each on at least 300 seeded random
+inputs; the sparse-flag matrix read off flag
 polynomials against the flag numbers of the built basis polytopes; and
 the flag transforms, read off F through one flag map, against the flag
 routes they replaced, on the catalogue and on random constructions."""
@@ -15,8 +16,8 @@ import oracles
 from polyqsym import polytopes as pb
 from polyqsym.lyndon import fibonacci_series, series_exponents
 from polyqsym.intlinalg import solve_exact
-from polyqsym.ncalg import NCPoly, antipode
-from polyqsym.qsym import QSym
+from polyqsym.ncalg import NCPoly, antipode, coproduct
+from polyqsym.qsym import QSym, compositions
 from polyqsym.ring import FormalSum, JOIN_RING, PRODUCT_RING
 from polyqsym.transforms import (a_qsym, bb_basis, cone_qsym, ehrenborg_F,
                                  f_poly, f_rp, sparse_index_sets)
@@ -80,6 +81,45 @@ def test_antipode_matches_generator_route():
     polys = _ncpoly_inputs()
     assert sum(() in a.terms for a in polys) > 1
     for a in polys:
+        assert antipode(a) == oracles.antipode(a), a
+
+
+def _coproduct_inputs():
+    """Words of weight at most 10 with signed non-integral coefficients,
+    the empty word and words that share coproduct keys included."""
+    rng = random.Random(1994)
+    out = [NCPoly.word((), Fraction(-1, 2)),
+           NCPoly.word((1, 2), Fraction(1, 3))
+           - NCPoly.word((2, 1), Fraction(1, 3))]
+    while len(out) < CASES:
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            word = rng.choice(compositions(rng.randint(0, 10)))
+            den = rng.randint(2, 5)
+            num = rng.choice((-1, 1)) * rng.choice(
+                [n for n in range(1, 12) if n % den])
+            terms[word] = Fraction(num, den)
+        out.append(NCPoly(terms))
+    return out
+
+
+def test_coproduct_matches_split_route():
+    polys = _coproduct_inputs()
+    assert sum(() in a.terms for a in polys) > 1
+    assert all(v.denominator > 1 for a in polys[2:]
+               for v in a.terms.values())
+    merged = 0
+    for a in polys:
+        cp = coproduct(a)
+        assert cp == oracles.coproduct_split_route(a), a
+        merged += len(cp) < sum(len(coproduct(NCPoly({w: v})))
+                                for w, v in a.terms.items())
+    # keys shared by two words of one input occur
+    assert merged > 10
+
+
+def test_antipode_matches_generator_route_on_coproduct_inputs():
+    for a in _coproduct_inputs():
         assert antipode(a) == oracles.antipode(a), a
 
 
