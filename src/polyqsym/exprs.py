@@ -189,9 +189,12 @@ class _Parser:
                 raise ExprError("%s(..) takes an integer" % name, npos)
             self.expect_sym(")")
             # simplex(n) has the 2^(n+1) faces of C^(n+1) empty, cube(n)
-            # and cross(n) the 3^n + 1 of B^(n+1) empty
+            # and cross(n) the 3^n + 1 of B^(n+1) empty; each letter at
+            # least doubles the count, so MAX_FACES.bit_length() letters
+            # pass MAX_FACES, however large n is
+            letters = min(n + 1, MAX_FACES.bit_length())
             _check_faces(2 * n + 2 if name == "polygon" else _grow(
-                itertools.repeat("C" if name == "simplex" else "B", n + 1)),
+                itertools.repeat("C" if name == "simplex" else "B", letters)),
                 position)
             try:
                 return FormalSum.of(pb.build_named(name, n), JOIN_RING)

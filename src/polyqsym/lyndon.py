@@ -12,9 +12,10 @@ composition of the weight with `is_lyndon` is their oracle there.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import comb
+
+from . import store
 
 
 def is_lyndon(word):
@@ -46,7 +47,7 @@ def cfl_factorize(word):
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@store.cached
 def _shuffle(u, v):
     if not u:
         return {v: 1}

@@ -14,11 +14,11 @@ through the rewriting.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
 
+from . import store
 from .polys import AlphaPoly, Combination, merge_terms
 from .qsym import QSym, compositions
 
@@ -126,7 +126,7 @@ def is_normal_word(w):
     return len(ones) == 1 and ones[0] == 0
 
 
-@functools.lru_cache(maxsize=None)
+@store.cached
 def _normal_form_word(w):
     """Integer expansion of a word in the normal-form basis.
 
@@ -177,7 +177,6 @@ def euler_relation(n):
     return NCPoly(terms)
 
 
-@functools.lru_cache(maxsize=None)
 def basis_words(degree):
     """Normal-form basis in one degree: words with all parts >= 2, plus a
     single leading 1 in front of such a word."""
@@ -232,9 +231,9 @@ class DualFunctional:
         """Embedding into quasi-symmetric functions: the coefficient of the
         monomial indexed by a composition is the value on the reversed
         word.  Integer (or grading-polynomial) values pass through."""
-        return QSym(((p, word), c) for word in compositions(degree)
-                    for p, c in AlphaPoly.coerce(
-                        self.value(word[::-1])).terms.items())
+        return QSym()._from_valid(
+            ((p, word), c) for word in compositions(degree)
+            for p, c in AlphaPoly.coerce(self.value(word[::-1])).terms.items())
 
 
 # -- series ------------------------------------------------------------------

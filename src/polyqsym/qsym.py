@@ -9,9 +9,10 @@ degree.
 
 from __future__ import annotations
 
-import functools
+import itertools
 from types import MappingProxyType
 
+from . import store
 from .polys import Combination, MultiPoly
 
 
@@ -39,7 +40,7 @@ def compositions(total, parts=None):
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@store.cached
 def quasi_shuffle(c1, c2):
     """Overlapping shuffle of two compositions: interleavings where adjacent
     parts from the two factors may merge.  Returns a read-only mapping
@@ -71,7 +72,12 @@ class QSym(Combination):
     @staticmethod
     def _key(key):
         a, comp = key
-        return int(a), tuple(comp)
+        comp = tuple(comp)
+        if type(a) is not int or a < 0 or not all(
+                type(part) is int and part > 0 for part in comp):
+            raise ValueError("a QSym key is an int alpha power >= 0 and a "
+                             "composition of positive ints")
+        return a, comp
 
     @staticmethod
     def _degree(key):
@@ -109,7 +115,8 @@ class QSym(Combination):
 
     def star(self):
         """Reverse every composition; an involutory ring homomorphism."""
-        return QSym({(a, comp[::-1]): v for (a, comp), v in self.terms.items()})
+        return self._like({(a, comp[::-1]): v
+                           for (a, comp), v in self.terms.items()})
 
     def alpha_free(self):
         return all(a == 0 for a, _ in self.terms)
@@ -139,7 +146,7 @@ class QSym(Combination):
             k = len(comp)
             if k > r:
                 continue
-            for positions in _increasing_tuples(k, r):
+            for positions in itertools.combinations(range(r), k):
                 e = [0] * r
                 for part, pos in zip(comp, positions):
                     e[pos] = part
@@ -188,12 +195,6 @@ class QSym(Combination):
         return " + ".join(bits).replace("+ -", "- ")
 
 
-@functools.lru_cache(maxsize=None)
-def _increasing_tuples(k, r):
-    import itertools
-    return tuple(itertools.combinations(range(r), k))
-
-
 def is_quasisymmetric(poly, r=None):
     """A polynomial is a combination of quasi-symmetric monomials iff
     setting any one variable slot to zero gives the same polynomial in the
@@ -205,30 +206,3 @@ def is_quasisymmetric(poly, r=None):
         return True
     ref = poly.drop_var(r - 1)
     return all(poly.drop_var(i) == ref for i in range(r - 1))
-
-
-def theta_substitution_invariant(q, k, n):
-    """True iff inserting (t, -t) in front of the k-th variable leaves q
-    unchanged: the expansion in n+2 variables must lose every monomial that
-    touches the inserted pair and reproduce the n-variable expansion."""
-    if k < 1 or k > n + 1:
-        raise ValueError("insertion position out of range")
-    if q.degree() > n:
-        raise ValueError("degree exceeds the stated bound")
-    g = q.expand(n + 2)
-    sfree = {}
-    p, pn = k - 1, k  # 0-based slots of the inserted pair
-    for (a, e), v in g.terms.items():
-        s_exp = e[p] + e[pn]
-        sign = -1 if e[pn] % 2 else 1
-        rest = e[:p] + e[p + 2:]
-        if s_exp:
-            key = (a, s_exp, rest)
-            sfree[key] = sfree.get(key, 0) + sign * v
-        else:
-            key = (a, 0, rest)
-            sfree[key] = sfree.get(key, 0) + v
-    residue = {k2: v for k2, v in sfree.items() if v}
-    expected = q.expand(n)
-    want = {(a, 0, e): v for (a, e), v in expected.terms.items()}
-    return residue == want

@@ -13,20 +13,32 @@ polytope types, keyed by a request tuple whose first entry names it:
 
 A polytope key is the dim and the vertex count up to dim 2, the dim alone
 for a simplex, and otherwise the dim and the canonical key of the
-vertex-facet incidence (see `polytopes`).
+vertex-facet incidence (see `polytopes`).  Flag numbers, by flag set, and
+interval polytopes, by pairs of lattice elements, belong to one Polytope
+and are memoized on it, in `_flags` and `_intervals`; they go through
+`memoized` too.
 
-`MEMOS` names both, so a caller that needs a fresh store (a test) can
-empty them.  Flag numbers, by flag set, and interval polytopes, by pairs
-of lattice elements, belong to one Polytope and are memoized on it, in
-`_flags` and `_intervals`; they go through `memoized` too.
+`TABLES` holds the memos of the recursive algebra functions, each made by
+`cached`, an unbounded `functools.lru_cache` whose lookups stay in C:
+
+    qsym.quasi_shuffle          the overlapping shuffle of two compositions
+    ncalg._normal_form_word     a word rewritten to the normal-form basis
+    lyndon._shuffle             the shuffle of two words
+
+Each is recursive and hit many times per request.  The
+`itertools.combinations` call in `QSym.expand` and `ncalg.basis_words`
+have no memo: one timed the same as the plain call, and no workload hit
+the other.  `clear()` empties `types`, `memo` and every table, so a
+long-lived process or a test can start from a fresh store.
 """
 
 from __future__ import annotations
 
+import functools
+
 types = {}
 memo = {}
-
-MEMOS = ("types", "memo")
+TABLES = []
 
 
 def memoized(table, request, make):
@@ -35,3 +47,18 @@ def memoized(table, request, make):
     if hit is None:
         hit = table.setdefault(request, make())
     return hit
+
+
+def cached(fn):
+    """`fn` memoized in an unbounded table that `clear` empties."""
+    table = functools.lru_cache(maxsize=None)(fn)
+    TABLES.append(table)
+    return table
+
+
+def clear():
+    """Empty `types`, `memo` and every table in `TABLES`."""
+    types.clear()
+    memo.clear()
+    for table in TABLES:
+        table.cache_clear()

@@ -21,7 +21,7 @@ import itertools
 from . import polytopes as pb
 from .intlinalg import det_bareiss, solve_exact
 from .ncalg import DualFunctional, basis_words
-from .polys import AlphaPoly, MultiPoly
+from .polys import MultiPoly
 from .qsym import QSym, compositions
 from .ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
                    mul_product, xi_alpha)
@@ -42,9 +42,10 @@ def ehrenborg_F(s):
     flag vectors: f_S of dimension n goes to f_S M_(flag_composition(n, S))."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, JOIN_RING)
-    return QSym(((0, flag_composition(poly.dim, subset)), coeff * value)
-                for poly, coeff in s.terms.items()
-                for subset, value in pb.flag_vector(poly).items())
+    return QSym()._from_valid(
+        ((0, flag_composition(poly.dim, subset)), coeff * value)
+        for poly, coeff in s.terms.items()
+        for subset, value in pb.flag_vector(poly).items())
 
 
 def _f_key(comp):
@@ -54,7 +55,8 @@ def _f_key(comp):
 def f_of_F(g):
     """The flag polynomial read off F: M_(c_1, .., c_k) goes to
     alpha^(c_1-1) M_(c_k, .., c_2), and the constant term drops."""
-    return QSym((_f_key(comp), v) for (_, comp), v in g.terms.items() if comp)
+    return QSym()._from_valid((_f_key(comp), v)
+                              for (_, comp), v in g.terms.items() if comp)
 
 
 def f_poly(s):
@@ -72,8 +74,8 @@ def f_rp(s):
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, JOIN_RING)
     g = ehrenborg_F(s)
-    return g.star() + QSym(((a + 1, comp), v)
-                           for (a, comp), v in f_of_F(g).terms.items())
+    return g.star() + QSym()._from_valid(
+        ((a + 1, comp), v) for (a, comp), v in f_of_F(g).terms.items())
 
 
 # -- image equations ----------------------------------------------------------
@@ -245,17 +247,18 @@ def bb_multiply(x, y):
 def cone_qsym(g):
     """Quasi-symmetric counterpart of the cone operator, on the monomial
     basis: (alpha + M_1) g plus M_(c, a+1) for each term alpha^a M_c."""
-    return c_rp_qsym(g) + QSym(((0, c + (a + 1,)), v)
-                               for (a, c), v in g.terms.items())
+    return c_rp_qsym(g) + QSym()._from_valid(
+        ((0, c + (a + 1,)), v) for (a, c), v in g.terms.items())
 
 
 def a_qsym(g):
     """Quasi-symmetric counterpart of twice-cone-minus-bipyramid on the
     product-ring side: alpha^a M_c goes to 2 alpha^a M_(1, c) +
     alpha^a M_(c_1+1, c_2, ..), read as alpha^(a+1) when c is empty."""
-    return QSym(term for (a, c), v in g.terms.items() for term in (
-        ((a, (1,) + c), 2 * v),
-        ((a, (c[0] + 1,) + c[1:]) if c else (a + 1, ()), v)))
+    return QSym()._from_valid(
+        term for (a, c), v in g.terms.items() for term in (
+            ((a, (1,) + c), 2 * v),
+            ((a, (c[0] + 1,) + c[1:]) if c else (a + 1, ()), v)))
 
 
 def b_qsym(g):
@@ -323,20 +326,3 @@ def phi_zero(s):
     psi = phi_alpha(s)
     values = {w: v.coeff(0) for w, v in psi.values.items() if v.coeff(0)}
     return DualFunctional(values, psi.max_degree)
-
-
-def phi_image_law_holds(s):
-    """psi(-alpha) shifted by the operator series equals psi(alpha)."""
-    if isinstance(s, pb.Polytope):
-        s = FormalSum.of(s, PRODUCT_RING)
-    psi = phi_alpha(s)
-    n = psi.max_degree
-    for deg in range(0, n + 1):
-        for sigma in (basis_words(deg) if deg else [()]):
-            acc = AlphaPoly(
-                (p + k, -c if p % 2 else c) for k in range(n - deg + 1)
-                for p, c in AlphaPoly.coerce(psi.value(
-                    ((k,) + sigma) if k else sigma)).terms.items())
-            if acc != psi.value(sigma):
-                return False
-    return True

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, antipode_rp,
@@ -6,16 +10,29 @@ from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, antipode_rp,
 
 @pytest.fixture
 def empty_store(monkeypatch):
-    """An empty memo store (every dict `store.MEMOS` names), so that results
-    do not depend on which tests ran earlier in the process; calling it
-    empties the store again.  The old dicts come back after the test."""
+    """An empty memo store (`store.clear()`), so that results do not depend
+    on which tests ran earlier in the process; calling it empties the store
+    again.  The old `types` and `memo` dicts come back after the test."""
     from polyqsym import store
 
     def empty():
-        for name in store.MEMOS:
-            monkeypatch.setattr(store, name, {})
+        monkeypatch.setattr(store, "types", {})
+        monkeypatch.setattr(store, "memo", {})
+        store.clear()
     empty()
     return empty
+
+
+def cli_process(argv, unbuffered=False, **kwargs):
+    """`python -m polyqsym.cli` in a fresh process, stderr piped."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "polyqsym.cli"] + argv,
+                          stderr=subprocess.PIPE, env=env, timeout=120,
+                          **kwargs)
 
 
 @pytest.fixture(scope="session")

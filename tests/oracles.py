@@ -47,6 +47,9 @@ routes that check it live here, unchanged apart from their imports and from
 - `solve_exact_cramer` solves by Cramer's rule, one Bareiss determinant a
   column, and checks the one-elimination `solve_exact`; `rank` is the
   fraction-free rank the tests read off flag-number matrices;
+- `theta_substitution_invariant` (the (t, -t) insertion law of
+  quasi-symmetric functions) and `phi_image_law_holds` (the image law of
+  `phi_alpha`) are laws that only the tests check;
 - `shuffle_many`, `dual_functional_from_word_values`, `shift`,
   `negate_variable`, `graded_piece` and `bigraded_piece` are helpers only
   the tests call.
@@ -63,13 +66,15 @@ from math import comb
 from polyqsym import polytopes as pb
 from polyqsym.intlinalg import det_bareiss
 from polyqsym.lyndon import ODD, is_lyndon, poly_mul_trunc, shuffle
-from polyqsym.ncalg import DualFunctional, NCPoly, is_normal_word
+from polyqsym.ncalg import (DualFunctional, NCPoly, basis_words,
+                           is_normal_word)
 from polyqsym.polys import AlphaPoly, MultiPoly
 from polyqsym.posets import GradedPoset, PosetError
 from polyqsym.qsym import QSym, compositions
 from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
                            d_k, epsilon_alpha, mul_join, xi_alpha)
-from polyqsym.transforms import basis_word_strings, sparse_index_sets
+from polyqsym.transforms import (basis_word_strings, phi_alpha,
+                                 sparse_index_sets)
 
 
 # -- flag-vector transforms ---------------------------------------------------
@@ -624,6 +629,53 @@ def rank(matrix):
         if r == rows:
             break
     return r
+
+
+# -- laws that only the tests check -------------------------------------------
+
+
+def theta_substitution_invariant(q, k, n):
+    """True iff inserting (t, -t) in front of the k-th variable leaves q
+    unchanged: the expansion in n+2 variables must lose every monomial that
+    touches the inserted pair and reproduce the n-variable expansion."""
+    if k < 1 or k > n + 1:
+        raise ValueError("insertion position out of range")
+    if q.degree() > n:
+        raise ValueError("degree exceeds the stated bound")
+    g = q.expand(n + 2)
+    sfree = {}
+    p, pn = k - 1, k  # 0-based slots of the inserted pair
+    for (a, e), v in g.terms.items():
+        s_exp = e[p] + e[pn]
+        sign = -1 if e[pn] % 2 else 1
+        rest = e[:p] + e[p + 2:]
+        if s_exp:
+            key = (a, s_exp, rest)
+            sfree[key] = sfree.get(key, 0) + sign * v
+        else:
+            key = (a, 0, rest)
+            sfree[key] = sfree.get(key, 0) + v
+    residue = {k2: v for k2, v in sfree.items() if v}
+    expected = q.expand(n)
+    want = {(a, 0, e): v for (a, e), v in expected.terms.items()}
+    return residue == want
+
+
+def phi_image_law_holds(s):
+    """psi(-alpha) shifted by the operator series equals psi(alpha)."""
+    if isinstance(s, pb.Polytope):
+        s = FormalSum.of(s, PRODUCT_RING)
+    psi = phi_alpha(s)
+    n = psi.max_degree
+    for deg in range(0, n + 1):
+        for sigma in (basis_words(deg) if deg else [()]):
+            acc = AlphaPoly(
+                (p + k, -c if p % 2 else c) for k in range(n - deg + 1)
+                for p, c in AlphaPoly.coerce(psi.value(
+                    ((k,) + sigma) if k else sigma)).terms.items())
+            if acc != psi.value(sigma):
+                return False
+    return True
 
 
 # -- test-only helpers --------------------------------------------------------

@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 
 import pytest
 
@@ -13,8 +11,8 @@ from polyqsym.cli import main
 from polyqsym.exprs import ExprError, parse_expression
 from polyqsym.posets import GradedPoset
 from polyqsym.ring import FormalSum, JOIN_RING, PRODUCT_RING, d_k
-from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, cw_sphere_lattice,
-                      fs)
+from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, cli_process,
+                      cw_sphere_lattice, fs)
 
 
 def test_parse_atoms_and_words():
@@ -510,17 +508,6 @@ def test_cache_reloads_catalogue_and_faces(tmp_path, capsys, catalogue,
     assert set(store.types) == set(polys)
 
 
-def _cli(argv, unbuffered, **kwargs):
-    env = dict(os.environ, PYTHONPATH=os.path.join(
-        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run([sys.executable, "-m", "polyqsym.cli"] + argv,
-                          stderr=subprocess.PIPE, env=env, timeout=120,
-                          **kwargs)
-
-
 # A buffered stdout fails when it is flushed, an unbuffered one at the
 # first print; a small output and a large one each take both ways.
 _OUTPUT_CASES = [(argv, unbuffered)
@@ -533,7 +520,7 @@ _OUTPUT_CASES = [(argv, unbuffered)
 @pytest.mark.parametrize("argv, unbuffered", _OUTPUT_CASES)
 def test_cli_full_device_exits_3(argv, unbuffered):
     with open("/dev/full", "w") as full:
-        proc = _cli(argv, unbuffered, stdout=full)
+        proc = cli_process(argv, unbuffered, stdout=full)
     err = proc.stderr.decode()
     assert proc.returncode == 3
     assert len(err.splitlines()) == 1, err
@@ -546,7 +533,7 @@ def test_cli_closed_pipe_exits_quietly(argv, unbuffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _cli(argv, unbuffered, stdout=write_end)
+        proc = cli_process(argv, unbuffered, stdout=write_end)
     finally:
         os.close(write_end)
     assert proc.returncode == 3

@@ -1,16 +1,19 @@
-"""Fuzz the two trust boundaries of the CLI, expression text and cache
-files: every input exits 0, 2 or 3 and prints no traceback.
+"""Fuzz the trust boundaries of the CLI, expression text, integer
+arguments and cache files: every input exits 0, 2 or 3 and prints no
+traceback.
 
-Atoms have at most 5 faces and expressions nest at most two operators
-deep, so no example builds a lattice of more than a few hundred faces
-(the largest, join(join(a, b), join(c, d)), has 5^4 = 625).
+Generated expressions use atoms of at most 5 faces and nest at most two
+operators deep, so none builds a lattice of more than a few hundred faces
+(the largest, join(join(a, b), join(c, d)), has 5^4 = 625).  The
+integer-argument fuzz may build `polygon(m)` for m up to 4,999 (10,000
+faces), so each of its examples starts from an empty store.
 """
 
 import contextlib
 import io
 import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polyqsym.cli import main
 
@@ -52,6 +55,34 @@ def _assert_clean_exit(argv, codes):
 @given(st.one_of(EXPRESSIONS, TOKEN_SOUP, st.text(max_size=12)))
 def test_fuzz_build_exits_cleanly(text):
     _assert_clean_exit(["--json", "build", text], (0, 2))
+
+
+# every integer slot of the CLI: atom arguments, coefficients and options
+INTEGER_SLOTS = (
+    lambda n: ["build", "simplex(%d)" % n],
+    lambda n: ["flag", "cube(%d)" % n],
+    lambda n: ["flag", "cross(%d)" % n],
+    lambda n: ["build", "polygon(%d)" % n],
+    lambda n: ["build", "%d*cube(2)" % n],
+    lambda n: ["flag", "prod(%d*pt, simplex(1))" % n],
+    lambda n: ["fpoly", "cube(2)", "--r", str(n)],
+    lambda n: ["lyndon", "--weight", str(n)],
+    lambda n: ["lyndon", "--k-table", str(n)],
+    lambda n: ["project", "cube(2)", "--dim", str(n)],
+    lambda n: ["bb-matrix", str(n)],
+)
+# magnitudes from 2^10 to 2^70, of either sign
+HUGE = st.tuples(st.integers(10, 69).flatmap(
+    lambda e: st.integers(2 ** e, 2 ** (e + 1))), st.sampled_from((1, -1))
+).map(lambda t: t[0] * t[1])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(INTEGER_SLOTS), HUGE)
+def test_fuzz_integer_arguments_exit_cleanly(empty_store, slot, n):
+    empty_store()
+    _assert_clean_exit(slot(n), (0, 2))
 
 
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),

@@ -12,7 +12,8 @@ from polyqsym.ring import JOIN_RING, PRODUCT_RING, apply_operator
 from polyqsym.lyndon import fibonacci
 from conftest import fs
 from oracles import (d_even_formula_length_route,
-                     dual_functional_from_word_values)
+                     dual_functional_from_word_values,
+                     theta_substitution_invariant)
 
 Z = NCPoly.gen
 W = NCPoly.word
@@ -333,7 +334,6 @@ def test_dual_functional():
 
 
 def test_dual_functional_images_are_invariant():
-    from polyqsym.qsym import theta_substitution_invariant
     from polyqsym.transforms import phi_zero
     for p in (pb.cube(2), pb.simplex(3), pb.cone(pb.cube(2))):
         psi = phi_zero(p)

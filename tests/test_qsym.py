@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from polyqsym.polys import MultiPoly
 from polyqsym.qsym import (QSym, compositions, is_quasisymmetric,
-                           quasi_shuffle, theta_substitution_invariant)
-from oracles import lift_from_expansion, multipoly_var
+                           quasi_shuffle)
+from oracles import (lift_from_expansion, multipoly_var,
+                     theta_substitution_invariant)
 
 M = QSym.monomial
 
@@ -210,3 +211,18 @@ def test_json_and_repr():
     assert QSym.from_json_obj(q.to_json_obj()) == q
     text = repr(q)
     assert "M[2,1]" in text and "a^2" in text
+
+
+@pytest.mark.parametrize("key", [(0, (2, 0)), (0, (2.5, 1)), (0, (-1,)),
+                                 (0, ("2",)), (0, (1, None)), (2.5, (1,)),
+                                 (-1, (1,)), ("1", ()), (None, (1,))])
+def test_keys_must_be_valid(key):
+    """A part is a positive int and an alpha power a non-negative int; the
+    constructor refuses the key instead of keeping or truncating it."""
+    with pytest.raises(ValueError):
+        QSym({key: 1})
+    a, comp = key
+    entry = {"comp": list(comp), "coeff": 1, "alpha": a}
+    with pytest.raises(ValueError):
+        QSym.from_json_obj([entry])
+    assert QSym([((0, [2, 1]), 1)]) == M((2, 1))

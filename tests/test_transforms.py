@@ -5,7 +5,7 @@ import pytest
 from polyqsym import polytopes as pb
 from polyqsym import transforms
 from polyqsym.polys import MultiPoly
-from polyqsym.qsym import QSym, theta_substitution_invariant
+from polyqsym.qsym import QSym
 from polyqsym.ring import (JOIN_RING, a_op, antipode_rp, bipyramid_op,
                            cone_op, l_alpha, mul_join, mul_product)
 from polyqsym.suites import omega_polytopes
@@ -15,13 +15,14 @@ from polyqsym.transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                                  basis_word_strings, c0_qsym, c_rp_qsym,
                                  cone_qsym, dehn_sommerville_check,
                                  ehrenborg_F, f_of_F, f_poly, f_rp,
-                                 flag_composition, phi_alpha,
-                                 phi_image_law_holds, phi_zero, project_bb,
-                                 sparse_index_sets, verify_image_equations)
+                                 flag_composition, phi_alpha, phi_zero,
+                                 project_bb, sparse_index_sets,
+                                 verify_image_equations)
 from conftest import fs
 from oracles import (basis_word_strings_recursion, ehrenborg_F_chain_route,
                      f_poly_operator_route, f_rp_coaction_route,
-                     multipoly_alpha, multipoly_var)
+                     multipoly_alpha, multipoly_var, phi_image_law_holds,
+                     theta_substitution_invariant)
 
 M = QSym.monomial
 alpha = QSym.alpha_power
