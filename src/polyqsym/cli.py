@@ -22,7 +22,8 @@ import sys
 import tempfile
 
 from . import polytopes as pb
-from .exprs import MAX_FACES, ExprError, format_terms, parse_expression
+from .exprs import MAX_FACES, ExprError, parse_expression
+from .polys import format_terms
 from .ring import JOIN_RING, PRODUCT_RING
 from .suites import SUITES, run_suite
 from .transforms import bb_basis, ehrenborg_F, f_poly, f_rp

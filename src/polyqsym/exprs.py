@@ -224,16 +224,3 @@ def parse_expression(text, ambient=None):
             else PRODUCT_RING
     return FormalSum(ambient, result.terms)
 
-
-def format_terms(terms):
-    """Grammar text for (expression, coefficient) pairs, in this order."""
-    if not terms:
-        return "0"
-    parts = []
-    for name, coeff in terms:
-        body = name if abs(coeff) == 1 else "%d*%s" % (abs(coeff), name)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(parts)

@@ -19,7 +19,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import store
-from .polys import AlphaPoly, Combination, merge_terms
+from .polys import AlphaPoly, Combination, format_terms, merge_terms
 from .qsym import QSym, compositions
 
 
@@ -65,19 +65,9 @@ class NCPoly(Combination):
     __rmul__ = __mul__
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for w in sorted(self.terms, key=lambda w: (sum(w), len(w), w)):
-            v = self.terms[w]
-            body = " ".join("Z%d" % x for x in w) if w else "1"
-            if v == 1:
-                bits.append(body)
-            elif v == -1:
-                bits.append("-%s" % body)
-            else:
-                bits.append("%s*%s" % (v, body))
-        return " + ".join(bits).replace("+ -", "- ")
+        return format_terms([
+            (" ".join("Z%d" % x for x in w) if w else "1", self.terms[w])
+            for w in sorted(self.terms, key=lambda w: (sum(w), len(w), w))])
 
 
 def coproduct(a):
@@ -212,9 +202,13 @@ class DualFunctional:
     def __init__(self, values, max_degree):
         self.values = {tuple(w): v for w, v in values.items() if v}
         self.max_degree = max_degree
-        for w in self.values:
+        for w, v in self.values.items():
             if not is_normal_word(w):
                 raise ValueError("values must be keyed by basis words")
+            if not (isinstance(v, int) or isinstance(v, AlphaPoly)
+                    and min(v.terms) >= 0):
+                raise ValueError("values must be ints or AlphaPolys in "
+                                 "powers >= 0")
 
     def value(self, word):
         word = tuple(word)

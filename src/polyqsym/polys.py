@@ -32,6 +32,21 @@ def merge_terms(pairs):
     return out
 
 
+def format_terms(terms):
+    """Signed-sum text for (text, coefficient) pairs, in this order: a
+    coefficient of 1 or -1 prints as a sign, any other as `c*text`."""
+    if not terms:
+        return "0"
+    parts = []
+    for text, coeff in terms:
+        body = text if abs(coeff) == 1 else "%s*%s" % (abs(coeff), text)
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(parts)
+
+
 def _describe(x):
     space = getattr(x, "_space", None)
     if space:

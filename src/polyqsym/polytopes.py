@@ -29,9 +29,12 @@ test oracle.
 
 Memos: the generators `empty`, `point`, `segment`, every catalogue
 request and operator word, and `product`, `join`, `bipyramid` and `dual`
-live in `store.memo`, under the request tuples that `store` lists; interval
-polytopes (faces and quotients) are kept per Polytope in `_intervals`,
-like flag numbers in `_flags`.  All of them go through `store.memoized`.
+live in `store.memo`, under the request tuples that `store` lists, and
+flag numbers per Polytope in `_flags`; all of them go through
+`store.memoized`.  Faces and quotients have no memo: `interval_polytope`
+finds a registered polygon or simplex, or the empty polytope, point or
+segment, by the counts read off the parent's masks, and cuts out any
+other interval.
 """
 
 from __future__ import annotations
@@ -43,14 +46,13 @@ from .posets import GradedPoset, PosetError, boolean_lattice, poset_product
 
 
 class Polytope:
-    __slots__ = ("lattice", "dim", "_key", "_flags", "_intervals")
+    __slots__ = ("lattice", "dim", "_key", "_flags")
 
     def __init__(self, lattice):
         self.lattice = lattice
         self.dim = lattice.height - 1
         self._key = None
         self._flags = {}
-        self._intervals = {}
 
     @property
     def key(self):
@@ -59,13 +61,8 @@ class Polytope:
         the canonical key of the vertex-facet incidence."""
         if self._key is None:
             lat, dim = self.lattice, self.dim
-            if dim <= 2:
-                self._key = b"%d:v%d" % (dim, self.vertex_count)
-            elif self.vertex_count == dim + 1 and lat.n == 1 << (dim + 1):
-                self._key = b"%d:simplex" % dim
-            else:
-                self._key = (b"%d:" % dim
-                             + _incidence_poset(lat).canonical_key())
+            self._key = _invariant_key(dim, self.vertex_count, lat.n) or (
+                b"%d:" % dim + _incidence_poset(lat).canonical_key())
         return self._key
 
     def __hash__(self):
@@ -88,23 +85,21 @@ class Polytope:
     def is_empty(self):
         return self.dim == -1
 
-    def to_json_obj(self):
-        obj = self.lattice.to_json_obj()
-        obj["dim"] = self.dim
-        return obj
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        p = canonical(cls(_checked_face_lattice(
-            GradedPoset.from_json_obj(obj))))
-        if "dim" in obj and obj["dim"] != p.dim:
-            raise PosetError("dim field disagrees with the lattice height")
-        return p
-
 
 def canonical(poly):
     """Global dedup: the first Polytope seen for a key is the shared one."""
     return store.types.setdefault(poly.key, poly)
+
+
+def _invariant_key(dim, vertices, faces):
+    """The key of a d-polytope with these counts when they fix its type,
+    else None: up to dim 2 the vertex count does, and d + 1 vertices with
+    2^(d+1) faces make the d-simplex."""
+    if dim <= 2:
+        return b"%d:v%d" % (dim, vertices)
+    if vertices == dim + 1 and faces == 1 << (dim + 1):
+        return b"%d:simplex" % dim
+    return None
 
 
 def _incidence_poset(lat):
@@ -180,7 +175,7 @@ def _is_facet_closure(lat):
     return len(closure) == lat.n
 
 
-def _height3_intervals_are_polygons(lat):
+def _every_height3_interval_is_polygon(lat):
     """The proper part of every interval of height 3 is one cycle, as in a
     face lattice, where such an interval is a 2-face or a quotient by a
     face of codimension 3: a polygon.  Assumes the lattice is Eulerian, so
@@ -220,7 +215,7 @@ def _checked_face_lattice(lat):
     vertex-facet incidence.  Raises PosetError otherwise."""
     if not lat.is_eulerian():
         raise PosetError("not an Eulerian lattice")
-    if not _height3_intervals_are_polygons(lat):
+    if not _every_height3_interval_is_polygon(lat):
         raise PosetError("not a polytope face lattice: an interval of "
                          "height 3 is not a polygon")
     if not (_faces_are_separated(lat) and _order_is_atom_inclusion(lat)
@@ -503,16 +498,20 @@ def dual(p):
 
 
 def interval_polytope(p, x, y):
-    """The interval [x, y] of the face lattice of p, registered, memoized
-    on p like its flag numbers.  An interval of height 0, 1 or 2 is the
-    empty polytope, the point or the segment, and is not cut out."""
-    def make():
-        lat = p.lattice
-        height = lat.ranks[y] - lat.ranks[x]
-        if height <= 2 and lat.leq(x, y):
-            return (empty, point, segment)[height]()
-        return canonical(Polytope(lat.interval(x, y)))
-    return store.memoized(p._intervals, (x, y), make)
+    """The interval [x, y] of the face lattice of p, registered.  Its type
+    is read off p's masks when its counts fix it (`_invariant_key`) and
+    the type is registered; otherwise the interval is cut out."""
+    lat = p.lattice
+    if x == lat.bottom and y == lat.top:
+        return canonical(p)
+    members = lat.upset_mask(x) & lat.downset_mask(y)
+    if members:
+        vertices = sum(members >> z & 1 for z in lat.up_covers(x))
+        hit = store.types.get(_invariant_key(
+            lat.ranks[y] - lat.ranks[x] - 1, vertices, members.bit_count()))
+        if hit is not None:
+            return hit
+    return canonical(Polytope(lat.interval(x, y)))
 
 
 def face_polytope(p, face):

@@ -129,8 +129,8 @@ class GradedPoset:
         index = {e: i for i, e in enumerate(elems)}
         base = self.ranks[x]
         ranks = [self.ranks[e] - base for e in elems]
-        covers = [(index[a], index[b]) for a, b in self.covers
-                  if (mask >> a & 1) and (mask >> b & 1)]
+        covers = [(index[a], index[b]) for a in elems for b in self._up[a]
+                  if mask >> b & 1]
         return GradedPoset(ranks, covers)
 
     def dual(self):

@@ -13,7 +13,7 @@ import itertools
 from types import MappingProxyType
 
 from . import store
-from .polys import Combination, MultiPoly
+from .polys import Combination, MultiPoly, format_terms
 
 
 def compositions(total, parts=None):
@@ -171,13 +171,10 @@ class QSym(Combination):
                    for entry in data)
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
+        terms = []
         for (a, comp) in sorted(self.terms,
                                 key=lambda k: (k[0] + sum(k[1]), k[0],
                                                len(k[1]), k[1])):
-            v = self.terms[(a, comp)]
             factors = []
             if a == 1:
                 factors.append("a")
@@ -185,14 +182,9 @@ class QSym(Combination):
                 factors.append("a^%d" % a)
             if comp:
                 factors.append("M[%s]" % ",".join(map(str, comp)))
-            body = "*".join(factors) if factors else "1"
-            if v == 1:
-                bits.append(body)
-            elif v == -1:
-                bits.append("-%s" % body)
-            else:
-                bits.append("%d*%s" % (v, body))
-        return " + ".join(bits).replace("+ -", "- ")
+            terms.append(("*".join(factors) if factors else "1",
+                          self.terms[(a, comp)]))
+        return format_terms(terms)
 
 
 def is_quasisymmetric(poly, r=None):

@@ -15,7 +15,7 @@ import collections
 
 from . import polytopes as pb
 from . import store
-from .polys import AlphaPoly, Combination, merge_terms
+from .polys import AlphaPoly, Combination, format_terms, merge_terms
 from .qsym import compositions
 
 PRODUCT_RING = "P"
@@ -74,21 +74,10 @@ class FormalSum(Combination):
     def __repr__(self):
         """Each term is labelled by its dim and f-vector, which tell
         cube(3) from cross(3) (both have 28 faces)."""
-        if not self.terms:
-            return "0"
-        bits = []
-        for p, c in sorted(self.terms.items(),
-                           key=lambda pc: pb.sort_key(pc[0])):
-            label = "<dim %d, f=%s>" % (p.dim, pb.f_vector(p))
-            if c == 1:
-                frag = label
-            elif c == -1:
-                frag = "-%s" % label
-            else:
-                frag = "%d*%s" % (c, label)
-            bits.append(frag)
-        text = " + ".join(bits)
-        return text.replace("+ -", "- ")
+        return format_terms([
+            ("<dim %d, f=%s>" % (p.dim, pb.f_vector(p)), c)
+            for p, c in sorted(self.terms.items(),
+                               key=lambda pc: pb.sort_key(pc[0]))])
 
 
 # -- ring multiplications -------------------------------------------------

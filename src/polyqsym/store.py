@@ -13,10 +13,10 @@ polytope types, keyed by a request tuple whose first entry names it:
 
 A polytope key is the dim and the vertex count up to dim 2, the dim alone
 for a simplex, and otherwise the dim and the canonical key of the
-vertex-facet incidence (see `polytopes`).  Flag numbers, by flag set, and
-interval polytopes, by pairs of lattice elements, belong to one Polytope
-and are memoized on it, in `_flags` and `_intervals`; they go through
-`memoized` too.
+vertex-facet incidence (see `polytopes`).  Flag numbers, by flag set,
+belong to one Polytope and are memoized on it, in `_flags`; they go
+through `memoized` too.  Faces and quotients have no memo: a registered
+type whose counts fix it is found in `types`, and any other is cut out.
 
 `TABLES` holds the memos of the recursive algebra functions, each made by
 `cached`, an unbounded `functools.lru_cache` whose lookups stay in C:

@@ -31,6 +31,9 @@ routes that check it live here, unchanged apart from their imports and from
 - `canonical_key_oracle` (with `_compress` and `_refine`) re-sorts a
   signature of every element in every refinement round, and checks the
   splitter-queue refinement of `GradedPoset.canonical_key`;
+- `interval_polytope_cut_route` cuts every face and quotient out as a
+  fresh lattice and registers it, and checks `interval_polytope`, which
+  finds the types that its counts fix among the registered ones;
 - `relabel`, `one_element_poset`, `chain_poset` and `poset_coproduct` are
   poset helpers only the tests call;
 - `lift_from_expansion` reads a quasi-symmetric function back off its
@@ -408,6 +411,15 @@ def words_of_weight(alphabet, weight):
 
 def lyndon_words(alphabet, weight):
     return [w for w in words_of_weight(alphabet, weight) if is_lyndon(w)]
+
+
+# -- faces and quotients, always cut out --------------------------------------
+
+
+def interval_polytope_cut_route(p, x, y):
+    """The interval [x, y] of the face lattice of p as a fresh lattice,
+    registered."""
+    return pb.canonical(pb.Polytope(p.lattice.interval(x, y)))
 
 
 # -- poset helpers ------------------------------------------------------------

@@ -3,12 +3,13 @@ MultiPoly and NCPoly: construction from pairs, the module operations,
 equality and hashing, and the refusal to mix types or spaces."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from polyqsym import polytopes as pb
 from polyqsym.ncalg import NCPoly
-from polyqsym.polys import AlphaPoly, MultiPoly
+from polyqsym.polys import AlphaPoly, MultiPoly, format_terms
 from polyqsym.qsym import QSym
 from polyqsym.ring import JOIN_RING, PRODUCT_RING, FormalSum
 from oracles import multipoly_var
@@ -81,3 +82,28 @@ def test_alpha_poly_takes_ints():
     assert 1 - a == AlphaPoly({0: 1, 1: -1})
     assert sum([a, a], 0) == 2 * a
     assert AlphaPoly() == 0 and not AlphaPoly()
+
+
+def test_signed_sums_print_through_one_formatter():
+    """QSym, NCPoly and FormalSum print through `format_terms`: a leading
+    negative coefficient, coefficients of 1 and -1, Fraction coefficients
+    and the zero value, byte for byte as each printed on its own."""
+    q = QSym({(0, (2,)): -3, (1, (1,)): 1, (0, (1, 1)): -1, (2, ()): 2,
+              (0, ()): 5})
+    assert repr(q) == "5*1 - 3*M[2] - M[1,1] + a*M[1] + 2*a^2"
+    assert repr(QSym({(0, (1,)): -1, (0, (2,)): 1})) == "-M[1] + M[2]"
+    n = NCPoly({(1,): Fraction(-1, 2), (2, 1): 1, (): -1, (3,): Fraction(4),
+                (1, 1): Fraction(-3, 2)})
+    assert repr(n) == "-1 - 1/2*Z1 - 3/2*Z1 Z1 + 4*Z3 + Z2 Z1"
+    assert repr(NCPoly({(2,): -1, (1,): 1})) == "Z1 - Z2"
+    s = FormalSum(JOIN_RING, [(pb.cube(2), -2), (pb.empty(), 1),
+                              (pb.simplex(2), -1), (pb.point(), 3)])
+    assert repr(s) == ("<dim -1, f=[]> + 3*<dim 0, f=[]> - <dim 2, f=[3, 3]>"
+                       " - 2*<dim 2, f=[4, 4]>")
+    assert repr(FormalSum(PRODUCT_RING, [(pb.segment(), -1)])) == \
+        "-<dim 1, f=[2]>"
+    for zero in (QSym(), NCPoly(), FormalSum(PRODUCT_RING)):
+        assert repr(zero) == "0"
+    assert format_terms([]) == "0"
+    assert format_terms([("x", Fraction(-1, 2)), ("y", 1), ("z", -1)]) == \
+        "-1/2*x + y - z"

@@ -7,6 +7,7 @@ from polyqsym.ncalg import (DualFunctional, NCPoly, antipode, basis_words,
                             coproduct, counit, d_even_formula,
                             euler_relation, is_normal_word, normal_form,
                             pairing, s_series)
+from polyqsym.polys import AlphaPoly
 from polyqsym.qsym import QSym, compositions
 from polyqsym.ring import JOIN_RING, PRODUCT_RING, apply_operator
 from polyqsym.lyndon import fibonacci
@@ -331,6 +332,20 @@ def test_dual_functional():
     assert q == QSym.monomial((2,)) + 2 * QSym.monomial((1, 1))
     zero = DualFunctional({}, 4)
     assert zero.to_qsym(4).is_zero()
+
+
+def test_dual_functional_values_are_ints_or_alpha_polys():
+    """A value `to_qsym` cannot carry is refused: a negative alpha power
+    (it printed as 1) and a Fraction (AttributeError in `to_qsym`)."""
+    for value in (AlphaPoly({-1: 1}), AlphaPoly({2: 1, -1: 3}),
+                  Fraction(1, 2), 0.5):
+        with pytest.raises(ValueError, match="values must be"):
+            DualFunctional({(2,): value}, 2)
+    with pytest.raises(ValueError, match="values must be"):
+        DualFunctional({(): AlphaPoly({-1: 1})}, 0)
+    psi = DualFunctional({(): AlphaPoly({0: 1, 2: 3}), (2,): 5}, 2)
+    assert repr(psi.to_qsym(0)) == "1 + 3*a^2"
+    assert repr(psi.to_qsym(2)) == "5*M[2] + 10*M[1,1]"
 
 
 def test_dual_functional_images_are_invariant():

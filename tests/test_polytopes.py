@@ -9,7 +9,8 @@ from polyqsym.exprs import MAX_FACES
 from polyqsym.posets import GradedPoset, poset_product
 from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, brute_flag_number,
                       cw_sphere_lattice, random_graded_poset)
-from oracles import canonical_key_oracle, relabel
+from oracles import (canonical_key_oracle, interval_polytope_cut_route,
+                     relabel)
 
 
 def test_named_generators():
@@ -226,12 +227,6 @@ def test_unique_factorization_extensional():
             assert (k1 == k2) == (pair1 == pair2)
 
 
-def test_json_round_trip():
-    sq = pb.cube(2)
-    again = pb.Polytope.from_json_obj(sq.to_json_obj())
-    assert again == sq
-
-
 def test_concurrent_construction_is_consistent(empty_store):
     """Threads racing on an empty store agree on the registered object:
     every store insert is one `setdefault`, so no lock is needed."""
@@ -446,24 +441,98 @@ def test_constructions_are_memoized(monkeypatch, empty_store):
     prism = pb.product(tri, seg)
     assert pb.product(tri, seg) is prism
     assert len(built) == 2
-    # faces and quotients are cut out of a lattice once per polytope, and
-    # those of height <= 2 (empty, point, segment) not at all
-    lat = prism.lattice
-    before = len(intervals)
-    firsts = [pb.face_as_polytope(prism, x) for x in range(lat.n)]
-    assert [pb.face_as_polytope(prism, x) for x in range(lat.n)] == firsts
-    # [bottom, top] was cut out above, as the face `top`
-    assert pb.face_polytope(prism, lat.bottom) is prism
-    # two triangles, three squares and the prism itself
-    assert len(intervals) - before == 6
-    short = (pb.empty(), pb.point(), pb.segment())
-    assert all(firsts[x] is short[lat.ranks[x]]
-               for x in range(lat.n) if lat.ranks[x] <= 2)
-    # and the quotients by the six vertices, triangles
-    quotients = [pb.face_polytope(prism, x) for x in range(lat.n)]
-    assert len(intervals) - before == 6 + 6
-    assert all(quotients[x] is short[lat.height - lat.ranks[x]]
-               for x in range(lat.n) if lat.ranks[x] >= 2)
     assert {p for request, p in store.memo.items()
             if request[0] in ("prod", "join", "bipyramid", "dual")} \
         == {sq, prism}
+    # faces and quotients have no memo, but none of the prism's is cut
+    # out: [bottom, top] is the prism, and every other one is a type that
+    # its counts fix (empty, point, segment, polygon), found registered
+    lat = prism.lattice
+    before = len(intervals)
+    firsts = [pb.face_as_polytope(prism, x) for x in range(lat.n)]
+    quotients = [pb.face_polytope(prism, x) for x in range(lat.n)]
+    assert len(intervals) == before
+    assert firsts[lat.top] is prism and quotients[lat.bottom] is prism
+    assert pb.polygon(3) is tri and pb.polygon(4) is sq
+    assert [firsts[x] for x in lat.elements_of_rank(3)].count(tri) == 2
+    assert {firsts[x] for x in lat.elements_of_rank(3)} == {tri, sq}
+    short = (pb.empty(), pb.point(), pb.segment())
+    assert all(firsts[x] is short[lat.ranks[x]]
+               for x in range(lat.n) if lat.ranks[x] <= 2)
+    assert all(quotients[x] is tri for x in lat.elements_of_rank(1))
+    assert all(quotients[x] is short[lat.height - lat.ranks[x]]
+               for x in range(lat.n) if lat.ranks[x] >= 2)
+    # a type that its counts do not fix is cut out on every request: the
+    # facets of prism x segment are four prisms and three cubes
+    big, cube = pb.product(prism, seg), pb.cube(3)
+    facets = big.lattice.elements_of_rank(big.lattice.height - 1)
+    for _ in range(2):
+        before = len(intervals)
+        assert {pb.face_as_polytope(big, x) for x in facets} == {prism, cube}
+        assert len(intervals) - before == 7
+    # in an empty store the first face of each type is cut out and
+    # registered, and the others are found: the empty face, a vertex, an
+    # edge, a triangle and a square
+    empty_store()
+    before = len(intervals)
+    again = [pb.face_as_polytope(prism, x) for x in range(lat.n)]
+    assert len(intervals) - before == 5
+    assert again == firsts
+    assert all(store.types[q.key] is q for q in again)
+
+
+# Facet vertex sets of a square pyramid, a triangular prism, an octahedron
+# and a 4-simplex, read through `from_incidence`.
+INCIDENCES = (
+    [{0, 1, 2, 3}] + [{4, i, (i + 1) % 4} for i in range(4)],
+    [{0, 1, 2}, {3, 4, 5}, {0, 1, 4, 3}, {1, 2, 5, 4}, {2, 0, 3, 5}],
+    FOLDED_PRISM,
+    [{2 * i + bit for i, bit in enumerate(bits)}
+     for bits in itertools.product((0, 1), repeat=3)],
+    [set(range(5)) - {i} for i in range(5)],
+)
+
+
+def _assert_intervals_match_cut_route(polys):
+    for p in polys:
+        lat = p.lattice
+        for x in range(lat.n):
+            above = lat.upset_mask(x)
+            for y in range(lat.n):
+                if above >> y & 1:
+                    assert pb.interval_polytope(p, x, y) is \
+                        interval_polytope_cut_route(p, x, y), (p, x, y)
+
+
+def test_interval_polytope_matches_cut_route(catalogue, empty_store):
+    """Oracle for faces and quotients: every interval [x, y] of the
+    catalogue, of `from_incidence` lattices and of random constructions
+    (unregistered) is the type that cutting it out registers, first in an
+    empty store, where each type is registered when first met, and again
+    once every type is registered."""
+    polys = list(catalogue.values())
+    polys += [pb.from_incidence(facets) for facets in INCIDENCES]
+    polys += [pb.Polytope(lat)
+              for lat in _random_lattices(random.Random(11), 40)]
+    empty_store()
+    _assert_intervals_match_cut_route(polys)
+    registered = dict(store.types)
+    _assert_intervals_match_cut_route(polys)
+    assert store.types == registered
+
+
+def test_interval_polytope_bounds(empty_store):
+    """x <= y is required, and [bottom, top] of an unregistered Polytope is
+    that Polytope, registered."""
+    sq = pb.cube(2)
+    lat = sq.lattice
+    v = lat.elements_of_rank(1)[0]
+    edge = next(e for e in lat.elements_of_rank(2) if not lat.leq(v, e))
+    for x, y in ((v, edge), (lat.top, lat.bottom), (edge, v)):
+        with pytest.raises(pb.PosetError):
+            pb.interval_polytope(sq, x, y)
+    lat = pb._product_lattice(pb.simplex(2).lattice, pb.segment().lattice)
+    prism = pb.Polytope(lat)
+    assert prism.key not in store.types
+    assert pb.interval_polytope(prism, lat.bottom, lat.top) is prism
+    assert store.types[prism.key] is prism
