@@ -34,12 +34,14 @@ def merge_terms(pairs):
 
 def format_terms(terms):
     """Signed-sum text for (text, coefficient) pairs, in this order: a
-    coefficient of 1 or -1 prints as a sign, any other as `c*text`."""
+    coefficient of 1 or -1 prints as a sign, any other as `c*text`, and a
+    constant term (text `1`) as its signed coefficient alone."""
     if not terms:
         return "0"
     parts = []
     for text, coeff in terms:
-        body = text if abs(coeff) == 1 else "%s*%s" % (abs(coeff), text)
+        body = (str(abs(coeff)) if text == "1" else text if abs(coeff) == 1
+                else "%s*%s" % (abs(coeff), text))
         if not parts:
             parts.append(body if coeff > 0 else "-" + body)
         else:

@@ -27,6 +27,12 @@ that every interval of height 3 is a polygon, on lattices read from
 outside.  `tests/oracles.canonical_key_oracle` on the whole lattice is the
 test oracle.
 
+Constructions: the join's face lattice is the Cartesian product of the
+two lattices (`poset_product`).  The direct product and the bipyramid
+(the free sum with a segment, as the cone is the join with a point) come
+from one product of face lattices, `_face_product`: the pairs of nonempty
+faces with a new bottom, or the pairs of proper faces with a new top.
+
 Memos: the generators `empty`, `point`, `segment`, every catalogue
 request and operator word, and `product`, `join`, `bipyramid` and `dual`
 live in `store.memo`, under the request tuples that `store` lists, and
@@ -181,7 +187,6 @@ def _every_height3_interval_is_polygon(lat):
     face of codimension 3: a polygon.  Assumes the lattice is Eulerian, so
     that each proper part is a union of cycles; the walk from its lowest
     atom must reach all of its atoms."""
-    lat._ensure_masks()
     up, dn, rank = lat._upmask, lat._dnmask, lat._rankmask
     for x in range(lat.n):
         r = lat.ranks[x]
@@ -415,33 +420,7 @@ def product(p, q):
         raise ValueError("product is defined on nonempty polytopes")
     return store.memoized(
         store.memo, ("prod", p.key, q.key),
-        lambda: canonical(Polytope(_product_lattice(p.lattice, q.lattice))))
-
-
-def _product_lattice(lp, lq):
-    nonp = [x for x in range(lp.n) if x != lp.bottom]
-    nonq = [y for y in range(lq.n) if y != lq.bottom]
-    index = {}
-    ranks = [0]
-    for x in nonp:
-        for y in nonq:
-            index[(x, y)] = len(ranks)
-            ranks.append(lp.ranks[x] + lq.ranks[y] - 1)
-    covers = []
-    for v in lp.up_covers(lp.bottom):
-        for w in lq.up_covers(lq.bottom):
-            covers.append((0, index[(v, w)]))
-    for a, b in lp.covers:
-        if a == lp.bottom:
-            continue
-        for y in nonq:
-            covers.append((index[(a, y)], index[(b, y)]))
-    for x in nonp:
-        for a, b in lq.covers:
-            if a == lq.bottom:
-                continue
-            covers.append((index[(x, a)], index[(x, b)]))
-    return GradedPoset(ranks, covers)
+        lambda: canonical(Polytope(_face_product(p.lattice, q.lattice))))
 
 
 def join(p, q):
@@ -456,39 +435,42 @@ def cone(p):
 
 
 def bipyramid(p):
-    """Double cone, built from the face-lattice description: proper faces F
-    of P survive, each acquires two cones, and a new top is added."""
+    """Double cone: the free sum with a segment."""
     if p.is_empty():
         return point()
     return store.memoized(
         store.memo, ("bipyramid", p.key),
-        lambda: canonical(Polytope(_bipyramid_lattice(p.lattice))))
+        lambda: canonical(Polytope(
+            _face_product(p.lattice, segment().lattice, at_top=True))))
 
 
-def _bipyramid_lattice(lat):
-    proper = [x for x in range(lat.n) if x != lat.top]
-    base = {x: i for i, x in enumerate(proper)}
-    m = len(proper)
-    conei = {(s, x): m + 2 * base[x] + s for x in proper for s in (0, 1)}
-    newtop = 3 * m
-    ranks = [0] * (3 * m + 1)
-    for x in proper:
-        ranks[base[x]] = lat.ranks[x]
-        ranks[conei[(0, x)]] = lat.ranks[x] + 1
-        ranks[conei[(1, x)]] = lat.ranks[x] + 1
-    ranks[newtop] = lat.height + 1
-    covers = []
-    for a, b in lat.covers:
-        if b == lat.top:
-            covers.append((conei[(0, a)], newtop))
-            covers.append((conei[(1, a)], newtop))
-            continue
-        covers.append((base[a], base[b]))
-        covers.append((conei[(0, a)], conei[(0, b)]))
-        covers.append((conei[(1, a)], conei[(1, b)]))
-    for x in proper:
-        covers.append((base[x], conei[(0, x)]))
-        covers.append((base[x], conei[(1, x)]))
+def _face_product(lp, lq, at_top=False):
+    """The face lattice of the direct product of two nonempty polytopes,
+    the diamond product of their lattices (Ehrenborg & Readdy, J.
+    Algebraic Combin. 8, 1998): the pairs (x, y) of nonempty faces,
+    ordered componentwise, with rank r(x) + r(y) - 1, and a new bottom,
+    element 0.  With `at_top`, the face lattice of their free sum, the
+    polar construction: the pairs of proper faces, with rank r(x) + r(y),
+    and a new top, element 0."""
+    if at_top:
+        drop_p, drop_q, shift = lp.top, lq.top, 0
+    else:
+        drop_p, drop_q, shift = lp.bottom, lq.bottom, 1
+    xs = [x for x in range(lp.n) if x != drop_p]
+    ys = [y for y in range(lq.n) if y != drop_q]
+    # pair (x, y) is element row[x] + col[y]
+    row = {x: 1 + i * len(ys) for i, x in enumerate(xs)}
+    col = {y: j for j, y in enumerate(ys)}
+    ranks = [lp.height + lq.height - 1 if at_top else 0]
+    ranks += [lp.ranks[x] + lq.ranks[y] - shift for x in xs for y in ys]
+    covers = [(row[a] + j, row[b] + j) for a, b in lp.covers
+              if drop_p not in (a, b) for j in col.values()]
+    covers += [(r + col[a], r + col[b]) for a, b in lq.covers
+               if drop_q not in (a, b) for r in row.values()]
+    # the new element covers, or is covered by, the pairs one rank away:
+    # the pairs of atoms, or of coatoms
+    covers += [(i, 0) if at_top else (0, i) for i in range(1, len(ranks))
+               if abs(ranks[i] - ranks[0]) == 1]
     return GradedPoset(ranks, covers)
 
 
@@ -562,7 +544,6 @@ def flag_number(p, subset):
 def _chain_count(lat, s):
     """The number of chains of `lat` with one element of each rank a + 1,
     a in the sorted tuple `s`: a DP over the ranks, bottom up."""
-    lat._ensure_masks()
     count_vec = None
     prev_rank = None
     for r in (a + 1 for a in s):
@@ -598,7 +579,9 @@ def flag_vector(p):
 
 
 def f_vector(p):
-    return [flag_number(p, (i,)) for i in range(max(p.dim, 0))]
+    """Face counts f_0 .. f_(dim-1), read off the ranks."""
+    return [len(p.lattice.elements_of_rank(i + 1))
+            for i in range(max(p.dim, 0))]
 
 
 def sort_key(p):

@@ -1,10 +1,10 @@
 """Finite graded posets with a bottom and a top element.
 
 Elements are the integers 0..n-1.  The Hasse diagram (cover pairs) is the
-primary data; the full order relation is derived lazily as bitsets, one
-integer mask per element.  Values are immutable after construction; the
-lazily cached masks, rank lists and canonical key are computed at most
-once per instance.
+primary data; the constructor validates it and derives the rank strata and
+the full order relation as bitsets, one integer mask per element.  Values
+are immutable after construction; only the canonical key is computed on
+first use, at most once per instance.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ class GradedPoset:
         if min(ranks) != 0:
             raise PosetError("minimal rank must be 0")
         height = max(ranks)
-        bottoms = [x for x in range(n) if ranks[x] == 0]
-        tops = [x for x in range(n) if ranks[x] == height]
-        if len(bottoms) != 1 or len(tops) != 1:
+        if ranks.count(0) != 1 or ranks.count(height) != 1:
             raise PosetError("poset must have a unique bottom and top")
         up = [[] for _ in range(n)]
         dn = [[] for _ in range(n)]
@@ -47,18 +45,35 @@ class GradedPoset:
                 raise PosetError("element %d has no upper cover" % x)
             if ranks[x] > 0 and not dn[x]:
                 raise PosetError("element %d has no lower cover" % x)
+        # every element below the top has an upper cover one rank up, so
+        # every rank 0..height is taken and the strata number height + 1
+        strata = [[] for _ in range(height + 1)]
+        for x in range(n):
+            strata[ranks[x]].append(x)
+        order = [x for stratum in strata for x in stratum]
+        dnmask = [0] * n
+        for x in order:
+            m = 1 << x
+            for y in dn[x]:
+                m |= dnmask[y]
+            dnmask[x] = m
+        upmask = [0] * n
+        for x in reversed(order):
+            m = 1 << x
+            for y in up[x]:
+                m |= upmask[y]
+            upmask[x] = m
         self.n = n
         self.ranks = ranks
         self.covers = covers
         self.height = height
-        self.bottom = bottoms[0]
-        self.top = tops[0]
+        self.bottom, self.top = strata[0][0], strata[height][0]
         self._up = tuple(tuple(v) for v in up)
         self._dn = tuple(tuple(v) for v in dn)
-        self._upmask = None
-        self._dnmask = None
-        self._rankmask = None
-        self._strata = None
+        self._upmask = tuple(upmask)
+        self._dnmask = tuple(dnmask)
+        self._rankmask = tuple(sum(1 << x for x in s) for s in strata)
+        self._strata = tuple(map(tuple, strata))
         self._key = None
 
     # -- order relation -------------------------------------------------
@@ -66,51 +81,21 @@ class GradedPoset:
     def up_covers(self, x):
         return self._up[x]
 
-    def _ensure_masks(self):
-        if self._upmask is not None:
-            return
-        n = self.n
-        strata = [[] for _ in range(self.height + 1)]
-        for x in range(n):
-            strata[self.ranks[x]].append(x)
-        order = [x for stratum in strata for x in stratum]
-        dnmask = [0] * n
-        for x in order:
-            m = 1 << x
-            for y in self._dn[x]:
-                m |= dnmask[y]
-            dnmask[x] = m
-        upmask = [0] * n
-        for x in reversed(order):
-            m = 1 << x
-            for y in self._up[x]:
-                m |= upmask[y]
-            upmask[x] = m
-        self._dnmask = tuple(dnmask)
-        self._upmask = tuple(upmask)
-        self._rankmask = tuple(sum(1 << x for x in s) for s in strata)
-        self._strata = tuple(map(tuple, strata))
-
     def leq(self, x, y):
-        self._ensure_masks()
         return bool(self._dnmask[y] >> x & 1)
 
     def downset_mask(self, x):
-        self._ensure_masks()
         return self._dnmask[x]
 
     def upset_mask(self, x):
-        self._ensure_masks()
         return self._upmask[x]
 
     def rank_mask(self, r):
-        self._ensure_masks()
         return self._rankmask[r]
 
     def elements_of_rank(self, r):
         if r < 0 or r > self.height:
             return ()
-        self._ensure_masks()
         return self._strata[r]
 
     # -- constructions ---------------------------------------------------
@@ -143,7 +128,6 @@ class GradedPoset:
     def is_eulerian(self):
         """Every interval of rank >= 1 has equally many odd and even
         rank elements."""
-        self._ensure_masks()
         even = odd = 0
         for r, m in enumerate(self._rankmask):
             if r % 2:
@@ -225,7 +209,6 @@ class GradedPoset:
         """
         if self._key is not None:
             return self._key
-        self._ensure_masks()
         n, up, ranks, strata = self.n, self._up, self.ranks, self._strata
         elems = [x for stratum in strata for x in stratum]
         starts = [elems.index(stratum[0]) for stratum in strata]

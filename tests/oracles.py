@@ -34,6 +34,10 @@ routes that check it live here, unchanged apart from their imports and from
 - `interval_polytope_cut_route` cuts every face and quotient out as a
   fresh lattice and registers it, and checks `interval_polytope`, which
   finds the types that its counts fix among the registered ones;
+- `product_lattice_route` and `bipyramid_lattice_route` build the face
+  lattices of the direct product and of the bipyramid each from its own
+  description, and check the one product of face lattices,
+  `polyqsym.polytopes._face_product`, that builds both;
 - `relabel`, `one_element_poset`, `chain_poset` and `poset_coproduct` are
   poset helpers only the tests call;
 - `lift_from_expansion` reads a quasi-symmetric function back off its
@@ -160,7 +164,6 @@ def ehrenborg_F_chain_route(poly):
     """Oracle for `ehrenborg_F`: one monomial per maximal chain of the face
     lattice, enumerated one by one."""
     lat = poly.lattice
-    lat._ensure_masks()
     chains = []
     stack = [(lat.bottom, ())]
     while stack:
@@ -420,6 +423,68 @@ def interval_polytope_cut_route(p, x, y):
     """The interval [x, y] of the face lattice of p as a fresh lattice,
     registered."""
     return pb.canonical(pb.Polytope(p.lattice.interval(x, y)))
+
+
+# -- products and bipyramids, each from its own description -------------------
+
+
+def product_lattice_route(lp, lq):
+    """The face lattice of the direct product: a new bottom, and the pairs
+    of nonempty faces, with covers from the pairs of atoms and from one
+    coordinate at a time."""
+    nonp = [x for x in range(lp.n) if x != lp.bottom]
+    nonq = [y for y in range(lq.n) if y != lq.bottom]
+    index = {}
+    ranks = [0]
+    for x in nonp:
+        for y in nonq:
+            index[(x, y)] = len(ranks)
+            ranks.append(lp.ranks[x] + lq.ranks[y] - 1)
+    covers = []
+    for v in lp.up_covers(lp.bottom):
+        for w in lq.up_covers(lq.bottom):
+            covers.append((0, index[(v, w)]))
+    for a, b in lp.covers:
+        if a == lp.bottom:
+            continue
+        for y in nonq:
+            covers.append((index[(a, y)], index[(b, y)]))
+    for x in nonp:
+        for a, b in lq.covers:
+            if a == lq.bottom:
+                continue
+            covers.append((index[(x, a)], index[(x, b)]))
+    return GradedPoset(ranks, covers)
+
+
+def bipyramid_lattice_route(lat):
+    """The face lattice of the bipyramid, built from the face-lattice
+    description: proper faces F of P survive, each acquires two cones, and
+    a new top is added."""
+    proper = [x for x in range(lat.n) if x != lat.top]
+    base = {x: i for i, x in enumerate(proper)}
+    m = len(proper)
+    conei = {(s, x): m + 2 * base[x] + s for x in proper for s in (0, 1)}
+    newtop = 3 * m
+    ranks = [0] * (3 * m + 1)
+    for x in proper:
+        ranks[base[x]] = lat.ranks[x]
+        ranks[conei[(0, x)]] = lat.ranks[x] + 1
+        ranks[conei[(1, x)]] = lat.ranks[x] + 1
+    ranks[newtop] = lat.height + 1
+    covers = []
+    for a, b in lat.covers:
+        if b == lat.top:
+            covers.append((conei[(0, a)], newtop))
+            covers.append((conei[(1, a)], newtop))
+            continue
+        covers.append((base[a], base[b]))
+        covers.append((conei[(0, a)], conei[(0, b)]))
+        covers.append((conei[(1, a)], conei[(1, b)]))
+    for x in proper:
+        covers.append((base[x], conei[(0, x)]))
+        covers.append((base[x], conei[(1, x)]))
+    return GradedPoset(ranks, covers)
 
 
 # -- poset helpers ------------------------------------------------------------

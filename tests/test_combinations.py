@@ -87,10 +87,12 @@ def test_alpha_poly_takes_ints():
 def test_signed_sums_print_through_one_formatter():
     """QSym, NCPoly and FormalSum print through `format_terms`: a leading
     negative coefficient, coefficients of 1 and -1, Fraction coefficients
-    and the zero value, byte for byte as each printed on its own."""
+    and the zero value, byte for byte as each printed on its own; a
+    constant term prints as its signed coefficient alone."""
     q = QSym({(0, (2,)): -3, (1, (1,)): 1, (0, (1, 1)): -1, (2, ()): 2,
               (0, ()): 5})
-    assert repr(q) == "5*1 - 3*M[2] - M[1,1] + a*M[1] + 2*a^2"
+    assert repr(q) == "5 - 3*M[2] - M[1,1] + a*M[1] + 2*a^2"
+    assert repr(NCPoly({(): 3})) == "3"
     assert repr(QSym({(0, (1,)): -1, (0, (2,)): 1})) == "-M[1] + M[2]"
     n = NCPoly({(1,): Fraction(-1, 2), (2, 1): 1, (): -1, (3,): Fraction(4),
                 (1, 1): Fraction(-3, 2)})

@@ -130,6 +130,11 @@ def test_cli_ehrenborg_frp(capsys):
     assert "M[3]" in capsys.readouterr().out
     assert main(["frp", "pt"]) == 0
     assert "M[1] + a" in capsys.readouterr().out
+    # a constant term prints as its signed coefficient alone
+    for argv, text in ((["fpoly", "2*pt"], "2"), (["frp", "3*empty"], "3"),
+                       (["ehrenborg", "2*empty - pt"], "2 - M[1]")):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == text + "\n"
 
 
 def test_cli_lyndon(capsys):

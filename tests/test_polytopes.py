@@ -9,7 +9,8 @@ from polyqsym.exprs import MAX_FACES
 from polyqsym.posets import GradedPoset, poset_product
 from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, brute_flag_number,
                       cw_sphere_lattice, random_graded_poset)
-from oracles import (canonical_key_oracle, interval_polytope_cut_route,
+from oracles import (bipyramid_lattice_route, canonical_key_oracle,
+                     interval_polytope_cut_route, product_lattice_route,
                      relabel)
 
 
@@ -274,13 +275,13 @@ def _random_lattices(rng, count):
         op = rng.choice(("prod", "join", "dual", "B", "C"))
         a, b = rng.choice(pool), rng.choice(pool)
         if op == "prod":
-            lat = pb._product_lattice(a, b)
+            lat = pb._face_product(a, b)
         elif op == "join":
             lat = poset_product(a, b)
         elif op == "dual":
             lat = a.dual()
         elif op == "B":
-            lat = pb._bipyramid_lattice(a)
+            lat = pb._face_product(a, pb.segment().lattice, at_top=True)
         else:
             lat = poset_product(pb.point().lattice, a)
         if lat.height <= 5 and lat.n <= 120:
@@ -424,11 +425,58 @@ def test_face_lattice_checks(catalogue):
             pb.registry_restore([lat.to_json_obj()], MAX_FACES)
 
 
+def _rank_profile(lat):
+    return [len(lat.elements_of_rank(r)) for r in range(lat.height + 1)]
+
+
+def _assert_same_lattice(new, old):
+    assert new.n == old.n
+    assert _rank_profile(new) == _rank_profile(old)
+    assert pb.Polytope(new).key == pb.Polytope(old).key
+
+
+def test_face_product_matches_routes(catalogue):
+    """Oracle for the one product of face lattices: with and without
+    `at_top` it builds the lattices that the product and bipyramid routes
+    of `oracles` build, by element count, rank profile and key, on every
+    pair of catalogue lattices up to dim 3, the random pool, the folded
+    prism and the point; the bipyramid of a point is the segment, and a
+    product with a point keeps the type."""
+    small = list({p.key: p.lattice for p in catalogue.values()
+                  if 0 <= p.dim <= 3}.values())
+    lattices = small + _random_lattices(random.Random(5), 30)
+    lattices.append(pb.from_incidence(FOLDED_PRISM).lattice)
+    seg = pb.segment().lattice
+    for a in lattices:
+        _assert_same_lattice(pb._face_product(a, seg, at_top=True),
+                             bipyramid_lattice_route(a))
+    for a, b in itertools.product(small, repeat=2):
+        _assert_same_lattice(pb._face_product(a, b),
+                             product_lattice_route(a, b))
+    pt = pb.point().lattice
+    for a in lattices:
+        _assert_same_lattice(pb._face_product(a, pt),
+                             product_lattice_route(a, pt))
+        _assert_same_lattice(pb._face_product(pt, a), a)
+    _assert_same_lattice(pb._face_product(pt, seg, at_top=True), seg)
+    _assert_same_lattice(bipyramid_lattice_route(pt), seg)
+    assert pb.bipyramid(pb.point()) is pb.segment()
+    assert pb.product(pb.point(), pb.cube(3)) is pb.cube(3)
+
+
+def test_f_vector_matches_flag_numbers(catalogue):
+    """The face counts read off the ranks are the flag numbers f_{i}."""
+    for name, p in catalogue.items():
+        assert pb.f_vector(p) == [pb.flag_number(p, (i,))
+                                  for i in range(max(p.dim, 0))], name
+
+
 def test_constructions_are_memoized(monkeypatch, empty_store):
     built, intervals = [], []
-    real_product, real_interval = pb._product_lattice, GradedPoset.interval
-    monkeypatch.setattr(pb, "_product_lattice",
-                        lambda a, b: built.append(1) or real_product(a, b))
+    real_product, real_interval = pb._face_product, GradedPoset.interval
+    monkeypatch.setattr(pb, "_face_product",
+                        lambda a, b, **kw: built.append(1)
+                        or real_product(a, b, **kw))
     monkeypatch.setattr(GradedPoset, "interval",
                         lambda lat, x, y: intervals.append(1)
                         or real_interval(lat, x, y))
@@ -440,10 +488,14 @@ def test_constructions_are_memoized(monkeypatch, empty_store):
     tri = pb.from_incidence([{0, 1}, {1, 2}, {0, 2}])
     prism = pb.product(tri, seg)
     assert pb.product(tri, seg) is prism
-    assert len(built) == 2
+    octahedron = pb.bipyramid(sq)
+    assert pb.bipyramid(sq) is octahedron and len(built) == 3
+    # cross(3) builds the bipyramids over the point and the segment, and
+    # finds the one over the square
+    assert pb.cross(3) is octahedron and len(built) == 5
     assert {p for request, p in store.memo.items()
             if request[0] in ("prod", "join", "bipyramid", "dual")} \
-        == {sq, prism}
+        == {seg, sq, prism, octahedron}
     # faces and quotients have no memo, but none of the prism's is cut
     # out: [bottom, top] is the prism, and every other one is a type that
     # its counts fix (empty, point, segment, polygon), found registered
@@ -531,7 +583,7 @@ def test_interval_polytope_bounds(empty_store):
     for x, y in ((v, edge), (lat.top, lat.bottom), (edge, v)):
         with pytest.raises(pb.PosetError):
             pb.interval_polytope(sq, x, y)
-    lat = pb._product_lattice(pb.simplex(2).lattice, pb.segment().lattice)
+    lat = pb._face_product(pb.simplex(2).lattice, pb.segment().lattice)
     prism = pb.Polytope(lat)
     assert prism.key not in store.types
     assert pb.interval_polytope(prism, lat.bottom, lat.top) is prism
