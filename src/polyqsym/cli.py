@@ -104,8 +104,7 @@ def _cmd_build(args):
 
 def _cmd_flag(args):
     s = parse_expression(args.expr)
-    dims = s.dims()
-    if len(dims) != 1:
+    if len(s.dims()) > 1:
         print("flag vectors need a homogeneous sum", file=sys.stderr)
         return 2
     table = {}

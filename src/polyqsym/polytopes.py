@@ -36,16 +36,20 @@ faces with a new bottom, or the pairs of proper faces with a new top.
 Memos: the generators `empty`, `point`, `segment`, every catalogue
 request and operator word, and `product`, `join`, `bipyramid` and `dual`
 live in `store.memo`, under the request tuples that `store` lists, and
-flag numbers per Polytope in `_flags`; all of them go through
-`store.memoized`.  Faces and quotients have no memo: `interval_polytope`
-finds a registered polygon or simplex, or the empty polytope, point or
-segment, by the counts read off the parent's masks, and cuts out any
-other interval.
+so does each type's flag vector, read-only, under ("flags", key).  Flag
+numbers, by flag set, are memoized per Polytope in `_flags`: the flag
+vector fills it once, one `flag_number` per set, and sparse readers such
+as `transforms.project_bb` read single sets there without building all
+2^dim.  All of them go through `store.memoized`.  Faces and quotients
+have no memo: `interval_polytope` finds a registered polygon or simplex,
+or the empty polytope, point or segment, by the counts read off the
+parent's masks, and cuts out any other interval.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 from . import store
 from .posets import GradedPoset, PosetError, boolean_lattice, poset_product
@@ -567,15 +571,16 @@ def _chain_count(lat, s):
 
 
 def flag_vector(p):
-    """All flag numbers f_S, S a subset of {0, .., dim-1}."""
-    if p.dim < 0:
-        return {(): 1}
-    out = {}
-    dims = range(p.dim)
-    for k in range(p.dim + 1):
-        for s in itertools.combinations(dims, k):
-            out[s] = flag_number(p, s)
-    return out
+    """All flag numbers f_S, S a subset of {0, .., dim-1}, as a read-only
+    mapping computed once per type, under ("flags", key)."""
+    def make():
+        if p.dim < 0:
+            return MappingProxyType({(): 1})
+        dims = range(p.dim)
+        return MappingProxyType({
+            s: flag_number(p, s) for k in range(p.dim + 1)
+            for s in itertools.combinations(dims, k)})
+    return store.memoized(store.memo, ("flags", p.key), make)
 
 
 def f_vector(p):

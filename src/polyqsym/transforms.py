@@ -3,7 +3,9 @@
 The poset transform `ehrenborg_F` is the one flag carrier, the one
 transform that reads flag vectors: f_S of dimension n goes to f_S M_c, c =
 `flag_composition(n, S)` = (a_1+1, a_2-a_1, .., n-a_k) for S = {a_1 < ..
-< a_k}.  The flag polynomial is a relabelling of F: `f_of_F` sends
+< a_k}.  It reads each type's flag vector once and keeps that type's
+terms under ("F", key) in `store.memo`, so a sum of types costs one memo
+hit per term.  The flag polynomial is a relabelling of F: `f_of_F` sends
 M_(c_1, .., c_k) to alpha^(c_1-1) M_(c_k, .., c_2); and `f_rp` = F(P)* +
 alpha f(P).  The image equations, the sparse-flag basis with its
 unimodular matrix, the projection onto it (which reads only the sparse
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 
-from . import polytopes as pb
+from . import polytopes as pb, store
 from .intlinalg import det_bareiss, solve_exact
 from .ncalg import DualFunctional, basis_words
 from .polys import MultiPoly
@@ -37,15 +39,23 @@ def flag_composition(n, s):
     return tuple(b - a for a, b in zip(ends, ends[1:])) if n >= 0 else ()
 
 
+def _F_terms(poly):
+    """The terms of F of one type, read off its flag vector once and kept
+    under ("F", key)."""
+    return store.memoized(store.memo, ("F", poly.key), lambda: tuple(
+        ((0, flag_composition(poly.dim, subset)), value)
+        for subset, value in pb.flag_vector(poly).items()))
+
+
 def ehrenborg_F(s):
     """Chain transform of the face lattice, the one transform that reads
     flag vectors: f_S of dimension n goes to f_S M_(flag_composition(n, S))."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, JOIN_RING)
     return QSym()._from_valid(
-        ((0, flag_composition(poly.dim, subset)), coeff * value)
+        (key, coeff * value)
         for poly, coeff in s.terms.items()
-        for subset, value in pb.flag_vector(poly).items())
+        for key, value in _F_terms(poly))
 
 
 def _f_key(comp):
@@ -118,21 +128,19 @@ def dehn_sommerville_check(poly):
     n = poly.dim
     if n < 1:
         raise ValueError("needs dimension >= 1")
-    dims = range(n)
-    for size in range(n + 1):
-        for s in itertools.combinations(dims, size):
-            extended = (-1,) + s + (n,)
-            for ii in range(len(extended) - 1):
-                i, k = extended[ii], extended[ii + 1]
-                if k - i < 2:
-                    continue
-                total = 0
-                for j in range(i + 1, k):
-                    term = pb.flag_number(poly, tuple(sorted(s + (j,))))
-                    total += term if (j - i - 1) % 2 == 0 else -term
-                want = (1 - (-1) ** (k - i - 1)) * pb.flag_number(poly, s)
-                if total != want:
-                    return False
+    flags = pb.flag_vector(poly)
+    for s, f_s in flags.items():
+        extended = (-1,) + s + (n,)
+        for ii in range(len(extended) - 1):
+            i, k = extended[ii], extended[ii + 1]
+            if k - i < 2:
+                continue
+            total = 0
+            for j in range(i + 1, k):
+                term = flags[s[:ii] + (j,) + s[ii:]]
+                total += term if (j - i - 1) % 2 == 0 else -term
+            if total != (1 - (-1) ** (k - i - 1)) * f_s:
+                return False
     return True
 
 

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 
@@ -137,3 +138,49 @@ DIAGONAL_SPHERE = ("abcdef", ("abdc", "abe", "bde", "aed", "adf", "dcf",
 # and S341: ordered by inclusion of vertex sets, but those two facets meet
 # in the two vertices 1 and 3, which span no face.
 MERGED_OCTAHEDRON = ("NS1234", ("N123", "N34", "N41", "S12", "S23", "S341"))
+
+
+# A triangular prism with one square folded along a diagonal: 6 vertices,
+# 10 edges and 6 facets, like the pentagonal pyramid, but another type.
+FOLDED_PRISM = [{0, 1, 2}, {3, 4, 5}, {0, 1, 4}, {0, 4, 3}, {1, 2, 5, 4},
+                {2, 0, 3, 5}]
+
+
+def random_lattices(rng, count):
+    """Face lattices of random products, joins, duals and B/C words of
+    dim <= 4, built by the lattice constructions alone, so that no
+    registry lookup or key is involved.  The pool starts with two 3-
+    polytopes of equal f-vector, so equal counts do not imply equal keys."""
+    from polyqsym import polytopes as pb
+    from polyqsym.posets import poset_product
+    pool = [pb.point().lattice, pb.segment().lattice, pb.simplex(2).lattice,
+            pb.polygon(5).lattice, pb.cone(pb.polygon(5)).lattice,
+            pb.from_incidence(FOLDED_PRISM).lattice]
+    out = []
+    while len(out) < count:
+        op = rng.choice(("prod", "join", "dual", "B", "C"))
+        a, b = rng.choice(pool), rng.choice(pool)
+        if op == "prod":
+            lat = pb._face_product(a, b)
+        elif op == "join":
+            lat = poset_product(a, b)
+        elif op == "dual":
+            lat = a.dual()
+        elif op == "B":
+            lat = pb._face_product(a, pb.segment().lattice, at_top=True)
+        else:
+            lat = poset_product(pb.point().lattice, a)
+        if lat.height <= 5 and lat.n <= 120:
+            pool.append(lat)
+            out.append(lat)
+    return out
+
+
+def flag_test_types(catalogue):
+    """The types the flag memos are tested on: every catalogue type, a
+    random pool, the folded prism, the empty polytope and the point."""
+    from polyqsym import polytopes as pb
+    return (list(catalogue.values())
+            + [pb.Polytope(lat) for lat in random_lattices(
+                random.Random(7), 40)]
+            + [pb.from_incidence(FOLDED_PRISM), pb.empty(), pb.point()])

@@ -115,6 +115,16 @@ def test_cli_build_and_flag(capsys):
     rows = json.loads(capsys.readouterr().out)
     table = {tuple(r["S"]): r["value"] for r in rows}
     assert table[(0, 1)] == 6
+    # a sum whose terms cancel is zero, which is homogeneous: its flag
+    # table is empty; a sum of two dims is refused
+    assert main(["--json", "flag", "cube(2) - polygon(4)"]) == 0
+    assert capsys.readouterr().out == "[]\n"
+    assert main(["flag", "cube(2) - polygon(4)"]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["flag", "2*empty - pt"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "flag vectors need a homogeneous sum" in captured.err
 
 
 def test_cli_fpoly_routes(capsys):

@@ -6,9 +6,10 @@ import pytest
 from polyqsym import polytopes as pb
 from polyqsym import store
 from polyqsym.exprs import MAX_FACES
-from polyqsym.posets import GradedPoset, poset_product
-from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, brute_flag_number,
-                      cw_sphere_lattice, random_graded_poset)
+from polyqsym.posets import GradedPoset
+from conftest import (DIAGONAL_SPHERE, FOLDED_PRISM, MERGED_OCTAHEDRON,
+                      brute_flag_number, cw_sphere_lattice, flag_test_types,
+                      random_graded_poset, random_lattices)
 from oracles import (bipyramid_lattice_route, canonical_key_oracle,
                      interval_polytope_cut_route, product_lattice_route,
                      relabel)
@@ -256,40 +257,6 @@ def test_concurrent_construction_is_consistent(empty_store):
         assert store.types[results[i][1]] is results[i][0]
 
 
-# A triangular prism with one square folded along a diagonal: 6 vertices,
-# 10 edges and 6 facets, like the pentagonal pyramid, but another type.
-FOLDED_PRISM = [{0, 1, 2}, {3, 4, 5}, {0, 1, 4}, {0, 4, 3}, {1, 2, 5, 4},
-                {2, 0, 3, 5}]
-
-
-def _random_lattices(rng, count):
-    """Face lattices of random products, joins, duals and B/C words of
-    dim <= 4, built by the lattice constructions alone, so that no
-    registry lookup or key is involved.  The pool starts with two 3-
-    polytopes of equal f-vector, so equal counts do not imply equal keys."""
-    pool = [pb.point().lattice, pb.segment().lattice, pb.simplex(2).lattice,
-            pb.polygon(5).lattice, pb.cone(pb.polygon(5)).lattice,
-            pb.from_incidence(FOLDED_PRISM).lattice]
-    out = []
-    while len(out) < count:
-        op = rng.choice(("prod", "join", "dual", "B", "C"))
-        a, b = rng.choice(pool), rng.choice(pool)
-        if op == "prod":
-            lat = pb._face_product(a, b)
-        elif op == "join":
-            lat = poset_product(a, b)
-        elif op == "dual":
-            lat = a.dual()
-        elif op == "B":
-            lat = pb._face_product(a, pb.segment().lattice, at_top=True)
-        else:
-            lat = poset_product(pb.point().lattice, a)
-        if lat.height <= 5 and lat.n <= 120:
-            pool.append(lat)
-            out.append(lat)
-    return out
-
-
 def _relabelled(rng, lat):
     perm = list(range(lat.n))
     rng.shuffle(perm)
@@ -321,7 +288,7 @@ def test_incidence_key_matches_lattice_key(catalogue, monkeypatch):
     faces = _faces_and_quotients(p.lattice for p in catalogue.values())
     # one lattice for each labelled face type keeps the run short
     lattices += list({(f.ranks, f.covers): f for f in faces}.values())
-    lattices += _random_lattices(rng, 60)
+    lattices += random_lattices(rng, 60)
     lattices += [_relabelled(rng, lat) for lat in lattices]
     real = GradedPoset.canonical_key
     searched = []
@@ -374,7 +341,7 @@ def test_canonical_key_matches_oracle(catalogue):
     random relabelling, and dualized under another."""
     rng = random.Random(17)
     lattices = ([p.lattice for p in catalogue.values()]
-                + _random_lattices(rng, 80))
+                + random_lattices(rng, 80))
     lattices += _faces_and_quotients(lattices)
     lattices = list({(lat.ranks, lat.covers): lat
                      for lat in lattices}.values())
@@ -444,7 +411,7 @@ def test_face_product_matches_routes(catalogue):
     product with a point keeps the type."""
     small = list({p.key: p.lattice for p in catalogue.values()
                   if 0 <= p.dim <= 3}.values())
-    lattices = small + _random_lattices(random.Random(5), 30)
+    lattices = small + random_lattices(random.Random(5), 30)
     lattices.append(pb.from_incidence(FOLDED_PRISM).lattice)
     seg = pb.segment().lattice
     for a in lattices:
@@ -469,6 +436,39 @@ def test_f_vector_matches_flag_numbers(catalogue):
     for name, p in catalogue.items():
         assert pb.f_vector(p) == [pb.flag_number(p, (i,))
                                   for i in range(max(p.dim, 0))], name
+
+
+def _all_flag_sets(p):
+    dims = range(p.dim)
+    return [s for k in range(max(p.dim, 0) + 1)
+            for s in itertools.combinations(dims, k)]
+
+
+def test_flag_vector_is_memoized_per_type(catalogue, empty_store):
+    """The flag vector equals the brute-force count on every set on the
+    first call, on a second call (the same mapping) and after the store is
+    cleared."""
+    polys = flag_test_types(catalogue)
+    wants = [{s: brute_flag_number(p, s) for s in _all_flag_sets(p)}
+             for p in polys]
+    assert wants[-2] == wants[-1] == {(): 1}
+    firsts = [pb.flag_vector(p) for p in polys]
+    assert [dict(f) for f in firsts] == wants
+    assert all(pb.flag_vector(p) is f for p, f in zip(polys, firsts))
+    assert store.memo[("flags", polys[0].key)] is firsts[0]
+    empty_store()
+    assert [dict(pb.flag_vector(p)) for p in polys] == wants
+
+
+def test_flag_vector_is_read_only(catalogue, empty_store):
+    for p in flag_test_types(catalogue):
+        flags = pb.flag_vector(p)
+        want = dict(flags)
+        with pytest.raises(TypeError):
+            flags[()] = 0
+        with pytest.raises(TypeError):
+            del flags[()]
+        assert dict(pb.flag_vector(p)) == want
 
 
 def test_constructions_are_memoized(monkeypatch, empty_store):
@@ -565,7 +565,7 @@ def test_interval_polytope_matches_cut_route(catalogue, empty_store):
     polys = list(catalogue.values())
     polys += [pb.from_incidence(facets) for facets in INCIDENCES]
     polys += [pb.Polytope(lat)
-              for lat in _random_lattices(random.Random(11), 40)]
+              for lat in random_lattices(random.Random(11), 40)]
     empty_store()
     _assert_intervals_match_cut_route(polys)
     registered = dict(store.types)

@@ -6,8 +6,9 @@ from polyqsym import polytopes as pb
 from polyqsym import transforms
 from polyqsym.polys import MultiPoly
 from polyqsym.qsym import QSym
-from polyqsym.ring import (JOIN_RING, a_op, antipode_rp, bipyramid_op,
-                           cone_op, l_alpha, mul_join, mul_product)
+from polyqsym.ring import (JOIN_RING, FormalSum, a_op, antipode_rp,
+                           bipyramid_op, cone_op, l_alpha, mul_join,
+                           mul_product)
 from polyqsym.suites import omega_polytopes
 from polyqsym.transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                                  a0_qsym, a_rp_qsym, b0_qsym, b_qsym,
@@ -18,7 +19,7 @@ from polyqsym.transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                                  flag_composition, phi_alpha, phi_zero,
                                  project_bb, sparse_index_sets,
                                  verify_image_equations)
-from conftest import fs
+from conftest import FOLDED_PRISM, flag_test_types, fs
 from oracles import (basis_word_strings_recursion, ehrenborg_F_chain_route,
                      f_poly_operator_route, f_rp_coaction_route,
                      multipoly_alpha, multipoly_var, phi_image_law_holds,
@@ -115,6 +116,39 @@ def test_coaction_route_equals_chain_route(catalogue):
             if c:
                 acc = acc + c * M(word)
         assert acc == ehrenborg_F(p), name
+
+
+def test_ehrenborg_F_matches_chain_route(catalogue, empty_store):
+    """F equals the chain-route oracle on every type, on the first call
+    and again from its memo, and a sum whose terms cancel goes to zero."""
+    polys = flag_test_types(catalogue)
+    for _ in range(2):
+        for p in polys:
+            assert ehrenborg_F(p) == ehrenborg_F_chain_route(p), p
+    # two 3-polytopes of equal f-vector have equal flag vectors
+    folded, pyramid = pb.from_incidence(FOLDED_PRISM), pb.cone(pb.polygon(5))
+    s = FormalSum(JOIN_RING, ((folded, 2), (pyramid, -2)))
+    assert len(s.terms) == 2 and ehrenborg_F(s).is_zero()
+    cube = fs(pb.cube(3), JOIN_RING)
+    assert ehrenborg_F(s + cube) == ehrenborg_F(cube)
+
+
+def test_flag_transforms_count_flags_once(catalogue, monkeypatch,
+                                          empty_store):
+    """After the first call on a type, the flag vector, F, f and f_RP make
+    no flag-number call and no chain count."""
+    polys = flag_test_types(catalogue)
+
+    def reads(p):
+        return (dict(pb.flag_vector(p)), ehrenborg_F(p), f_rp(p),
+                None if p.is_empty() else f_poly(p))
+    first = [reads(p) for p in polys]
+
+    def recount(*args):
+        raise AssertionError("flag numbers counted again")
+    monkeypatch.setattr(pb, "flag_number", recount)
+    monkeypatch.setattr(pb, "_chain_count", recount)
+    assert [reads(p) for p in polys] == first
 
 
 def test_f_rp():
