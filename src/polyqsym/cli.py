@@ -5,11 +5,11 @@ An output error, such as a full device, is an I/O error too, reported in
 one line; a write to a pipe whose reader has gone exits 3 without a
 message.
 All numeric output is exact; rationals cross the JSON boundary as strings.
-Integer arguments are bounded, as expressions are by `exprs.MAX_FACES`
-(`transforms.MAX_BB_DIM` bounds `bb-matrix` and `project --dim`, which
-build no basis polytope): past a bound a command exits 2 before the work.
-A cache entry with more than `exprs.MAX_FACES` faces exits 3 before any
-lattice is built.
+Integer arguments are bounded, as constructions are by
+`polytopes.MAX_FACES` (`transforms.MAX_BB_DIM` bounds `bb-matrix` and
+`project --dim`, which build no basis polytope): past a bound a command
+exits 2 before the work.  A cache entry with more than
+`polytopes.MAX_FACES` faces exits 3 before any lattice is built.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import tempfile
 
 from . import polytopes as pb
-from .exprs import MAX_FACES, ExprError, parse_expression
+from .exprs import ExprError, parse_expression
 from .polys import format_terms
 from .ring import JOIN_RING, PRODUCT_RING
 from .suites import SUITES, run_suite
@@ -57,7 +57,7 @@ def _load_cache(path):
         raise CliIOError("cache %s has schema %r, expected %r"
                          % (path, data.get("schema"), CACHE_SCHEMA))
     try:
-        return pb.registry_restore(data.get("registry", []), MAX_FACES)
+        return pb.registry_restore(data.get("registry", []))
     except ValueError as exc:
         raise CliIOError("invalid cache %s: %s" % (path, exc)) from None
 

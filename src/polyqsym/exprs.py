@@ -5,17 +5,22 @@
     factor := 'C' factor | 'B' factor | 'dual' '(' sum ')'
             | 'prod' '(' sum ',' sum ')' | 'join' '(' sum ',' sum ')'
             | atom | '(' sum ')'
-    atom   := 'empty' | 'pt' | 'cell24' | NAME '(' INT ')' | 'word' '(' WORD ')'
+    atom   := NAME ['(' (INT | NAME) ')']
 
 Unary cone/bipyramid/dual bind tighter than '*'; '+'/'-' bind last.
-Factors nest ('(', 'C', 'B', 'dual(', 'prod(', 'join(') at most MAX_DEPTH
-deep, and no atom or operator result may have more than MAX_FACES faces;
-both limits refuse input before anything is built.
+An atom is `polytopes.build_named(NAME, ..)`, and each operator the ring
+operation on the sums it takes.  Factors nest ('(', 'C', 'B', 'dual(',
+'prod(', 'join(') at most MAX_DEPTH deep, a limit met before anything is
+built.  A construction that `polytopes` refuses, such as one past its
+face bound `polytopes.MAX_FACES`, the empty polytope in a product or an
+unknown atom, is an ExprError at the first token of its factor.  Each
+construction is refused before its own lattice is built, so a refused
+expression may build smaller lattices before the oversized one, such as
+the other pairs of a product of sums, but none past the bound.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 
 from . import polytopes as pb
@@ -30,29 +35,7 @@ class ExprError(ValueError):
 
 
 MAX_DEPTH = 100
-# a lattice of n faces keeps order masks of n^2 bits
-MAX_FACES = 10_000
 _NESTING = ("C", "B", "dual", "prod", "join")
-
-
-def _grow(letters, faces=1):
-    """Face count after cones (C: 2a faces) and bipyramids (B: 3a - 2, the
-    point from the empty polytope) on a polytope of a faces, counted only
-    until it passes MAX_FACES, as the letters may come from user input."""
-    for letter in letters:
-        if faces > MAX_FACES:
-            break
-        faces = 2 * faces if letter == "C" else max(3 * faces - 2, 2)
-    return faces
-
-
-def _largest(s):
-    return max((p.lattice.n for p in s.terms), default=1)
-
-
-def _check_faces(faces, position):
-    if faces > MAX_FACES:
-        raise ExprError("expression too large", position)
 
 
 _TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>[A-Za-z][A-Za-z0-9]*)"
@@ -132,7 +115,12 @@ class _Parser:
         self.depth += nests
         if self.depth > MAX_DEPTH:
             raise ExprError("expression nested too deeply", position)
-        out = self._factor(kind, value, position)
+        try:
+            out = self._factor(kind, value, position)
+        except ExprError:
+            raise
+        except ValueError as exc:
+            raise ExprError(str(exc), position) from None
         self.depth -= nests
         return out
 
@@ -146,14 +134,12 @@ class _Parser:
             raise ExprError("expected an expression", position)
         self.take()
         if value in ("C", "B"):
-            inner = self.parse_factor()
-            _check_faces(_grow(value, _largest(inner)), position)
-            return (cone_op if value == "C" else bipyramid_op)(inner)
+            return (cone_op if value == "C" else bipyramid_op)(
+                self.parse_factor())
         if value == "dual":
             self.expect_sym("(")
             inner = self.parse_sum()
             self.expect_sym(")")
-            # a dual has the face count of its operand, checked already
             return dual_sum(inner)
         if value in ("prod", "join"):
             self.expect_sym("(")
@@ -161,54 +147,20 @@ class _Parser:
             self.expect_sym(",")
             right = self.parse_sum()
             self.expect_sym(")")
-            a, b = _largest(left), _largest(right)
-            _check_faces((a - 1) * (b - 1) + 1 if value == "prod" else a * b,
-                         position)
-            if value == "prod":
-                prod = mul_product(_as_product_ring(left, position),
-                                   _as_product_ring(right, position))
-                return FormalSum(JOIN_RING, prod.terms)
-            return mul_join(left, right)
-        return self.parse_atom(value, position)
+            return (mul_product if value == "prod" else mul_join)(left, right)
+        return self.parse_atom(value)
 
-    def parse_atom(self, name, position):
-        if name in ("empty", "pt", "cell24"):
-            return FormalSum.of(pb.build_named(name), JOIN_RING)
-        if name == "word":
-            self.expect_sym("(")
-            kind, letters, wpos = self.take()
-            if kind != "name" or any(ch not in "BC" for ch in letters):
-                raise ExprError("word(..) takes letters B and C", wpos)
+    def parse_atom(self, name):
+        params = ()
+        kind, value, _ = self.peek()
+        if kind == "sym" and value == "(":
+            self.take()
+            kind, arg, position = self.take()
+            if kind not in ("int", "name"):
+                raise ExprError("expected an integer or a word", position)
             self.expect_sym(")")
-            _check_faces(_grow(reversed(letters)), position)
-            return FormalSum.of(pb.from_word(letters), JOIN_RING)
-        if name in ("simplex", "cube", "cross", "polygon"):
-            self.expect_sym("(")
-            kind, n, npos = self.take()
-            if kind != "int":
-                raise ExprError("%s(..) takes an integer" % name, npos)
-            self.expect_sym(")")
-            # simplex(n) has the 2^(n+1) faces of C^(n+1) empty, cube(n)
-            # and cross(n) the 3^n + 1 of B^(n+1) empty; each letter at
-            # least doubles the count, so MAX_FACES.bit_length() letters
-            # pass MAX_FACES, however large n is
-            letters = min(n + 1, MAX_FACES.bit_length())
-            _check_faces(2 * n + 2 if name == "polygon" else _grow(
-                itertools.repeat("C" if name == "simplex" else "B", letters)),
-                position)
-            try:
-                return FormalSum.of(pb.build_named(name, n), JOIN_RING)
-            except ValueError as exc:
-                raise ExprError(str(exc), npos) from None
-        raise ExprError("unknown atom %r" % name, position)
-
-
-def _as_product_ring(s, position):
-    try:
-        return FormalSum(PRODUCT_RING, s.terms)
-    except ValueError:
-        raise ExprError("the empty polytope cannot enter prod(..)",
-                        position) from None
+            params = (arg,)
+        return FormalSum.of(pb.build_named(name, *params), JOIN_RING)
 
 
 def parse_expression(text, ambient=None):

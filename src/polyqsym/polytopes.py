@@ -21,6 +21,10 @@ A key takes one of three routes, each exact on face lattices:
   A face lattice is atomic and coatomic, so the incidence fixes it
   (Kaibel & Schwartz, Graphs & Combin. 19, 2003).
 
+Bound: each constructor counts the faces of its result (a memoized one
+on a miss only) and raises ValueError ("too large: ...") before it
+builds a lattice of more than MAX_FACES faces.
+
 Faces and quotients of a face lattice are face lattices, and
 `registry_restore` and `from_incidence` check that property, including
 that every interval of height 3 is a polygon, on lattices read from
@@ -53,6 +57,27 @@ from types import MappingProxyType
 
 from . import store
 from .posets import GradedPoset, PosetError, boolean_lattice, poset_product
+
+# a lattice of n faces keeps order masks of n^2 bits
+MAX_FACES = 10_000
+
+
+def _check_faces(faces, what):
+    if faces > MAX_FACES:
+        raise ValueError("too large: %s has more than %d faces"
+                         % (what, MAX_FACES))
+
+
+def _check_word(word, what):
+    """Refuse the polytope of a word over {B, C} past MAX_FACES faces.
+    Read right to left from the empty polytope, C takes a faces to 2a and
+    B to 3a - 2 (the point from the empty polytope): each letter at least
+    doubles the count, so only the last MAX_FACES.bit_length() letters
+    count, however long the word."""
+    faces = 1
+    for letter in reversed(word[-MAX_FACES.bit_length():]):
+        faces = 2 * faces if letter == "C" else max(3 * faces - 2, 2)
+    _check_faces(faces, what)
 
 
 class Polytope:
@@ -233,10 +258,10 @@ def _checked_face_lattice(lat):
     return lat
 
 
-def registry_restore(entries, max_faces):
+def registry_restore(entries):
     """Register the face lattices of a saved registry list.  Raises
     PosetError, before any lattice is built, if an entry lists more than
-    `max_faces` ranks, and on an entry that is not a graded poset or that
+    MAX_FACES ranks, and on an entry that is not a graded poset or that
     fails `_checked_face_lattice`."""
     if not isinstance(entries, list):
         raise PosetError("registry must be a list")
@@ -244,9 +269,9 @@ def registry_restore(entries, max_faces):
         if not isinstance(obj, dict):
             raise PosetError("registry entry must be an object")
         if isinstance(obj.get("ranks"), list) and \
-                len(obj["ranks"]) > max_faces:
+                len(obj["ranks"]) > MAX_FACES:
             raise PosetError("a lattice of %d faces, more than %d"
-                             % (len(obj["ranks"]), max_faces))
+                             % (len(obj["ranks"]), MAX_FACES))
     for obj in entries:
         canonical(Polytope(_checked_face_lattice(
             GradedPoset.from_json_obj(obj))))
@@ -269,6 +294,8 @@ def point():
 def simplex(n):
     if n < 0:
         raise ValueError("simplex(n) needs n >= 0")
+    # simplex(n) is C^(n+1) empty
+    _check_word("C" * min(n + 1, MAX_FACES.bit_length()), "simplex(n)")
     return canonical(Polytope(boolean_lattice(n + 1)))
 
 
@@ -280,6 +307,8 @@ def segment():
 def cube(n):
     if n < 1:
         raise ValueError("cube(n) needs n >= 1")
+    # cube(n) has the 3^n + 1 faces of cross(n), B^(n+1) empty
+    _check_word("B" * min(n + 1, MAX_FACES.bit_length()), "cube(n)")
     p = segment()
     for _ in range(n - 1):
         p = product(p, segment())
@@ -290,6 +319,7 @@ def cross(n):
     """n-fold bipyramid over a point."""
     if n < 1:
         raise ValueError("cross(n) needs n >= 1")
+    _check_word("B" * min(n + 1, MAX_FACES.bit_length()), "cross(n)")
     p = point()
     for _ in range(n):
         p = bipyramid(p)
@@ -299,6 +329,7 @@ def cross(n):
 def polygon(m):
     if m < 3:
         raise ValueError("polygon(m) needs m >= 3")
+    _check_faces(2 * m + 2, "polygon(m)")
     # 0 = empty face, 1..m vertices, m+1..2m edges, 2m+1 top
     ranks = [0] + [1] * m + [2] * m + [3]
     covers = [(0, 1 + i) for i in range(m)]
@@ -335,16 +366,21 @@ def cell24():
 
 
 def build_named(name, *params):
-    """Catalogue entry point: empty | pt | simplex(n) | cube(n) | cross(n)
-    | polygon(m) | cell24."""
-    makers = {"empty": (empty, 0), "pt": (point, 0), "simplex": (simplex, 1),
-              "cube": (cube, 1), "cross": (cross, 1), "polygon": (polygon, 1),
-              "cell24": (cell24, 0)}
+    """Catalogue entry point: empty | pt | cell24 | simplex(n) | cube(n)
+    | cross(n) | polygon(m) | word(w), n and m integers and w a string
+    over {B, C}.  Raises ValueError on any other name or parameters."""
+    makers = {"empty": (empty, ()), "pt": (point, ()), "cell24": (cell24, ()),
+              "simplex": (simplex, (int,)), "cube": (cube, (int,)),
+              "cross": (cross, (int,)), "polygon": (polygon, (int,)),
+              "word": (from_word, (str,))}
     if name not in makers:
         raise ValueError("unknown polytope name %r" % name)
-    fn, arity = makers[name]
-    if len(params) != arity:
-        raise ValueError("%s takes %d parameter(s)" % (name, arity))
+    fn, kinds = makers[name]
+    if len(params) != len(kinds):
+        raise ValueError("%s takes %d parameter(s)" % (name, len(kinds)))
+    if not all(map(isinstance, params, kinds)):
+        raise ValueError("%s(..) takes %s" % (
+            name, "an integer" if int in kinds else "letters B and C"))
     return store.memoized(store.memo, (name,) + params,
                           lambda: fn(*params))
 
@@ -357,6 +393,7 @@ def from_word(word):
         raise ValueError("operator word must use letters B and C only")
 
     def make():
+        _check_word(word, "the word")
         p = empty()
         for ch in reversed(word):
             p = cone(p) if ch == "C" else bipyramid(p)
@@ -368,17 +405,19 @@ def from_incidence(facet_vertex_sets):
     """Face lattice from facet vertex sets, by intersection closure.
 
     Validates that the closure is graded and passes the checks of
-    `_checked_face_lattice`; arbitrary set systems are rejected.
+    `_checked_face_lattice`; arbitrary set systems are rejected, and so is
+    a closure past MAX_FACES faces as soon as it passes.
     """
     facets = [frozenset(f) for f in facet_vertex_sets]
     if not facets:
         raise ValueError("need at least one facet")
     allv = frozenset().union(*facets)
+    faces = {frozenset(), allv, *facets}
+    _check_faces(len(faces), "the incidence closure")
     for f in facets:
         for g in facets:
             if f < g:
                 raise ValueError("one facet contains another")
-    faces = set(facets)
     work = list(facets)
     while work:
         nxt = []
@@ -387,10 +426,9 @@ def from_incidence(facet_vertex_sets):
                 c = a & b
                 if c not in faces:
                     faces.add(c)
+                    _check_faces(len(faces), "the incidence closure")
                     nxt.append(c)
         work = nxt
-    faces.add(frozenset())
-    faces.add(allv)
     faces = sorted(faces, key=lambda f: (len(f), tuple(sorted(f))))
     index = {f: i for i, f in enumerate(faces)}
     covers = []
@@ -422,16 +460,20 @@ def product(p, q):
     """Direct product; nonempty faces are pairs of nonempty faces."""
     if p.is_empty() or q.is_empty():
         raise ValueError("product is defined on nonempty polytopes")
-    return store.memoized(
-        store.memo, ("prod", p.key, q.key),
-        lambda: canonical(Polytope(_face_product(p.lattice, q.lattice))))
+
+    def make():
+        a, b = p.lattice.n, q.lattice.n
+        _check_faces((a - 1) * (b - 1) + 1, "the product")
+        return canonical(Polytope(_face_product(p.lattice, q.lattice)))
+    return store.memoized(store.memo, ("prod", p.key, q.key), make)
 
 
 def join(p, q):
     """Join: the face lattice is the product of the face lattices."""
-    return store.memoized(
-        store.memo, ("join", p.key, q.key),
-        lambda: canonical(Polytope(poset_product(p.lattice, q.lattice))))
+    def make():
+        _check_faces(p.lattice.n * q.lattice.n, "the join")
+        return canonical(Polytope(poset_product(p.lattice, q.lattice)))
+    return store.memoized(store.memo, ("join", p.key, q.key), make)
 
 
 def cone(p):
@@ -442,10 +484,12 @@ def bipyramid(p):
     """Double cone: the free sum with a segment."""
     if p.is_empty():
         return point()
-    return store.memoized(
-        store.memo, ("bipyramid", p.key),
-        lambda: canonical(Polytope(
-            _face_product(p.lattice, segment().lattice, at_top=True))))
+
+    def make():
+        _check_faces(3 * p.lattice.n - 2, "the bipyramid")
+        return canonical(Polytope(
+            _face_product(p.lattice, segment().lattice, at_top=True)))
+    return store.memoized(store.memo, ("bipyramid", p.key), make)
 
 
 def _face_product(lp, lq, at_top=False):

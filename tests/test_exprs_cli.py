@@ -76,7 +76,7 @@ def test_parse_depth_limit(capsys, monkeypatch):
         {pb.point(): 1}
 
 
-def test_expression_size_limit(capsys, monkeypatch):
+def test_expression_size_limit(capsys, monkeypatch, empty_store):
     for text in ("simplex(30)", "cube(1000000000)", "prod(cube(6),cube(6))",
                  "join(simplex(7),simplex(7))", "word(%s)" % ("C" * 14)):
         assert main(["build", text]) == 2
@@ -85,11 +85,31 @@ def test_expression_size_limit(capsys, monkeypatch):
     assert main(["build", "cube(4)"]) == 0
     capsys.readouterr()
     # cone and bipyramid are checked on their built operand
-    monkeypatch.setattr(exprs, "MAX_FACES", 10)
+    monkeypatch.setattr(pb, "MAX_FACES", 10)
     for text in ("C cube(2)", "B cube(2)", "cube(3)", "polygon(5)"):
         with pytest.raises(ExprError, match="too large"):
             parse_expression(text)
     assert parse_expression("dual(cube(2))").terms == {pb.cube(2): 1}
+
+
+def test_refusal_is_reported_at_its_own_factor():
+    with pytest.raises(ExprError, match="nonempty polytopes") as err:
+        parse_expression("C prod(empty, pt)")
+    assert err.value.position == 2
+    with pytest.raises(ExprError, match="too large") as err:
+        parse_expression("pt + join(pt, B cube(8))")
+    assert err.value.position == 14
+
+
+def test_bad_atoms_exit_2_at_their_name(capsys):
+    """An atom is a catalogue request: a name or parameter that
+    `build_named` refuses is a syntax error at the atom's name."""
+    for text in ("pt(3)", "simplex", "frobnicate(3)", "simplex(BC)",
+                 "word(12)"):
+        assert main(["build", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("syntax error: ") and err.endswith(
+            " at offset 0\n") and "Traceback" not in err, (text, err)
 
 
 def test_named_atoms_are_memoized(monkeypatch):
@@ -488,7 +508,7 @@ def test_cli_cache_rejects_lattice_past_face_bound(tmp_path, capsys,
     entry = {"ranks": [bin(x).count("1") for x in range(1 << n)],
              "covers": [[x, x | 1 << i] for x in range(1 << n)
                         for i in range(n) if not x >> i & 1]}
-    assert len(entry["ranks"]) > exprs.MAX_FACES
+    assert len(entry["ranks"]) > pb.MAX_FACES
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"schema": 1, "registry": [entry]}))
     built = []
@@ -499,7 +519,7 @@ def test_cli_cache_rejects_lattice_past_face_bound(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert "16384 faces, more than %d" % exprs.MAX_FACES in captured.err
+    assert "16384 faces, more than %d" % pb.MAX_FACES in captured.err
     assert not built and not store.types
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from polyqsym import polytopes as pb
 from polyqsym import store
-from polyqsym.exprs import MAX_FACES
+from polyqsym.polytopes import MAX_FACES
 from polyqsym.posets import GradedPoset
 from conftest import (DIAGONAL_SPHERE, FOLDED_PRISM, MERGED_OCTAHEDRON,
                       brute_flag_number, cw_sphere_lattice, flag_test_types,
@@ -51,6 +51,46 @@ def test_word_construction():
         pb.from_word("")
     with pytest.raises(ValueError):
         pb.from_word("CXC")
+
+
+def _cube_facets(n):
+    """The facet vertex sets of the n-cube, its vertices the n-bit masks."""
+    return [{v for v in range(1 << n) if v >> i & 1 == side}
+            for i in range(n) for side in (0, 1)]
+
+
+REFUSALS = {
+    "polygon(6000)": lambda: pb.polygon(6000),
+    "word(C^14)": lambda: pb.from_word("C" * 14),
+    "bipyramid(cube(8))": lambda: pb.bipyramid(pb.cube(8)),
+    "simplex(10^20)": lambda: pb.simplex(10 ** 20),
+    "cube(10^20)": lambda: pb.cube(10 ** 20),
+    "cross(10^20)": lambda: pb.cross(10 ** 20),
+    "polygon(10^20)": lambda: pb.polygon(10 ** 20),
+    "word(C^10^6)": lambda: pb.from_word("C" * 10 ** 6),
+    "product(cube(6),cube(6))": lambda: pb.product(pb.cube(6), pb.cube(6)),
+    "from_incidence(9-cube)": lambda: pb.from_incidence(_cube_facets(9)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REFUSALS))
+def test_constructions_past_face_bound_build_nothing(label, monkeypatch):
+    """Each constructor refuses a result of more than MAX_FACES faces
+    before it builds a lattice; the operands, cube(6) and cube(8) (6,562
+    faces), are built and memoized first."""
+    pb.cube(6), pb.cube(8)
+    built = []
+    real_init = GradedPoset.__init__
+
+    def init(lat, ranks, covers):
+        ranks = list(ranks)
+        built.append(len(ranks))
+        assert len(ranks) <= MAX_FACES, "a lattice of %d faces" % len(ranks)
+        real_init(lat, ranks, covers)
+    monkeypatch.setattr(GradedPoset, "__init__", init)
+    with pytest.raises(ValueError, match="too large"):
+        REFUSALS[label]()
+    assert built == []
 
 
 def test_incidence_small():
@@ -389,7 +429,7 @@ def test_face_lattice_checks(catalogue):
     assert not pb._is_facet_closure(merged)
     for lat in (diagonal, merged):
         with pytest.raises(pb.PosetError, match="face lattice"):
-            pb.registry_restore([lat.to_json_obj()], MAX_FACES)
+            pb.registry_restore([lat.to_json_obj()])
 
 
 def _rank_profile(lat):
