@@ -170,8 +170,11 @@ def _cmd_lyndon(args):
     if args.weight is None:
         print("lyndon needs --weight or --k-table", file=sys.stderr)
         return 2
-    alphabet = lyndon.ODD if args.alphabet == "odd" \
-        else tuple(int(a) for a in args.alphabet.split(","))
+    try:
+        alphabet = lyndon.ODD if args.alphabet == "odd" \
+            else tuple(int(a) for a in args.alphabet.split(","))
+    except ValueError:
+        raise ValueError("--alphabet takes odd or comma-separated integers")
     if args.weight > MAX_WEIGHT:
         raise ValueError("--weight is at most %d" % MAX_WEIGHT)
     count = lyndon.count_words_of_weight(alphabet, args.weight)

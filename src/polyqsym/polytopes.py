@@ -402,52 +402,48 @@ def from_word(word):
 
 
 def from_incidence(facet_vertex_sets):
-    """Face lattice from facet vertex sets, by intersection closure.
+    """Face lattice from facet vertex sets, in one pass from the top down.
 
-    Validates that the closure is graded and passes the checks of
-    `_checked_face_lattice`; arbitrary set systems are rejected, and so is
-    a closure past MAX_FACES faces as soon as it passes.
+    Faces are the intersections of facets, with the empty face and the top,
+    as bitmasks over the vertices, so vertex labels need only hash.  A face
+    f covers the maximal sets f & F, F a facet not containing f, or the
+    empty face if every facet contains f (Kaibel & Pfetsch, Comput. Geom.
+    23, 2002).  Each face takes its corank when first met; a cover that
+    does not raise it by one means the closure is not graded.  The lattice
+    must pass `_checked_face_lattice`, and a closure past MAX_FACES faces,
+    the empty face counted from the start, is refused as soon as it passes.
     """
-    facets = [frozenset(f) for f in facet_vertex_sets]
+    vertices = {}
+    facets = [sum({1 << vertices.setdefault(v, len(vertices)) for v in f})
+              for f in facet_vertex_sets]
     if not facets:
         raise ValueError("need at least one facet")
-    allv = frozenset().union(*facets)
-    faces = {frozenset(), allv, *facets}
-    _check_faces(len(faces), "the incidence closure")
-    for f in facets:
-        for g in facets:
-            if f < g:
-                raise ValueError("one facet contains another")
-    work = list(facets)
-    while work:
-        nxt = []
-        for a in work:
-            for b in facets:
-                c = a & b
-                if c not in faces:
-                    faces.add(c)
-                    _check_faces(len(faces), "the incidence closure")
-                    nxt.append(c)
-        work = nxt
-    faces = sorted(faces, key=lambda f: (len(f), tuple(sorted(f))))
-    index = {f: i for i, f in enumerate(faces)}
-    covers = []
-    for i, f in enumerate(faces):
-        subs = [g for g in faces if len(g) < len(f) and g < f]
-        maxsubs = [g for g in subs if not any(g < h for h in subs)]
-        covers.extend((index[g], i) for g in maxsubs)
-    # longest-chain ranks; gradedness means every cover then raises by one
-    ranks = [0] * len(faces)
-    up = [[] for _ in faces]
-    for a, b in covers:
-        up[a].append(b)
-    for i in range(len(faces)):
-        for b in up[i]:
-            ranks[b] = max(ranks[b], ranks[i] + 1)
-    if any(ranks[b] != ranks[a] + 1 for a, b in covers):
+    top = (1 << len(vertices)) - 1
+    _check_faces(len({0, top, *facets}), "the incidence closure")
+    if any(f & g == f != g for f in facets for g in facets):
+        raise ValueError("one facet contains another")
+    faces, corank, covers = [top], {top: 0}, []
+    for f in faces:
+        maximal = []
+        for g in sorted({0, *(f & facet for facet in facets)} - {f},
+                        key=int.bit_count, reverse=True):
+            if all(g & ~h for h in maximal):
+                maximal.append(g)
+                covers.append((g, f))
+                if g not in corank:
+                    corank[g] = corank[f] + 1
+                    faces.append(g)
+                    _check_faces(len(faces) + (0 not in corank),
+                                 "the incidence closure")
+    if any(corank[g] != corank[f] + 1 for g, f in covers):
         raise ValueError("not a valid polytope incidence: closure not graded")
+    # numbered as met, the top first; the empty face, met last, has the
+    # largest corank, the height
+    index = {f: i for i, f in enumerate(faces)}
     try:
-        lattice = _checked_face_lattice(GradedPoset(ranks, covers))
+        lattice = _checked_face_lattice(GradedPoset(
+            [corank[0] - corank[f] for f in faces],
+            [(index[g], index[f]) for g, f in covers]))
     except PosetError as exc:
         raise ValueError("not a valid polytope incidence: %s" % exc) from None
     return canonical(Polytope(lattice))

@@ -38,6 +38,10 @@ routes that check it live here, unchanged apart from their imports and from
   lattices of the direct product and of the bipyramid each from its own
   description, and check the one product of face lattices,
   `polyqsym.polytopes._face_product`, that builds both;
+- `incidence_lattice_route` closes the facet vertex sets under
+  intersection, tests every pair of faces for a cover and ranks by the
+  longest chain, and checks the one top-down pass of
+  `polyqsym.polytopes.from_incidence`;
 - `relabel`, `one_element_poset`, `chain_poset` and `poset_coproduct` are
   poset helpers only the tests call;
 - `lift_from_expansion` reads a quasi-symmetric function back off its
@@ -485,6 +489,59 @@ def bipyramid_lattice_route(lat):
         covers.append((base[x], conei[(0, x)]))
         covers.append((base[x], conei[(1, x)]))
     return GradedPoset(ranks, covers)
+
+
+# -- face lattices from vertex-facet incidences -------------------------------
+
+
+def incidence_lattice_route(facet_vertex_sets):
+    """Face lattice from facet vertex sets, by intersection closure, a
+    cover test over every pair of faces and longest-chain ranks, as an
+    unregistered Polytope; raises ValueError where `pb.from_incidence`
+    must.  Vertex labels must sort."""
+    facets = [frozenset(f) for f in facet_vertex_sets]
+    if not facets:
+        raise ValueError("need at least one facet")
+    allv = frozenset().union(*facets)
+    faces = {frozenset(), allv, *facets}
+    pb._check_faces(len(faces), "the incidence closure")
+    for f in facets:
+        for g in facets:
+            if f < g:
+                raise ValueError("one facet contains another")
+    work = list(facets)
+    while work:
+        nxt = []
+        for a in work:
+            for b in facets:
+                c = a & b
+                if c not in faces:
+                    faces.add(c)
+                    pb._check_faces(len(faces), "the incidence closure")
+                    nxt.append(c)
+        work = nxt
+    faces = sorted(faces, key=lambda f: (len(f), tuple(sorted(f))))
+    index = {f: i for i, f in enumerate(faces)}
+    covers = []
+    for i, f in enumerate(faces):
+        subs = [g for g in faces if len(g) < len(f) and g < f]
+        maxsubs = [g for g in subs if not any(g < h for h in subs)]
+        covers.extend((index[g], i) for g in maxsubs)
+    # longest-chain ranks; gradedness means every cover then raises by one
+    ranks = [0] * len(faces)
+    up = [[] for _ in faces]
+    for a, b in covers:
+        up[a].append(b)
+    for i in range(len(faces)):
+        for b in up[i]:
+            ranks[b] = max(ranks[b], ranks[i] + 1)
+    if any(ranks[b] != ranks[a] + 1 for a, b in covers):
+        raise ValueError("not a valid polytope incidence: closure not graded")
+    try:
+        lattice = pb._checked_face_lattice(GradedPoset(ranks, covers))
+    except PosetError as exc:
+        raise ValueError("not a valid polytope incidence: %s" % exc) from None
+    return pb.Polytope(lattice)
 
 
 # -- poset helpers ------------------------------------------------------------

@@ -178,6 +178,10 @@ def test_cli_lyndon(capsys):
     assert main(["lyndon", "--alphabet", "0,1", "--weight", "3"]) == 2
     err = capsys.readouterr().err
     assert err == "error: composition parts must be positive\n"
+    for alphabet in ("a", "1,,2", ""):
+        assert main(["lyndon", "--alphabet", alphabet, "--weight", "3"]) == 2
+        assert capsys.readouterr().err == ("error: --alphabet takes odd or "
+                                           "comma-separated integers\n")
 
 
 def test_cli_lyndon_at_the_weight_bound(capsys):

@@ -11,8 +11,8 @@ from conftest import (DIAGONAL_SPHERE, FOLDED_PRISM, MERGED_OCTAHEDRON,
                       brute_flag_number, cw_sphere_lattice, flag_test_types,
                       random_graded_poset, random_lattices)
 from oracles import (bipyramid_lattice_route, canonical_key_oracle,
-                     interval_polytope_cut_route, product_lattice_route,
-                     relabel)
+                     incidence_lattice_route, interval_polytope_cut_route,
+                     product_lattice_route, relabel)
 
 
 def test_named_generators():
@@ -93,11 +93,31 @@ def test_constructions_past_face_bound_build_nothing(label, monkeypatch):
     assert built == []
 
 
+def test_incidence_face_bound_counts_every_face(monkeypatch):
+    """The 4-cube has 82 faces, the empty face and the top included: a
+    bound of 82 admits its facet sets, and one of 81 refuses them before
+    any lattice is built."""
+    monkeypatch.setattr(pb, "MAX_FACES", 82)
+    assert pb.from_incidence(_cube_facets(4)) is pb.cube(4)
+    monkeypatch.setattr(pb, "MAX_FACES", 81)
+    built = []
+    monkeypatch.setattr(GradedPoset, "__init__",
+                        lambda lat, ranks, covers: built.append(lat))
+    with pytest.raises(ValueError, match="too large"):
+        pb.from_incidence(_cube_facets(4))
+    assert built == []
+
+
 def test_incidence_small():
     assert pb.from_incidence([{1, 2}, {1, 3}, {2, 3}]) == pb.simplex(2)
     assert pb.from_incidence([{1, 2}, {2, 3}, {3, 4}, {1, 4}]) == pb.cube(2)
-    with pytest.raises(ValueError):
-        pb.from_incidence([{1, 2, 3}, {1, 2}])  # nested facets
+    # vertex labels need only hash, not sort
+    assert pb.from_incidence([{1, "a"}, {"a", 2}, {2, 1}]) is pb.polygon(3)
+    assert pb.from_incidence([{None, 0}, {0, 1}, {1, None}]) is pb.polygon(3)
+    with pytest.raises(ValueError, match="one facet contains another"):
+        pb.from_incidence([{1, 2, 3}, {1, 2}])
+    with pytest.raises(ValueError, match="need at least one facet"):
+        pb.from_incidence([])
     # graded closure that fails the parity test (theta graph)
     with pytest.raises(ValueError, match="Eulerian"):
         pb.from_incidence([{1, 2}, {2, 3}, {1, 3}, {4, 1}, {4, 2}])
@@ -583,6 +603,71 @@ INCIDENCES = (
      for bits in itertools.product((0, 1), repeat=3)],
     [set(range(5)) - {i} for i in range(5)],
 )
+
+
+def _cross_facets(n):
+    """The facet vertex sets of the n-cross-polytope, its vertices 2i and
+    2i + 1 the two on axis i."""
+    return [{2 * i + bit for i, bit in enumerate(bits)}
+            for bits in itertools.product((0, 1), repeat=n)]
+
+
+def _lattice_incidence(lat):
+    """The facet vertex sets of a face lattice of height >= 2."""
+    return [{a for a in lat.elements_of_rank(1) if lat.leq(a, c)}
+            for c in lat.elements_of_rank(lat.height - 1)]
+
+
+def _perturbations(rng, facets):
+    """A vertex dropped from one facet, a vertex (maybe a new one) added to
+    one facet, and a random facet appended."""
+    vertices = sorted(set().union(*facets))
+    labels = vertices + [vertices[-1] + 1]
+    dropped = [set(f) for f in facets]
+    i = rng.randrange(len(facets))
+    dropped[i].discard(rng.choice(sorted(dropped[i])))
+    added = [set(f) for f in facets]
+    i = rng.randrange(len(facets))
+    added[i].add(rng.choice([v for v in labels if v not in added[i]]))
+    appended = [set(f) for f in facets]
+    appended.append(set(rng.sample(labels, rng.randint(1, len(vertices)))))
+    return [dropped, added, appended]
+
+
+def _incidence_outcome(build, facets):
+    """The rank profile and key of the polytope built, or the message of
+    the ValueError raised."""
+    try:
+        p = build(facets)
+    except ValueError as exc:
+        return str(exc)
+    lat = p.lattice
+    return ([len(lat.elements_of_rank(r)) for r in range(lat.height + 1)],
+            p.key)
+
+
+def test_from_incidence_matches_closure_route(catalogue):
+    """Oracle for the top-down pass: on the small incidences (the folded
+    prism among them), the cubes and cross-polytopes of dims 2..5, the
+    24-cell, the incidence of every catalogue and random lattice of dim
+    >= 1, and seeded perturbations of each, the pass and the intersection
+    closure give the same rank profile and key, or refuse with the same
+    message."""
+    bases = list(INCIDENCES) + [pb._cell24_incidence()]
+    bases += [facets(n) for n in range(2, 6)
+              for facets in (_cube_facets, _cross_facets)]
+    lattices = [p.lattice for p in catalogue.values()]
+    lattices += random_lattices(random.Random(3), 60)
+    bases += [_lattice_incidence(lat) for lat in lattices if lat.height >= 2]
+    rng = random.Random(7)
+    inputs = [variant for facets in bases
+              for variant in [facets] + _perturbations(rng, facets)]
+    outcomes = [_incidence_outcome(pb.from_incidence, facets)
+                for facets in inputs]
+    assert outcomes == [_incidence_outcome(incidence_lattice_route, facets)
+                        for facets in inputs]
+    refusals = {o for o in outcomes if isinstance(o, str)}
+    assert len(refusals) >= 3, refusals
 
 
 def _assert_intervals_match_cut_route(polys):
