@@ -16,7 +16,10 @@ face bound `polytopes.MAX_FACES`, the empty polytope in a product or an
 unknown atom, is an ExprError at the first token of its factor.  Each
 construction is refused before its own lattice is built, so a refused
 expression may build smaller lattices before the oversized one, such as
-the other pairs of a product of sums, but none past the bound.
+the other pairs of a product of sums, but none past the bound.  An integer
+literal of more than MAX_DIGITS digits is an ExprError at its token, and a
+coefficient of the parsed sum past it one at offset 0, so that every value
+printed from an admitted sum converts to text.
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ class ExprError(ValueError):
 
 
 MAX_DEPTH = 100
+# digits of a coefficient, in a literal and in the parsed sum; every value
+# printed from an admitted sum stays under Python's int-to-text limit
+# (4,300 digits): flag numbers at the face bound have under 40
+MAX_DIGITS = 1000
+_COEFF_BOUND = 10 ** MAX_DIGITS
 _NESTING = ("C", "B", "dual", "prod", "join")
 
 
@@ -54,6 +62,9 @@ def _tokenize(text):
             raise ExprError("unexpected character %r" % stripped[0],
                             len(text) - len(stripped))
         if m.lastgroup == "int":
+            if len(m.group("int")) > MAX_DIGITS:
+                raise ExprError("integer of more than %d digits" % MAX_DIGITS,
+                                m.start("int"))
             out.append(("int", int(m.group("int")), m.start("int")))
         elif m.lastgroup == "name":
             out.append(("name", m.group("name"), m.start("name")))
@@ -171,6 +182,9 @@ def parse_expression(text, ambient=None):
     kind, _, position = parser.peek()
     if kind != "end":
         raise ExprError("trailing input", position)
+    if any(abs(c) >= _COEFF_BOUND for c in result.terms.values()):
+        raise ExprError("a coefficient of more than %d digits" % MAX_DIGITS,
+                        0)
     if ambient is None:
         ambient = JOIN_RING if any(p.is_empty() for p in result.terms) \
             else PRODUCT_RING

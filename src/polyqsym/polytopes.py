@@ -5,8 +5,8 @@ is the polytope itself, so dim = height - 1.  The empty polytope (dim -1,
 one-element lattice) is a first-class value: it is the unit of the join
 ring.  All constructions funnel through the registry `store.types`, keyed
 by the canonical key, so equal combinatorial types are the same object and
-carry a shared flag-number cache.  A type carries no name: it is only its
-face lattice, so nothing printed depends on which expression built it.
+share one flag vector.  A type carries no name: it is only its face
+lattice, so nothing printed depends on which expression built it.
 
 A key takes one of three routes, each exact on face lattices:
 
@@ -40,14 +40,13 @@ faces with a new bottom, or the pairs of proper faces with a new top.
 Memos: the generators `empty`, `point`, `segment`, every catalogue
 request and operator word, and `product`, `join`, `bipyramid` and `dual`
 live in `store.memo`, under the request tuples that `store` lists, and
-so does each type's flag vector, read-only, under ("flags", key).  Flag
-numbers, by flag set, are memoized per Polytope in `_flags`: the flag
-vector fills it once, one `flag_number` per set, and sparse readers such
-as `transforms.project_bb` read single sets there without building all
-2^dim.  All of them go through `store.memoized`.  Faces and quotients
-have no memo: `interval_polytope` finds a registered polygon or simplex,
-or the empty polytope, point or segment, by the counts read off the
-parent's masks, and cuts out any other interval.
+go through `store.memoized`.  The flag vector lives on the type, in
+`_flags`, as its key does in `_key`: one depth-first walk over the
+lattice fills it with every flag number on first use, and `flag_number`
+reads one set there.  Faces and quotients have no memo:
+`interval_polytope` finds a registered polygon or simplex, or the empty
+polytope, point or segment, by the counts read off the parent's masks,
+and cuts out any other interval.
 """
 
 from __future__ import annotations
@@ -412,6 +411,8 @@ def from_incidence(facet_vertex_sets):
     does not raise it by one means the closure is not graded.  The lattice
     must pass `_checked_face_lattice`, and a closure past MAX_FACES faces,
     the empty face counted from the start, is refused as soon as it passes.
+    Each label must be a vertex, an atom of its own: two labels in the same
+    facets, or one in a proper subset of another's, are refused.
     """
     vertices = {}
     facets = [sum({1 << vertices.setdefault(v, len(vertices)) for v in f})
@@ -446,6 +447,11 @@ def from_incidence(facet_vertex_sets):
             [(index[g], index[f]) for g, f in covers]))
     except PosetError as exc:
         raise ValueError("not a valid polytope incidence: %s" % exc) from None
+    atoms = len(lattice.elements_of_rank(1))
+    if atoms < len(vertices):
+        raise ValueError("not a valid polytope incidence: a label is not a "
+                         "vertex (%d labels, %d vertices)"
+                         % (len(vertices), atoms))
     return canonical(Polytope(lattice))
 
 
@@ -581,46 +587,44 @@ def _normalize_flag_set(p, subset):
 def flag_number(p, subset):
     """Number of strictly increasing face chains hitting exactly the
     dimensions in `subset` (convention: -1 and dim are dropped)."""
-    s = _normalize_flag_set(p, subset)
-    return store.memoized(p._flags, s, lambda: _chain_count(p.lattice, s))
-
-
-def _chain_count(lat, s):
-    """The number of chains of `lat` with one element of each rank a + 1,
-    a in the sorted tuple `s`: a DP over the ranks, bottom up."""
-    count_vec = None
-    prev_rank = None
-    for r in (a + 1 for a in s):
-        stratum = lat.elements_of_rank(r)
-        if count_vec is None:
-            count_vec = {x: 1 for x in stratum}
-        else:
-            nxt = {}
-            prev_mask = lat.rank_mask(prev_rank)
-            for y in stratum:
-                m = lat.downset_mask(y) & prev_mask
-                total = 0
-                while m:
-                    lsb = m & -m
-                    total += count_vec[lsb.bit_length() - 1]
-                    m ^= lsb
-                nxt[y] = total
-            count_vec = nxt
-        prev_rank = r
-    return 1 if count_vec is None else sum(count_vec.values())
+    return flag_vector(p)[_normalize_flag_set(p, subset)]
 
 
 def flag_vector(p):
-    """All flag numbers f_S, S a subset of {0, .., dim-1}, as a read-only
-    mapping computed once per type, under ("flags", key)."""
-    def make():
-        if p.dim < 0:
-            return MappingProxyType({(): 1})
-        dims = range(p.dim)
-        return MappingProxyType({
-            s: flag_number(p, s) for k in range(p.dim + 1)
-            for s in itertools.combinations(dims, k)})
-    return store.memoized(store.memo, ("flags", p.key), make)
+    """All flag numbers f_S, S a subset of {0, .., dim-1}, read-only and by
+    sorted S, computed once per type and kept on it, in `_flags`."""
+    if not p._flags:
+        # one update from a whole dict: a racing reader sees all or none
+        p._flags.update(dict(_flag_walk(p.lattice)))
+    return MappingProxyType(p._flags)
+
+
+def _flag_walk(lat):
+    """(S, f_S) for every flag set S of `lat`, depth first from the bottom.
+    The chain counts of S, one per element of rank max(S) + 1, give those
+    of S + (a,) in one rank step, so each flag set costs one step: over the
+    covers to the next rank, and to a higher one over the elements below,
+    read once per pair of ranks off the downset masks."""
+    below = {(r, r + 1): {y: lat._dn[y] for y in lat.elements_of_rank(r + 1)}
+             for r in range(lat.height - 1)}
+
+    def walk(s, r, counts):
+        yield s, sum(counts.values())
+        get = counts.__getitem__
+        for q in range(r + 1, lat.height):
+            step = below.get((r, q))
+            if step is None:
+                step = below[r, q] = {}
+                for y in lat.elements_of_rank(q):
+                    m, xs = lat.downset_mask(y) & lat.rank_mask(r), []
+                    while m:
+                        low = m & -m
+                        xs.append(low.bit_length() - 1)
+                        m ^= low
+                    step[y] = xs
+            yield from walk(s + (q - 1,), q,
+                            {y: sum(map(get, xs)) for y, xs in step.items()})
+    return walk((), 0, {lat.bottom: 1})
 
 
 def f_vector(p):

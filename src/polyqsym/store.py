@@ -10,16 +10,15 @@ polytope types, keyed by a request tuple whose first entry names it:
     (op, *operand keys)     op one of "prod", "join", "bipyramid", "dual"
     ("faces", key, k)       codimension-k faces ((face, multiplicity), ..)
     ("antipode", key)       join-ring antipode ((polytope, coeff), ..)
-    ("flags", key)          the flag vector, a read-only {flag set: f_S}
     ("F", key)              the terms of F, (((0, composition), f_S), ..)
 
 A polytope key is the dim and the vertex count up to dim 2, the dim alone
 for a simplex, and otherwise the dim and the canonical key of the
-vertex-facet incidence (see `polytopes`).  The flag vector and F are
-computed once per type from single flag numbers, which, by flag set,
-belong to one Polytope and are memoized on it, in `_flags`; they go
-through `memoized` too.  Faces and quotients have no memo: a registered
-type whose counts fix it is found in `types`, and any other is cut out.
+vertex-facet incidence (see `polytopes`).  The flag vector is not here:
+it lives on the type, in `Polytope._flags`, filled by one walk of the
+lattice, and F is computed once per type from it.  Faces and quotients
+have no memo: a registered type whose counts fix it is found in `types`,
+and any other is cut out.
 
 `TABLES` holds the memos of the recursive algebra functions, each made by
 `cached`, an unbounded `functools.lru_cache` whose lookups stay in C:

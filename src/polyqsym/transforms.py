@@ -8,12 +8,13 @@ terms under ("F", key) in `store.memo`, so a sum of types costs one memo
 hit per term.  The flag polynomial is a relabelling of F: `f_of_F` sends
 M_(c_1, .., c_k) to alpha^(c_1-1) M_(c_k, .., c_2); and `f_rp` = F(P)* +
 alpha f(P).  The image equations, the sparse-flag basis with its
-unimodular matrix, the projection onto it (which reads only the sparse
-flag numbers), and the cone/bipyramid operators on the quasi-symmetric
-side, as closed forms on the monomial basis, also live here.  The second
-route of each transform, of the cone operators and of the basis matrix
-(face-operator series, chain sums, word coaction, flag routes,
-t-variables, basis polytopes) is a test oracle in `tests/oracles.py`.
+unimodular matrix, the projection onto it (which reads the sparse flag
+numbers off the flag vector), and the cone/bipyramid operators on the
+quasi-symmetric side, as closed forms on the monomial basis, also live
+here.  The second route of each transform, of the cone operators and of
+the basis matrix (face-operator series, chain sums, word coaction, flag
+routes, t-variables, basis polytopes) is a test oracle in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations

@@ -42,6 +42,9 @@ routes that check it live here, unchanged apart from their imports and from
   intersection, tests every pair of faces for a cover and ranks by the
   longest chain, and checks the one top-down pass of
   `polyqsym.polytopes.from_incidence`;
+- `chain_count_route` counts the chains of one flag set by its own DP
+  over the ranks, and checks the depth-first walk over all flag sets in
+  `polyqsym.polytopes.flag_vector`;
 - `relabel`, `one_element_poset`, `chain_poset` and `poset_coproduct` are
   poset helpers only the tests call;
 - `lift_from_expansion` reads a quasi-symmetric function back off its
@@ -542,6 +545,34 @@ def incidence_lattice_route(facet_vertex_sets):
     except PosetError as exc:
         raise ValueError("not a valid polytope incidence: %s" % exc) from None
     return pb.Polytope(lattice)
+
+
+# -- flag numbers -------------------------------------------------------------
+
+
+def chain_count_route(lat, s):
+    """The number of chains of `lat` with one element of each rank a + 1,
+    a in the sorted tuple `s`: a DP over the ranks, bottom up."""
+    count_vec = None
+    prev_rank = None
+    for r in (a + 1 for a in s):
+        stratum = lat.elements_of_rank(r)
+        if count_vec is None:
+            count_vec = {x: 1 for x in stratum}
+        else:
+            nxt = {}
+            prev_mask = lat.rank_mask(prev_rank)
+            for y in stratum:
+                m = lat.downset_mask(y) & prev_mask
+                total = 0
+                while m:
+                    lsb = m & -m
+                    total += count_vec[lsb.bit_length() - 1]
+                    m ^= lsb
+                nxt[y] = total
+            count_vec = nxt
+        prev_rank = r
+    return 1 if count_vec is None else sum(count_vec.values())
 
 
 # -- poset helpers ------------------------------------------------------------

@@ -92,6 +92,26 @@ def test_expression_size_limit(capsys, monkeypatch, empty_store):
     assert parse_expression("dual(cube(2))").terms == {pb.cube(2): 1}
 
 
+@pytest.mark.parametrize("verb", ["build", "flag", "fpoly"])
+def test_coefficients_past_the_digit_bound_exit_2(verb, capsys):
+    """A literal past MAX_DIGITS digits is refused at its token, and a
+    coefficient of the parsed sum past it at offset 0, in one line: a
+    value the verb would print must convert to text."""
+    bound = exprs.MAX_DIGITS
+    big, huge, half = "7" * 3000, "3" * 5000, "9" * (bound // 2 + 100)
+    for text, offset in (("%s*(%s*pt)" % (big, big), 0),
+                         ("pt + %s*pt" % huge, 5),
+                         ("%s*(%s*pt)" % (half, half), 0)):
+        assert main([verb, text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.startswith("syntax error: ")
+        assert captured.err.endswith(" at offset %d\n" % offset)
+        assert captured.err.count("\n") == 1 and "digits" in captured.err
+    assert main([verb, "%s*pt" % ("1" * bound)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_refusal_is_reported_at_its_own_factor():
     with pytest.raises(ExprError, match="nonempty polytopes") as err:
         parse_expression("C prod(empty, pt)")

@@ -147,7 +147,7 @@ def test_flag_transforms_count_flags_once(catalogue, monkeypatch,
     def recount(*args):
         raise AssertionError("flag numbers counted again")
     monkeypatch.setattr(pb, "flag_number", recount)
-    monkeypatch.setattr(pb, "_chain_count", recount)
+    monkeypatch.setattr(pb, "_flag_walk", recount)
     assert [reads(p) for p in polys] == first
 
 
