@@ -42,8 +42,8 @@ request and operator word, and `product`, `join`, `bipyramid` and `dual`
 live in `store.memo`, under the request tuples that `store` lists, and
 go through `store.memoized`.  The flag vector lives on the type, in
 `_flags`, as its key does in `_key`: one depth-first walk over the
-lattice fills it with every flag number on first use, and `flag_number`
-reads one set there.  Faces and quotients have no memo:
+lattice fills it with every flag number on the first `flag_number` call,
+which `flag_vector` makes too, and each later call reads one set.  Faces and quotients have no memo:
 `interval_polytope` finds a registered polygon or simplex, or the empty
 polytope, point or segment, by the counts read off the parent's masks,
 and cuts out any other interval.
@@ -586,16 +586,18 @@ def _normalize_flag_set(p, subset):
 
 def flag_number(p, subset):
     """Number of strictly increasing face chains hitting exactly the
-    dimensions in `subset` (convention: -1 and dim are dropped)."""
-    return flag_vector(p)[_normalize_flag_set(p, subset)]
+    dimensions in `subset` (convention: -1 and dim are dropped).  The first
+    call on a type fills its `_flags` with the whole flag vector."""
+    if not p._flags:
+        # one update from a whole dict: a racing reader sees all or none
+        p._flags.update(dict(_flag_walk(p.lattice)))
+    return p._flags[_normalize_flag_set(p, subset)]
 
 
 def flag_vector(p):
     """All flag numbers f_S, S a subset of {0, .., dim-1}, read-only and by
     sorted S, computed once per type and kept on it, in `_flags`."""
-    if not p._flags:
-        # one update from a whole dict: a racing reader sees all or none
-        p._flags.update(dict(_flag_walk(p.lattice)))
+    flag_number(p, ())
     return MappingProxyType(p._flags)
 
 
@@ -603,10 +605,9 @@ def _flag_walk(lat):
     """(S, f_S) for every flag set S of `lat`, depth first from the bottom.
     The chain counts of S, one per element of rank max(S) + 1, give those
     of S + (a,) in one rank step, so each flag set costs one step: over the
-    covers to the next rank, and to a higher one over the elements below,
-    read once per pair of ranks off the downset masks."""
-    below = {(r, r + 1): {y: lat._dn[y] for y in lat.elements_of_rank(r + 1)}
-             for r in range(lat.height - 1)}
+    elements of rank max(S) + 1 below each element of the new rank, read
+    once per pair of ranks off the downset masks."""
+    below = {}
 
     def walk(s, r, counts):
         yield s, sum(counts.values())

@@ -94,14 +94,15 @@ def test_expression_size_limit(capsys, monkeypatch, empty_store):
 
 @pytest.mark.parametrize("verb", ["build", "flag", "fpoly"])
 def test_coefficients_past_the_digit_bound_exit_2(verb, capsys):
-    """A literal past MAX_DIGITS digits is refused at its token, and a
-    coefficient of the parsed sum past it at offset 0, in one line: a
-    value the verb would print must convert to text."""
+    """A literal past MAX_DIGITS digits is refused at its token, an atom's
+    argument too, and a coefficient of the parsed sum past it at offset 0,
+    in one line: a value the verb would print must convert to text."""
     bound = exprs.MAX_DIGITS
     big, huge, half = "7" * 3000, "3" * 5000, "9" * (bound // 2 + 100)
     for text, offset in (("%s*(%s*pt)" % (big, big), 0),
                          ("pt + %s*pt" % huge, 5),
-                         ("%s*(%s*pt)" % (half, half), 0)):
+                         ("%s*(%s*pt)" % (half, half), 0),
+                         ("cube(%s)" % ("2" * (bound + 1)), 5)):
         assert main([verb, text]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "Traceback" not in captured.err

@@ -135,8 +135,9 @@ def test_ehrenborg_F_matches_chain_route(catalogue, empty_store):
 
 def test_flag_transforms_count_flags_once(catalogue, monkeypatch,
                                           empty_store):
-    """After the first call on a type, the flag vector, F, f and f_RP make
-    no flag-number call and no chain count."""
+    """After the first call on a type, the flag vector, F, f and f_RP count
+    no chains: the walk that fills the type's flag vector does not run
+    again."""
     polys = flag_test_types(catalogue)
 
     def reads(p):
@@ -146,7 +147,6 @@ def test_flag_transforms_count_flags_once(catalogue, monkeypatch,
 
     def recount(*args):
         raise AssertionError("flag numbers counted again")
-    monkeypatch.setattr(pb, "flag_number", recount)
     monkeypatch.setattr(pb, "_flag_walk", recount)
     assert [reads(p) for p in polys] == first
 
