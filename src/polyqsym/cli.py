@@ -85,8 +85,7 @@ def _qsym_out(q, as_json):
 def _cmd_build(args):
     s = parse_expression(args.expr)
     rows = []
-    for poly, coeff in sorted(s.terms.items(),
-                              key=lambda pc: pb.sort_key(pc[0])):
+    for poly, coeff in pb.in_output_order(s.terms):
         entry = {"coeff": coeff, "dim": poly.dim,
                  "vertices": poly.vertex_count, "facets": poly.facet_count,
                  "faces": poly.lattice.n,

@@ -3,10 +3,18 @@
 A Polytope wraps a GradedPoset whose bottom is the empty face and whose top
 is the polytope itself, so dim = height - 1.  The empty polytope (dim -1,
 one-element lattice) is a first-class value: it is the unit of the join
-ring.  All constructions funnel through the registry `store.types`, keyed
-by the canonical key, so equal combinatorial types are the same object and
-share one flag vector.  A type carries no name: it is only its face
-lattice, so nothing printed depends on which expression built it.
+ring.  All constructions funnel through the registry `store.types`, so
+equal combinatorial types are the same object and share one flag vector.
+A type carries no name: it is only its face lattice, so nothing printed
+depends on which expression built it.
+
+Registry: each Polytope carries its invariant, (dim, f-vector), read off
+the strata, and hashes by it.  Two types with different invariants are
+different, so `canonical` stores the first type of each invariant under
+the invariant and keys nothing; only when a second lattice of that
+invariant comes are both keyed, and each is stored under its key too.
+Equality is identity, or else equal invariants and equal keys, so a dict
+lookup of a registered type keys nothing either.
 
 A key takes one of three routes, each exact on face lattices:
 
@@ -40,17 +48,24 @@ faces with a new bottom, or the pairs of proper faces with a new top.
 Memos: the generators `empty`, `point`, `segment`, every catalogue
 request and operator word, and `product`, `join`, `bipyramid` and `dual`
 live in `store.memo`, under the request tuples that `store` lists, and
-go through `store.memoized`.  The flag vector lives on the type, in
+go through `store.memoized`.  The product and the join are commutative
+and associative, so their requests hold the multiset of the factors:
+each type made by × or join keeps the factors it was first made of, and
+every bracketing and order of the same factors hits one entry before
+any lattice is built.  The unit (the point for ×, the empty polytope
+for join) is no factor.  Dual is an involution, so the dual of its
+result is memoized with it.  The flag vector lives on the type, in
 `_flags`, as its key does in `_key`: one depth-first walk over the
-lattice fills it with every flag number on the first `flag_number` call,
-which `flag_vector` makes too, and each later call reads one set.  Faces and quotients have no memo:
-`interval_polytope` finds a registered polygon or simplex, or the empty
-polytope, point or segment, by the counts read off the parent's masks,
-and cuts out any other interval.
+lattice fills it with every flag number on the first `flag_number`
+call, which `flag_vector` makes too, and each later call reads one set.
+Faces and quotients have no memo: `interval_polytope` finds a registered
+polygon or simplex, or the empty polytope, point or segment, by the
+invariant read off the parent's masks, and cuts out any other interval.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from types import MappingProxyType
 
@@ -80,13 +95,21 @@ def _check_word(word, what):
 
 
 class Polytope:
-    __slots__ = ("lattice", "dim", "_key", "_flags")
+    __slots__ = ("lattice", "dim", "invariant", "_hash", "_key", "_flags",
+                 "_factors")
 
     def __init__(self, lattice):
         self.lattice = lattice
         self.dim = lattice.height - 1
+        # (dim, f-vector), read off the strata: a type invariant that
+        # tells most types apart with no key
+        self.invariant = (self.dim, tuple(len(lattice.elements_of_rank(r))
+                                          for r in range(1, lattice.height)))
+        self._hash = hash(self.invariant)
         self._key = None
         self._flags = {}
+        # op -> the factors of the type under "prod" or "join"
+        self._factors = {}
 
     @property
     def key(self):
@@ -100,10 +123,14 @@ class Polytope:
         return self._key
 
     def __hash__(self):
-        return hash(self.key)
+        return self._hash
 
     def __eq__(self, other):
-        return isinstance(other, Polytope) and self.key == other.key
+        """The same type: the same object, or equal invariants and keys,
+        so only two types that share an invariant are keyed to compare."""
+        return self is other or (isinstance(other, Polytope)
+                                 and self.invariant == other.invariant
+                                 and self.key == other.key)
 
     def __repr__(self):
         return "Polytope(dim=%d, faces=%d)" % (self.dim, self.lattice.n)
@@ -121,7 +148,15 @@ class Polytope:
 
 
 def canonical(poly):
-    """Global dedup: the first Polytope seen for a key is the shared one."""
+    """Global dedup: the registered Polytope of poly's type.  The first
+    type of each invariant is stored under the invariant, with no key.  A
+    later Polytope of that invariant keys itself and the first, stores
+    the first under its key too, and is looked up by its own key.  Each
+    insert is one `setdefault`, so racing threads agree with no lock."""
+    first = store.types.setdefault(poly.invariant, poly)
+    if first is poly:
+        return poly
+    store.types.setdefault(first.key, first)
     return store.types.setdefault(poly.key, poly)
 
 
@@ -154,7 +189,10 @@ def _incidence_poset(lat):
 
 
 def registry_snapshot():
-    return [p.lattice.to_json_obj() for p in list(store.types.values())]
+    """The face lattice of each registered type, once each: a type may be
+    stored under its invariant and under its key."""
+    types = {id(p): p for p in list(store.types.values())}
+    return [p.lattice.to_json_obj() for p in types.values()]
 
 
 def _faces_are_separated(lat):
@@ -412,7 +450,9 @@ def from_incidence(facet_vertex_sets):
     must pass `_checked_face_lattice`, and a closure past MAX_FACES faces,
     the empty face counted from the start, is refused as soon as it passes.
     Each label must be a vertex, an atom of its own: two labels in the same
-    facets, or one in a proper subset of another's, are refused.
+    facets, or one in a proper subset of another's, are refused.  So is a
+    list that is not a facet list: an empty facet, a facet listed twice,
+    or a facet that holds every vertex.
     """
     vertices = {}
     facets = [sum({1 << vertices.setdefault(v, len(vertices)) for v in f})
@@ -423,6 +463,11 @@ def from_incidence(facet_vertex_sets):
     _check_faces(len({0, top, *facets}), "the incidence closure")
     if any(f & g == f != g for f in facets for g in facets):
         raise ValueError("one facet contains another")
+    for bad, what in ((0 in facets, "an empty facet"),
+                      (top in facets, "a facet contains every vertex"),
+                      (len(set(facets)) < len(facets), "a repeated facet")):
+        if bad:
+            raise ValueError("not a valid polytope incidence: %s" % what)
     faces, corank, covers = [top], {top: 0}, []
     for f in faces:
         maximal = []
@@ -458,24 +503,44 @@ def from_incidence(facet_vertex_sets):
 # -- constructions ------------------------------------------------------
 
 
+def _by_factors(op, unit_dim, p, q, build):
+    """The type that `op` ("prod" or "join") makes of p and q, memoized by
+    the multiset of their factors: in a commutative, associative ring the
+    type depends on nothing else.  A type made by `op` keeps the first
+    factors it is made of; any other type is its own one factor.  The
+    ring unit (the one type of dim `unit_dim`) is no factor, and with at
+    most one factor left the operand itself is the result, with nothing
+    built.  `build()` gives the lattice of a new product."""
+    factors = tuple(sorted((f for x in (p, q) for f in x._factors.get(op, (x,))
+                            if f.dim != unit_dim), key=id))
+    if len(factors) <= 1:
+        return q if p.dim == unit_dim else p
+
+    def make():
+        r = canonical(Polytope(build()))
+        r._factors.setdefault(op, factors)
+        return r
+    return store.memoized(store.memo, (op, factors), make)
+
+
 def product(p, q):
     """Direct product; nonempty faces are pairs of nonempty faces."""
     if p.is_empty() or q.is_empty():
         raise ValueError("product is defined on nonempty polytopes")
 
-    def make():
+    def build():
         a, b = p.lattice.n, q.lattice.n
         _check_faces((a - 1) * (b - 1) + 1, "the product")
-        return canonical(Polytope(_face_product(p.lattice, q.lattice)))
-    return store.memoized(store.memo, ("prod", p.key, q.key), make)
+        return _face_product(p.lattice, q.lattice)
+    return _by_factors("prod", 0, p, q, build)
 
 
 def join(p, q):
     """Join: the face lattice is the product of the face lattices."""
-    def make():
+    def build():
         _check_faces(p.lattice.n * q.lattice.n, "the join")
-        return canonical(Polytope(poset_product(p.lattice, q.lattice)))
-    return store.memoized(store.memo, ("join", p.key, q.key), make)
+        return poset_product(p.lattice, q.lattice)
+    return _by_factors("join", -1, p, q, build)
 
 
 def cone(p):
@@ -491,7 +556,7 @@ def bipyramid(p):
         _check_faces(3 * p.lattice.n - 2, "the bipyramid")
         return canonical(Polytope(
             _face_product(p.lattice, segment().lattice, at_top=True)))
-    return store.memoized(store.memo, ("bipyramid", p.key), make)
+    return store.memoized(store.memo, ("bipyramid", p), make)
 
 
 def _face_product(lp, lq, at_top=False):
@@ -525,24 +590,33 @@ def _face_product(lp, lq, at_top=False):
 
 
 def dual(p):
-    return store.memoized(store.memo, ("dual", p.key),
-                          lambda: canonical(Polytope(p.lattice.dual())))
+    """The polar polytope.  Dual is an involution, so the dual of the
+    result is memoized too, as p."""
+    def make():
+        q = canonical(Polytope(p.lattice.dual()))
+        store.memo.setdefault(("dual", q), canonical(p))
+        return q
+    return store.memoized(store.memo, ("dual", p), make)
 
 
 def interval_polytope(p, x, y):
-    """The interval [x, y] of the face lattice of p, registered.  Its type
-    is read off p's masks when its counts fix it (`_invariant_key`) and
-    the type is registered; otherwise the interval is cut out."""
+    """The interval [x, y] of the face lattice of p, registered.  When its
+    counts fix its type (`_invariant_key`), the type is looked up by the
+    interval's invariant, read off p's masks; an interval of any other
+    type, or of one not registered yet, is cut out."""
     lat = p.lattice
     if x == lat.bottom and y == lat.top:
         return canonical(p)
     members = lat.upset_mask(x) & lat.downset_mask(y)
     if members:
+        low, high = lat.ranks[x], lat.ranks[y]
         vertices = sum(members >> z & 1 for z in lat.up_covers(x))
-        hit = store.types.get(_invariant_key(
-            lat.ranks[y] - lat.ranks[x] - 1, vertices, members.bit_count()))
-        if hit is not None:
-            return hit
+        if _invariant_key(high - low - 1, vertices, members.bit_count()):
+            hit = store.types.get((high - low - 1, tuple(
+                (members & lat.rank_mask(r)).bit_count()
+                for r in range(low + 1, high))))
+            if hit is not None:
+                return hit
     return canonical(Polytope(lat.interval(x, y)))
 
 
@@ -630,12 +704,14 @@ def _flag_walk(lat):
 
 def f_vector(p):
     """Face counts f_0 .. f_(dim-1), read off the ranks."""
-    return [len(p.lattice.elements_of_rank(i + 1))
-            for i in range(max(p.dim, 0))]
+    return list(p.invariant[1])
 
 
-def sort_key(p):
-    """Output order of types: dim, then f-vector, and the canonical key
-    only as the last tiebreak: two types of equal dim and f-vector in one
-    sum come in a deterministic order that may move with the key bytes."""
-    return (p.dim, f_vector(p), p.key)
+def in_output_order(terms):
+    """The (type, value) pairs of `terms`, a dict, in output order: by
+    dim, then f-vector, and by canonical key only among the types that
+    share both, so only those are keyed.  Such types come in a
+    deterministic order that may move with the key bytes."""
+    ties = collections.Counter(p.invariant for p in terms)
+    return sorted(terms.items(), key=lambda pc: (
+        pc[0].invariant, pc[0].key if ties[pc[0].invariant] > 1 else b""))

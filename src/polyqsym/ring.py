@@ -76,8 +76,7 @@ class FormalSum(Combination):
         cube(3) from cross(3) (both have 28 faces)."""
         return format_terms([
             ("<dim %d, f=%s>" % (p.dim, pb.f_vector(p)), c)
-            for p, c in sorted(self.terms.items(),
-                               key=lambda pc: pb.sort_key(pc[0]))])
+            for p, c in pb.in_output_order(self.terms)])
 
 
 # -- ring multiplications -------------------------------------------------
@@ -105,7 +104,7 @@ def _face_classes(poly, k):
     def make():
         faces = pb.faces(poly, poly.dim - k)
         return tuple(collections.Counter(f for _, f in faces).items())
-    return store.memoized(store.memo, ("faces", poly.key, k), make)
+    return store.memoized(store.memo, ("faces", poly, k), make)
 
 
 def d_k(s, k):
@@ -214,8 +213,8 @@ def hopf_coproduct_pairs(poly):
 
 
 def _antipode(poly):
-    """S(poly) as a tuple of (polytope, coefficient) terms, memoized by
-    canonical key.  The tuple is shared; callers build fresh sums from it."""
+    """S(poly) as a tuple of (polytope, coefficient) terms, memoized per
+    type.  The tuple is shared; callers build fresh sums from it."""
     def make():
         if poly.is_empty():
             return ((pb.empty(), 1),)
@@ -223,7 +222,7 @@ def _antipode(poly):
         return tuple(merge_terms((pb.join(face, r), -mult * c)
                                  for (face, quot), mult in pairs.items()
                                  for r, c in _antipode(quot)).items())
-    return store.memoized(store.memo, ("antipode", poly.key), make)
+    return store.memoized(store.memo, ("antipode", poly), make)
 
 
 def antipode_rp(s):

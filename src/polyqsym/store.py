@@ -1,24 +1,32 @@
 """The process-wide memo store.
 
-Two dicts.  `types` is the registry: polytope key -> the registered
-Polytope of that type.  `memo` holds every other quantity that depends on
-polytope types, keyed by a request tuple whose first entry names it:
+Two dicts.  `types` is the registry of polytope types.  The first type
+of each invariant, its (dim, f-vector), is stored under the invariant,
+unkeyed; when a second type shares that invariant, both are keyed and
+each is stored under its key too (see `polytopes.canonical`).  `memo`
+holds every other quantity that depends on polytope types, keyed by a
+request tuple whose first entry names it; its operands are registered
+types, compared by identity and, between two types of one invariant, by
+key:
 
     (name, *params)         the generators and catalogue requests, such as
                             ("pt",) or ("cube", 3); `segment()` is ("cube", 1)
     ("word", w)             the polytope of an operator word over {B, C}
-    (op, *operand keys)     op one of "prod", "join", "bipyramid", "dual"
-    ("faces", key, k)       codimension-k faces ((face, multiplicity), ..)
-    ("antipode", key)       join-ring antipode ((polytope, coeff), ..)
-    ("F", key)              the terms of F, (((0, composition), f_S), ..)
+    (op, factors)           op "prod" or "join": the sorted multiset of the
+                            factors, the ring unit left out
+    (op, p)                 op "bipyramid" or "dual"; the dual of the dual
+                            is stored with the dual
+    ("faces", p, k)         codimension-k faces ((face, multiplicity), ..)
+    ("antipode", p)         join-ring antipode ((polytope, coeff), ..)
+    ("F", p)                the terms of F, (((0, composition), f_S), ..)
 
 A polytope key is the dim and the vertex count up to dim 2, the dim alone
 for a simplex, and otherwise the dim and the canonical key of the
 vertex-facet incidence (see `polytopes`).  The flag vector is not here:
 it lives on the type, in `Polytope._flags`, filled by one walk of the
 lattice, and F is computed once per type from it.  Faces and quotients
-have no memo: a registered type whose counts fix it is found in `types`,
-and any other is cut out.
+have no memo: a registered type whose counts fix it is found in `types`
+by its invariant, and any other is cut out.
 
 `TABLES` holds the memos of the recursive algebra functions, each made by
 `cached`, an unbounded `functools.lru_cache` whose lookups stay in C:

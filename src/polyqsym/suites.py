@@ -227,11 +227,11 @@ def suite_comodule():
             left = Counter()
             for f, quot in comodule_pairs(p):
                 for g, mid in comodule_pairs(f):
-                    left[(g.key, mid.key, quot.key)] += 1
+                    left[(g, mid, quot)] += 1
             right = Counter()
             for f, quot in comodule_pairs(p):
                 for g, h in hopf_coproduct_pairs(quot):
-                    right[(f.key, g.key, h.key)] += 1
+                    right[(f, g, h)] += 1
             assert left == right, p
         return ""
     checks.append(("coaction-coassociative", coassociativity))
@@ -240,22 +240,22 @@ def suite_comodule():
         for p, q in [(seg, seg), (seg, tri), (tri, sq)]:
             left = Counter()
             for f, quot in comodule_pairs(pb.product(p, q)):
-                left[(f.key, quot.key)] += 1
+                left[(f, quot)] += 1
             right = Counter()
             for f1, q1 in comodule_pairs(p):
                 for f2, q2 in comodule_pairs(q):
-                    right[(pb.product(f1, f2).key, pb.join(q1, q2).key)] += 1
+                    right[(pb.product(f1, f2), pb.join(q1, q2))] += 1
             assert left == right, (p, q)
         return ""
     checks.append(("coaction-multiplicative", ring_homomorphism))
 
     def ehrenborg_compatibility():
         for p in (tri, d3):
-            left = _qsym_by_key((f.key, t) for f, quot in comodule_pairs(p)
-                                for t in ehrenborg_F(quot).terms.items())
-            right = _qsym_by_key((poly.key, ((0, word), c))
-                                 for word, result in coaction(fs(p))
-                                 for poly, c in result.terms.items())
+            left = _qsym_by_type((f, t) for f, quot in comodule_pairs(p)
+                                 for t in ehrenborg_F(quot).terms.items())
+            right = _qsym_by_type((poly, ((0, word), c))
+                                  for word, result in coaction(fs(p))
+                                  for poly, c in result.terms.items())
             assert left == right, p
         return ""
     checks.append(("coaction-vs-word-coaction", ehrenborg_compatibility))
@@ -271,14 +271,14 @@ def suite_comodule():
     return checks
 
 
-def _qsym_by_key(pairs):
-    """{key: QSym} from (key, (monomial key, coefficient)) pairs, the
-    keys whose sum is zero left out."""
+def _qsym_by_type(pairs):
+    """{type: QSym} from (type, (monomial key, coefficient)) pairs, the
+    types whose sum is zero left out."""
     grouped = {}
-    for key, term in pairs:
-        grouped.setdefault(key, []).append(term)
-    sums = {key: QSym(terms) for key, terms in grouped.items()}
-    return {key: q for key, q in sums.items() if not q.is_zero()}
+    for poly, term in pairs:
+        grouped.setdefault(poly, []).append(term)
+    sums = {poly: QSym(terms) for poly, terms in grouped.items()}
+    return {poly: q for poly, q in sums.items() if not q.is_zero()}
 
 
 def suite_operators():

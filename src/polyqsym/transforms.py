@@ -4,7 +4,7 @@ The poset transform `ehrenborg_F` is the one flag carrier, the one
 transform that reads flag vectors: f_S of dimension n goes to f_S M_c, c =
 `flag_composition(n, S)` = (a_1+1, a_2-a_1, .., n-a_k) for S = {a_1 < ..
 < a_k}.  It reads each type's flag vector once and keeps that type's
-terms under ("F", key) in `store.memo`, so a sum of types costs one memo
+terms under ("F", type) in `store.memo`, so a sum of types costs one memo
 hit per term.  The flag polynomial is a relabelling of F: `f_of_F` sends
 M_(c_1, .., c_k) to alpha^(c_1-1) M_(c_k, .., c_2); and `f_rp` = F(P)* +
 alpha f(P).  The image equations, the sparse-flag basis with its
@@ -42,8 +42,8 @@ def flag_composition(n, s):
 
 def _F_terms(poly):
     """The terms of F of one type, read off its flag vector once and kept
-    under ("F", key)."""
-    return store.memoized(store.memo, ("F", poly.key), lambda: tuple(
+    under ("F", poly)."""
+    return store.memoized(store.memo, ("F", poly), lambda: tuple(
         ((0, flag_composition(poly.dim, subset)), value)
         for subset, value in pb.flag_vector(poly).items()))
 

@@ -140,6 +140,13 @@ DIAGONAL_SPHERE = ("abcdef", ("abdc", "abe", "bde", "aed", "adf", "dcf",
 MERGED_OCTAHEDRON = ("NS1234", ("N123", "N34", "N41", "S12", "S23", "S341"))
 
 
+# A triangular bipyramid (apexes n and s over the triangle abc) with a
+# vertex x stacked on its facet nab: 6 vertices, 12 edges and 8 facets,
+# the f-vector of the octahedron, but another type.
+STACKED_BIPYRAMID = [set("xna"), set("xnb"), set("xab"), set("nbc"),
+                     set("nca"), set("sab"), set("sbc"), set("sca")]
+
+
 # A triangular prism with one square folded along a diagonal: 6 vertices,
 # 10 edges and 6 facets, like the pentagonal pyramid, but another type.
 FOLDED_PRISM = [{0, 1, 2}, {3, 4, 5}, {0, 1, 4}, {0, 4, 3}, {1, 2, 5, 4},
@@ -174,6 +181,20 @@ def random_lattices(rng, count):
             pool.append(lat)
             out.append(lat)
     return out
+
+
+def lattice_stream_exprs(seeds):
+    """The expressions of the benchmark's `lattice-stream` workload at its
+    20-second length, for each seed; the generator is plain stdlib, read
+    from `perfbench/workloads.py` by path."""
+    import importlib.util
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [req["expr"] for seed in seeds
+            for req in workloads.lattice_stream(seed, 20)]
 
 
 def flag_test_types(catalogue):

@@ -31,6 +31,10 @@ routes that check it live here, unchanged apart from their imports and from
 - `canonical_key_oracle` (with `_compress` and `_refine`) re-sorts a
   signature of every element in every refinement round, and checks the
   splitter-queue refinement of `GradedPoset.canonical_key`;
+- `register_by_key` keys every type it is given and registers it under
+  its key, and checks the registry of `polyqsym.polytopes.canonical`,
+  which keys a type only when it shares its dim and f-vector with
+  another;
 - `interval_polytope_cut_route` cuts every face and quotient out as a
   fresh lattice and registers it, and checks `interval_polytope`, which
   finds the types that its counts fix among the registered ones;
@@ -421,6 +425,15 @@ def words_of_weight(alphabet, weight):
 
 def lyndon_words(alphabet, weight):
     return [w for w in words_of_weight(alphabet, weight) if is_lyndon(w)]
+
+
+# -- the registry, keyed throughout -------------------------------------------
+
+
+def register_by_key(poly, types):
+    """The type of `poly` registered in the dict `types` by its canonical
+    key: the first Polytope seen for a key is the shared one."""
+    return types.setdefault(poly.key, poly)
 
 
 # -- faces and quotients, always cut out --------------------------------------

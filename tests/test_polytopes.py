@@ -7,13 +7,17 @@ from polyqsym import polytopes as pb
 from polyqsym import store
 from polyqsym.polytopes import MAX_FACES
 from polyqsym.posets import GradedPoset
+from polyqsym.exprs import parse_expression
+from polyqsym.posets import poset_product
+from polyqsym.ring import FormalSum, PRODUCT_RING
 from conftest import (DIAGONAL_SPHERE, FOLDED_PRISM, MERGED_OCTAHEDRON,
-                      brute_flag_number, cw_sphere_lattice, flag_test_types,
+                      STACKED_BIPYRAMID, brute_flag_number, cw_sphere_lattice,
+                      flag_test_types, lattice_stream_exprs,
                       random_graded_poset, random_lattices)
 from oracles import (bipyramid_lattice_route, canonical_key_oracle,
                      chain_count_route, incidence_lattice_route,
                      interval_polytope_cut_route, product_lattice_route,
-                     relabel)
+                     register_by_key, relabel)
 
 
 def test_named_generators():
@@ -125,16 +129,44 @@ def test_incidence_small():
     # closure whose cover relation jumps levels
     with pytest.raises(ValueError, match="graded"):
         pb.from_incidence([{1, 2, 3}, {1, 2, 4}, {1, 5}])
-    # labels that are not vertices: 5 lies in the facets of 1, in a subset
-    # of them, or every label in the one facet
+    # labels that are not vertices: 5 lies in the facets of 1, or in a
+    # subset of them
     for facets, labels, vertices in (
             ([{1, 2, 5}, {2, 3}, {3, 4}, {4, 1, 5}], 5, 4),
-            ([{1, 2, 5}, {2, 3}, {3, 4}, {4, 1}], 5, 4),
-            ([{1, 2}], 2, 1), ([{1, 2, 3}], 3, 1)):
+            ([{1, 2, 5}, {2, 3}, {3, 4}, {4, 1}], 5, 4)):
         with pytest.raises(ValueError, match=r"^not a valid polytope "
                            r"incidence: a label is not a vertex \(%d labels, "
                            r"%d vertices\)$" % (labels, vertices)):
             pb.from_incidence(facets)
+
+
+@pytest.mark.parametrize("facets", [[{1}], [{1}, {1}], [{1, 2}],
+                                    [{1, 2, 3}]])
+def test_incidence_refuses_a_facet_of_every_vertex(facets):
+    """A facet is a proper face: one that holds every vertex is refused,
+    where the closure once read [{1}] and [{1}, {1}] as the point."""
+    with pytest.raises(ValueError, match=r"^not a valid polytope incidence: "
+                       r"a facet contains every vertex$"):
+        pb.from_incidence(facets)
+
+
+@pytest.mark.parametrize("facets", [[set()], [set(), set()]])
+def test_incidence_refuses_an_empty_facet(facets):
+    """The empty face is no facet: [set()] was read as the empty
+    polytope."""
+    with pytest.raises(ValueError, match=r"^not a valid polytope incidence: "
+                       r"an empty facet$"):
+        pb.from_incidence(facets)
+
+
+@pytest.mark.parametrize("facets", [[{1, 2}, {2, 3}, {1, 3}, {1, 3}],
+                                    _cube_facets(3) + _cube_facets(3)[:1]])
+def test_incidence_refuses_a_repeated_facet(facets):
+    """A facet listed twice is refused, where the closure once merged
+    the two into one facet of the triangle or the cube."""
+    with pytest.raises(ValueError, match=r"^not a valid polytope incidence: "
+                       r"a repeated facet$"):
+        pb.from_incidence(facets)
 
 
 def test_incidence_cell24():
@@ -302,16 +334,22 @@ def test_unique_factorization_extensional():
 
 def test_concurrent_construction_is_consistent(empty_store):
     """Threads racing on an empty store agree on the registered object:
-    every store insert is one `setdefault`, so no lock is needed."""
+    every store insert is one `setdefault`, so no lock is needed.  Two
+    prisms race, and so do the octahedron and the stacked bipyramid, two
+    types of one dim and f-vector."""
     import sys
     import threading
-    results = [[] for _ in range(6)]
+    results = [[] for _ in range(8)]
+    makers = [lambda: pb.product(pb.polygon(5), pb.segment()),
+              lambda: pb.product(pb.polygon(6), pb.segment()),
+              lambda: pb.from_incidence(_cross_facets(3)),
+              lambda: pb.from_incidence(STACKED_BIPYRAMID)]
 
     def worker(i):
-        p = pb.product(pb.polygon(5 + i % 2), pb.segment())
+        p = makers[i % 4]()
         results[i].extend((p, p.key, pb.flag_number(p, (0, 1))))
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -322,10 +360,14 @@ def test_concurrent_construction_is_consistent(empty_store):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    for i in range(6):
-        assert results[i][0] is results[i % 2][0]
-        assert results[i][1:] == results[i % 2][1:]
-        assert store.types[results[i][1]] is results[i][0]
+    for i in range(8):
+        assert results[i][0] is results[i % 4][0]
+        assert results[i][1:] == results[i % 4][1:]
+        assert pb.canonical(results[i][0]) is results[i][0]
+    octahedron, stacked = results[2][0], results[3][0]
+    assert octahedron.invariant == stacked.invariant
+    assert octahedron.key != stacked.key
+    assert pb.cross(3) is octahedron
 
 
 def _relabelled(rng, lat):
@@ -614,7 +656,138 @@ def test_constructions_are_memoized(monkeypatch, empty_store):
     again = [pb.face_as_polytope(prism, x) for x in range(lat.n)]
     assert len(intervals) - before == 5
     assert again == firsts
-    assert all(store.types[q.key] is q for q in again)
+    assert all(pb.canonical(q) is q for q in again)
+
+
+def test_registry_classes_are_key_classes(empty_store):
+    """Oracle for the registry: over the `lattice-stream` expressions of
+    seeds 1-3, shuffled and with no `store.clear()` between them, the
+    types that `canonical` hands out fall into the same classes as under
+    the registry by key, and the same as their keys."""
+    exprs = lattice_stream_exprs((1, 2, 3))
+    random.Random(5).shuffle(exprs)
+    polys = [next(iter(parse_expression(e).terms)) for e in exprs]
+    oracle = {}
+    by_oracle = [register_by_key(p, oracle) for p in polys]
+
+    def classes(items, label):
+        first = {}
+        return [first.setdefault(label(x), i) for i, x in enumerate(items)]
+    assert classes(polys, id) == classes(by_oracle, id) \
+        == classes(polys, lambda p: p.key)
+    assert len(set(map(id, polys))) == len(oracle)
+
+
+def test_products_and_joins_have_the_pairwise_key(empty_store):
+    """Every product and join, however bracketed and ordered, is the type
+    of the lattice built pair by pair with `_face_product` or
+    `poset_product`: over the lattice-stream operands of seeds 1-2 and
+    over random 3-factor products and joins of a small pool."""
+    routes = {"prod": (pb.product, pb._face_product),
+                "join": (pb.join, poset_product)}
+
+    def pairwise(op, *polys):
+        lat = polys[0].lattice
+        for q in polys[1:]:
+            lat = routes[op][1](lat, q.lattice)
+        return pb.Polytope(lat)
+    cases = []
+    for e in lattice_stream_exprs((1, 2)):
+        for op in routes:
+            if e.startswith(op + "("):
+                p = next(iter(parse_expression(e).terms))
+                a, b = (next(iter(parse_expression(part).terms))
+                        for part in _operands(e[len(op) + 1:-1]))
+                cases.append((p, pairwise(op, a, b)))
+    pool = [pb.point(), pb.segment(), pb.simplex(2), pb.polygon(4),
+            pb.polygon(5), pb.cone(pb.polygon(4))]
+    rng = random.Random(2)
+    for _ in range(40):
+        op, (a, b, c) = rng.choice(list(routes)), rng.sample(pool, 3)
+        make = routes[op][0]
+        left, right = make(make(a, b), c), make(a, make(c, b))
+        assert left is right
+        cases.append((left, pairwise(op, a, b, c)))
+    assert len(cases) > 60
+    for p, want in cases:
+        assert p.key == want.key
+
+
+def _operands(text):
+    """The two comma-separated operands of an operator's argument text."""
+    depth = 0
+    for i, ch in enumerate(text):
+        depth += (ch == "(") - (ch == ")")
+        if ch == "," and depth == 0:
+            return text[:i], text[i + 1:]
+    raise ValueError(text)
+
+
+def test_second_routes_to_a_type_compute_no_key(monkeypatch, empty_store):
+    """Other routes to a type hit the memo before anything is keyed: ×
+    and join by the multiset of their factors, and dual as an involution;
+    a product with the point or a join with the empty polytope is the
+    other operand, with no lattice built."""
+    pent, seg, tri, sq = (pb.polygon(5), pb.segment(), pb.simplex(2),
+                          pb.polygon(4))
+    p, q = pb.product(pent, seg), pb.cone(sq)
+    pq = pb.product(p, q)
+    three = pb.product(pb.product(pent, tri), seg)
+    joined = pb.join(pb.join(pent, tri), seg)
+    x = pb.product(pent, tri)
+    built = []
+    real_init = GradedPoset.__init__
+    monkeypatch.setattr(GradedPoset, "__init__", lambda lat, *args: (
+        built.append(1), real_init(lat, *args))[1])
+
+    def no_key(poset):
+        raise AssertionError("a canonical key was computed")
+    monkeypatch.setattr(GradedPoset, "canonical_key", no_key)
+    assert pb.product(q, p) is pq
+    assert pb.product(pent, pb.product(tri, seg)) is three
+    assert pb.product(pb.product(seg, pent), tri) is three
+    assert pb.join(pent, pb.join(tri, seg)) is joined
+    assert pb.join(pb.join(seg, pent), tri) is joined
+    assert pb.dual(pb.dual(x)) is x
+    pt, empty = pb.point(), pb.empty()
+    before = len(built)
+    assert pb.product(pt, x) is x and pb.product(x, pt) is x
+    assert pb.product(pt, pt) is pt
+    assert pb.join(empty, x) is x and pb.join(x, empty) is x
+    assert pb.join(empty, empty) is empty
+    assert len(built) == before
+
+
+def test_equal_invariants_register_two_types(empty_store):
+    """The octahedron and the stacked triangular bipyramid share dim and
+    f-vector, so the second to come keys both; each is its own type, in
+    either order, and each is found again by a second route.  The dual of
+    the bipyramid shares dim and f-vector with the cube."""
+    relabelled = [{v.upper() for v in f} for f in STACKED_BIPYRAMID[::-1]]
+    for stacked_first in (False, True):
+        empty_store()
+        if stacked_first:
+            stacked = pb.from_incidence(STACKED_BIPYRAMID)
+        octa = pb.cross(3)
+        if not stacked_first:
+            stacked = pb.from_incidence(STACKED_BIPYRAMID)
+        assert pb.f_vector(stacked) == pb.f_vector(octa) == [6, 12, 8]
+        assert stacked is not octa and stacked != octa
+        # the vertex degrees: x has 3 neighbours and a, b 5
+        lat = stacked.lattice
+        degrees = sorted(len([e for e in lat.elements_of_rank(2)
+                              if lat.leq(v, e)])
+                         for v in lat.elements_of_rank(1))
+        assert degrees == [3, 3, 4, 4, 5, 5]
+        assert pb.from_incidence(_cross_facets(3)) is octa
+        assert pb.bipyramid(pb.cube(2)) is octa
+        assert pb.from_incidence(relabelled) is stacked
+        dual = pb.dual(stacked)
+        assert dual.invariant == pb.cube(3).invariant and dual != pb.cube(3)
+        assert pb.dual(dual) is stacked
+        # each type is registered once, under its invariant or its key
+        registered = {id(p): p for p in store.types.values()}.values()
+        assert len({p.key for p in registered}) == len(registered)
 
 
 # Facet vertex sets of a square pyramid, a triangular prism, an octahedron
@@ -670,6 +843,19 @@ def _incidence_outcome(build, facets):
             p.key)
 
 
+def _not_a_facet_list(facets):
+    """The refusal of `from_incidence` for a list with an empty facet, a
+    facet of every vertex or a repeated facet, or None."""
+    sets = [frozenset(f) for f in facets]
+    for bad, what in ((frozenset() in sets, "an empty facet"),
+                      (frozenset().union(*sets) in sets,
+                       "a facet contains every vertex"),
+                      (len(set(sets)) < len(sets), "a repeated facet")):
+        if bad:
+            return "not a valid polytope incidence: " + what
+    return None
+
+
 def test_from_incidence_matches_closure_route(catalogue):
     """Oracle for the top-down pass: on the small incidences (the folded
     prism among them), the cubes and cross-polytopes of dims 2..5, the
@@ -677,7 +863,8 @@ def test_from_incidence_matches_closure_route(catalogue):
     >= 1, and seeded perturbations of each, the pass and the intersection
     closure give the same rank profile and key, or refuse with the same
     message; where the closure has fewer vertices than labels, the pass
-    refuses the labels."""
+    refuses the labels, and a list that is not a facet list, which the
+    closure reads as it can, is refused after the containment check."""
     bases = list(INCIDENCES) + [pb._cell24_incidence()]
     bases += [facets(n) for n in range(2, 6)
               for facets in (_cube_facets, _cross_facets)]
@@ -689,18 +876,23 @@ def test_from_incidence_matches_closure_route(catalogue):
               for variant in [facets] + _perturbations(rng, facets)]
     outcomes = [_incidence_outcome(pb.from_incidence, facets)
                 for facets in inputs]
-    merged = 0
+    merged = improper = 0
     for facets, outcome in zip(inputs, outcomes):
         want = _incidence_outcome(incidence_lattice_route, facets)
         labels = len(set().union(*facets))
-        if not isinstance(want, str) and want[0][1] < labels:
+        refusal = _not_a_facet_list(facets)
+        if refusal and want not in ("need at least one facet",
+                                    "one facet contains another"):
+            improper += 1
+            want = refusal
+        elif not isinstance(want, str) and want[0][1] < labels:
             # the closure route merges labels that are not vertices
             merged += 1
             want = ("not a valid polytope incidence: a label is not a vertex"
                     " (%d labels, %d vertices)" % (labels, want[0][1]))
         assert outcome == want, facets
     refusals = {o for o in outcomes if isinstance(o, str)}
-    assert len(refusals) >= 3 and merged, (refusals, merged)
+    assert len(refusals) >= 3 and merged and improper, (refusals, merged)
 
 
 def _assert_intervals_match_cut_route(polys):
@@ -743,6 +935,6 @@ def test_interval_polytope_bounds(empty_store):
             pb.interval_polytope(sq, x, y)
     lat = pb._face_product(pb.simplex(2).lattice, pb.segment().lattice)
     prism = pb.Polytope(lat)
-    assert prism.key not in store.types
+    assert prism not in store.types.values()
     assert pb.interval_polytope(prism, lat.bottom, lat.top) is prism
-    assert store.types[prism.key] is prism
+    assert store.types[prism.invariant] is prism

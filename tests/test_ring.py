@@ -11,7 +11,7 @@ from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, a_op,
                            delta_derivation, dual_sum, epsilon_alpha,
                            l_alpha, mul_join, mul_product, phi_poly,
                            xi_alpha)
-from conftest import antipode_axiom_sums, fs
+from conftest import STACKED_BIPYRAMID, antipode_axiom_sums, fs
 from oracles import (antipode_rp_chain_route, bigraded_piece, graded_piece,
                      negate_variable, shift)
 
@@ -176,8 +176,8 @@ def test_antipode_runs_one_route(empty_store):
     for p in (pb.cube(3), pb.cube(4)):
         antipode_rp(fs(p, JOIN_RING))
         # a vertex of a cube has a simplex as its quotient
-        assert ("antipode", p.key) in store.memo
-        assert ("antipode", pb.simplex(p.dim - 1).key) in store.memo
+        assert ("antipode", p) in store.memo
+        assert ("antipode", pb.simplex(p.dim - 1)) in store.memo
 
 
 # the request kinds that `store` documents for `store.memo`
@@ -200,11 +200,53 @@ def test_memo_holds_documented_requests(empty_store):
     for request in store.memo:
         assert isinstance(request, tuple) and request[0] in _REQUEST_KINDS, \
             request
+        # requests hold registered types and factor multisets, no keys
+        assert not any(isinstance(part, bytes) for part in request[1:])
+        assert all(pb.canonical(p) is p for part in request[1:]
+                   for p in (part if isinstance(part, tuple) else (part,))
+                   if isinstance(p, pb.Polytope)), request
     kinds = {request[0] for request in store.memo}
     assert {"cross", "word", "prod", "faces", "antipode"} <= kinds
     empty_store()
     assert not store.memo and not store.types
     assert compute() == first
+
+
+def test_printed_sums_key_only_ties(monkeypatch, empty_store):
+    """A printed sum orders its types by dim and f-vector and keys only
+    the types that share both: cube(3) and cross(3) differ in f-vector, so
+    neither building nor printing this sum computes a key."""
+    from polyqsym.exprs import parse_expression
+    from polyqsym.posets import GradedPoset
+
+    def no_key(poset):
+        raise AssertionError("a canonical key was computed")
+    monkeypatch.setattr(GradedPoset, "canonical_key", no_key)
+    s = parse_expression("cube(3) + cross(3) + prod(polygon(5), cube(1))")
+    assert repr(s) == ("<dim 3, f=[6, 12, 8]> + <dim 3, f=[8, 12, 6]> "
+                       "+ <dim 3, f=[10, 15, 7]>")
+
+
+def test_printed_ties_keep_their_order(empty_store):
+    """Types of equal dim and f-vector print in the order of their keys,
+    as before types were keyed only on ties, whichever is registered
+    first: the octahedron before the stacked bipyramid, and the dual of
+    the bipyramid before the cube."""
+    for order in (0, 1):
+        empty_store()
+        if order:
+            stacked = pb.from_incidence(STACKED_BIPYRAMID)
+            octahedron = pb.cross(3)
+        else:
+            octahedron = pb.cross(3)
+            stacked = pb.from_incidence(STACKED_BIPYRAMID)
+        assert repr(FormalSum(PRODUCT_RING, {octahedron: 1, stacked: 2})) \
+            == "<dim 3, f=[6, 12, 8]> + 2*<dim 3, f=[6, 12, 8]>"
+        s = FormalSum(PRODUCT_RING, {stacked: 1, pb.cube(3): 5,
+                                     pb.dual(stacked): 3, octahedron: 2})
+        assert repr(s) == ("2*<dim 3, f=[6, 12, 8]> + <dim 3, f=[6, 12, 8]>"
+                           " + 3*<dim 3, f=[8, 12, 6]>"
+                           " + 5*<dim 3, f=[8, 12, 6]>")
 
 
 def test_comodule_pairs():
