@@ -8,8 +8,9 @@ All numeric output is exact; rationals cross the JSON boundary as strings.
 Integer arguments are bounded, as constructions are by
 `polytopes.MAX_FACES` (`transforms.MAX_BB_DIM` bounds `bb-matrix` and
 `project --dim`, which build no basis polytope): past a bound a command
-exits 2 before the work.  A cache entry with more than
-`polytopes.MAX_FACES` faces exits 3 before any lattice is built.
+exits 2 before the work.  A cache entry, a vertex-facet incidence, whose
+closure passes `polytopes.MAX_FACES` faces exits 3 as soon as it passes,
+before its lattice is built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .transforms import bb_basis, ehrenborg_F, f_poly, f_rp
 from . import lyndon
 from . import transforms
 
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 # exponents in an `fpoly --r` expansion: r per monomial
 MAX_EXPANDED = 1_000_000
 # compositions of the weight over the alphabet that `lyndon --weight` admits,

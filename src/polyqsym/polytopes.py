@@ -33,11 +33,14 @@ Bound: each constructor counts the faces of its result (a memoized one
 on a miss only) and raises ValueError ("too large: ...") before it
 builds a lattice of more than MAX_FACES faces.
 
-Faces and quotients of a face lattice are face lattices, and
-`registry_restore` and `from_incidence` check that property, including
-that every interval of height 3 is a polygon, on lattices read from
-outside.  `tests/oracles.canonical_key_oracle` on the whole lattice is the
-test oracle.
+Faces and quotients of a face lattice are face lattices.  Data from
+outside comes in through `from_incidence` alone: `registry_restore`
+reads a saved registry, each type as its vertex-facet incidence, through
+it.  `from_incidence` checks that its lattice is Eulerian and that every
+interval of height 3 is a polygon, and its construction implies the rest
+of what the key needs (see its docstring).
+`tests/oracles.canonical_key_oracle` on the whole lattice is the test
+oracle.
 
 Constructions: the join's face lattice is the Cartesian product of the
 two lattices (`poset_product`).  The direct product and the bipyramid
@@ -70,7 +73,7 @@ import itertools
 from types import MappingProxyType
 
 from . import store
-from .posets import GradedPoset, PosetError, boolean_lattice, poset_product
+from .posets import GradedPoset, boolean_lattice, poset_product
 
 # a lattice of n faces keeps order masks of n^2 bits
 MAX_FACES = 10_000
@@ -171,80 +174,38 @@ def _invariant_key(dim, vertices, faces):
     return None
 
 
+def _facet_vertices(lat):
+    """The vertex-facet incidence of a face lattice of height >= 2: for
+    each coatom, the indices in `elements_of_rank(1)` of the atoms below
+    it."""
+    atoms = lat.elements_of_rank(1)
+    return [[i for i, a in enumerate(atoms) if below >> a & 1]
+            for below in map(lat.downset_mask,
+                             lat.elements_of_rank(lat.height - 1))]
+
+
 def _incidence_poset(lat):
     """Height-3 poset of the vertex-facet incidence of a face lattice of
     height >= 3: bottom, the atoms, the coatoms, top, and a cover from an
     atom to each coatom above it."""
-    atoms = lat.elements_of_rank(1)
-    coatoms = lat.elements_of_rank(lat.height - 1)
-    nv, nf = len(atoms), len(coatoms)
+    facets = _facet_vertices(lat)
+    nv, nf = len(lat.elements_of_rank(1)), len(facets)
     top = 1 + nv + nf
     covers = [(0, 1 + i) for i in range(nv)]
-    for j, c in enumerate(coatoms):
-        below = lat.downset_mask(c)
-        covers.extend((1 + i, 1 + nv + j) for i, a in enumerate(atoms)
-                      if below >> a & 1)
+    for j, facet in enumerate(facets):
+        covers.extend((1 + i, 1 + nv + j) for i in facet)
         covers.append((1 + nv + j, top))
     return GradedPoset([0] + [1] * nv + [2] * nf + [3], covers)
 
 
 def registry_snapshot():
-    """The face lattice of each registered type, once each: a type may be
-    stored under its invariant and under its key."""
-    types = {id(p): p for p in list(store.types.values())}
-    return [p.lattice.to_json_obj() for p in types.values()]
-
-
-def _faces_are_separated(lat):
-    """No two elements share the atoms below them or the coatoms above
-    them, as in every face lattice (faces are fixed by their vertices and
-    by their facets)."""
-    if lat.height == 0:
-        return True
-    atoms, coatoms = lat.rank_mask(1), lat.rank_mask(lat.height - 1)
-    below = {lat.downset_mask(x) & atoms for x in range(lat.n)}
-    above = {lat.upset_mask(x) & coatoms for x in range(lat.n)}
-    return len(below) == len(above) == lat.n
-
-
-def _order_is_atom_inclusion(lat):
-    """x <= y exactly when the atoms below x are all below y."""
-    if lat.height == 0:
-        return True
-    atoms = lat.rank_mask(1)
-    everything = (1 << lat.n) - 1
-    for x in range(lat.n):
-        above = everything
-        m = lat.downset_mask(x) & atoms
-        while m:
-            low = m & -m
-            above &= lat.upset_mask(low.bit_length() - 1)
-            m ^= low
-        if above != lat.upset_mask(x):
-            return False
-    return True
-
-
-def _is_facet_closure(lat):
-    """The atom sets of the elements are exactly the intersections of
-    facet (coatom) atom sets, with the empty set and all atoms.  With
-    `_faces_are_separated` and `_order_is_atom_inclusion` this says the
-    vertex-facet incidence rebuilds the lattice, as `Polytope.key`
-    assumes."""
-    if lat.height < 2:
-        return True
-    atoms = lat.rank_mask(1)
-    faces = {lat.downset_mask(x) & atoms for x in range(lat.n)}
-    facets = [lat.downset_mask(c) & atoms
-              for c in lat.elements_of_rank(lat.height - 1)]
-    closure = {0, atoms}
-    work = set(facets)
-    while work:
-        closure |= work
-        work = {f & g for f in work for g in facets} - closure
-        if not work <= faces:
-            return False
-    return len(closure) == lat.n
+    """The vertex-facet incidence of each registered type of dim >= 1,
+    once each (a type may be stored under its invariant and under its
+    key): a list of facets, each a list of vertex indices.  The empty
+    polytope and the point have no facet list; they are generators,
+    built again on request."""
+    types = {id(p): p for p in list(store.types.values()) if p.dim >= 1}
+    return [_facet_vertices(p.lattice) for p in types.values()]
 
 
 def _every_height3_interval_is_polygon(lat):
@@ -278,40 +239,21 @@ def _every_height3_interval_is_polygon(lat):
     return True
 
 
-def _checked_face_lattice(lat):
-    """Return `lat`, a lattice built from outside input, after checking
-    that `Polytope.key` keys it exactly: it is Eulerian, its intervals of
-    height 3 are polygons, and its elements are separated by atoms and by
-    coatoms, ordered by inclusion of atom sets, and rebuilt by their
-    vertex-facet incidence.  Raises PosetError otherwise."""
-    if not lat.is_eulerian():
-        raise PosetError("not an Eulerian lattice")
-    if not _every_height3_interval_is_polygon(lat):
-        raise PosetError("not a polytope face lattice: an interval of "
-                         "height 3 is not a polygon")
-    if not (_faces_are_separated(lat) and _order_is_atom_inclusion(lat)
-            and _is_facet_closure(lat)):
-        raise PosetError("not a polytope face lattice")
-    return lat
-
-
 def registry_restore(entries):
-    """Register the face lattices of a saved registry list.  Raises
-    PosetError, before any lattice is built, if an entry lists more than
-    MAX_FACES ranks, and on an entry that is not a graded poset or that
-    fails `_checked_face_lattice`."""
+    """Register the types of a saved registry list, each a list of facets,
+    each a list of vertex indices, through `from_incidence`.  Raises
+    ValueError, before any lattice is built, on a value of another shape,
+    and where `from_incidence` refuses an entry."""
     if not isinstance(entries, list):
-        raise PosetError("registry must be a list")
-    for obj in entries:
-        if not isinstance(obj, dict):
-            raise PosetError("registry entry must be an object")
-        if isinstance(obj.get("ranks"), list) and \
-                len(obj["ranks"]) > MAX_FACES:
-            raise PosetError("a lattice of %d faces, more than %d"
-                             % (len(obj["ranks"]), MAX_FACES))
-    for obj in entries:
-        canonical(Polytope(_checked_face_lattice(
-            GradedPoset.from_json_obj(obj))))
+        raise ValueError("registry must be a list")
+    for facets in entries:
+        if not (isinstance(facets, list) and all(
+                isinstance(f, list) and all(type(v) is int for v in f)
+                for f in facets)):
+            raise ValueError("registry entry must be a list of facets, "
+                             "each a list of integer vertex indices")
+    for facets in entries:
+        from_incidence(facets)
     return len(entries)
 
 
@@ -446,13 +388,36 @@ def from_incidence(facet_vertex_sets):
     f covers the maximal sets f & F, F a facet not containing f, or the
     empty face if every facet contains f (Kaibel & Pfetsch, Comput. Geom.
     23, 2002).  Each face takes its corank when first met; a cover that
-    does not raise it by one means the closure is not graded.  The lattice
-    must pass `_checked_face_lattice`, and a closure past MAX_FACES faces,
-    the empty face counted from the start, is refused as soon as it passes.
-    Each label must be a vertex, an atom of its own: two labels in the same
-    facets, or one in a proper subset of another's, are refused.  So is a
-    list that is not a facet list: an empty facet, a facet listed twice,
-    or a facet that holds every vertex.
+    does not raise it by one means the closure is not graded.  A closure
+    past MAX_FACES faces, the empty face counted from the start, is
+    refused as soon as it passes.  The lattice must be Eulerian, and every
+    interval of height 3 in it a polygon.  Each label must be a vertex, an
+    atom of its own: two labels in the same facets, or one in a proper
+    subset of another's, are refused.  So is a list that is not a facet
+    list: an empty facet, a facet listed twice, or a facet that holds
+    every vertex.
+
+    This is the one route from outside data to a registered type, and
+    what it accepts is keyed exactly by `Polytope.key`: the lattice is
+    rebuilt by its vertex-facet incidence.  The construction implies it:
+
+    - the order is inclusion of vertex sets: a face g strictly inside a
+      face f lies in a facet F that does not hold f (or g is empty and f
+      covers it), so g lies in f & F, below a maximal such set, which f
+      covers, and so on down to g;
+    - the faces are closed under intersection, so the atoms are
+      disjoint, and the vertex check makes them as many as the labels:
+      each is one vertex, and the atoms below a face are its vertex set.
+      So faces are separated by their vertices, and they are exactly the
+      intersections of facets;
+    - no facet contains another, so the coatoms are the facets, and a
+      face is the intersection of the facets above it: faces are
+      separated by their facets too.  For the empty face that needs the
+      intersection of all facets to be empty; if it is not, it is the
+      one atom, and the vertex check refuses the labels.
+
+    `tests/oracles.py` holds these three properties as checks, with the
+    intersection closure as a second route.
     """
     vertices = {}
     facets = [sum({1 << vertices.setdefault(v, len(vertices)) for v in f})
@@ -461,11 +426,12 @@ def from_incidence(facet_vertex_sets):
         raise ValueError("need at least one facet")
     top = (1 << len(vertices)) - 1
     _check_faces(len({0, top, *facets}), "the incidence closure")
-    if any(f & g == f != g for f in facets for g in facets):
+    distinct = set(facets)
+    if any(f & g == f != g for f in distinct for g in distinct):
         raise ValueError("one facet contains another")
     for bad, what in ((0 in facets, "an empty facet"),
                       (top in facets, "a facet contains every vertex"),
-                      (len(set(facets)) < len(facets), "a repeated facet")):
+                      (len(distinct) < len(facets), "a repeated facet")):
         if bad:
             raise ValueError("not a valid polytope incidence: %s" % what)
     faces, corank, covers = [top], {top: 0}, []
@@ -486,12 +452,15 @@ def from_incidence(facet_vertex_sets):
     # numbered as met, the top first; the empty face, met last, has the
     # largest corank, the height
     index = {f: i for i, f in enumerate(faces)}
-    try:
-        lattice = _checked_face_lattice(GradedPoset(
-            [corank[0] - corank[f] for f in faces],
-            [(index[g], index[f]) for g, f in covers]))
-    except PosetError as exc:
-        raise ValueError("not a valid polytope incidence: %s" % exc) from None
+    lattice = GradedPoset([corank[0] - corank[f] for f in faces],
+                          [(index[g], index[f]) for g, f in covers])
+    if not lattice.is_eulerian():
+        raise ValueError("not a valid polytope incidence: not an Eulerian "
+                         "lattice")
+    if not _every_height3_interval_is_polygon(lattice):
+        raise ValueError("not a valid polytope incidence: not a polytope "
+                         "face lattice: an interval of height 3 is not a "
+                         "polygon")
     atoms = len(lattice.elements_of_rank(1))
     if atoms < len(vertices):
         raise ValueError("not a valid polytope incidence: a label is not a "

@@ -266,19 +266,6 @@ class GradedPoset:
         self._key = repr((n,) + best).encode("ascii")
         return self._key
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json_obj(self):
-        return {"ranks": list(self.ranks),
-                "covers": [list(c) for c in self.covers]}
-
-    @classmethod
-    def from_json_obj(cls, obj):
-        try:
-            return cls(obj["ranks"], obj["covers"])
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise PosetError("bad poset object: %s" % exc) from None
-
     def __repr__(self):
         return "GradedPoset(n=%d, height=%d)" % (self.n, self.height)
 

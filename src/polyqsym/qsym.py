@@ -165,11 +165,6 @@ class QSym(Combination):
             out.append(entry)
         return out
 
-    @classmethod
-    def from_json_obj(cls, data):
-        return cls(((entry.get("alpha", 0), entry["comp"]), entry["coeff"])
-                   for entry in data)
-
     def __repr__(self):
         terms = []
         for (a, comp) in sorted(self.terms,

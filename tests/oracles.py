@@ -45,7 +45,11 @@ routes that check it live here, unchanged apart from their imports and from
 - `incidence_lattice_route` closes the facet vertex sets under
   intersection, tests every pair of faces for a cover and ranks by the
   longest chain, and checks the one top-down pass of
-  `polyqsym.polytopes.from_incidence`;
+  `polyqsym.polytopes.from_incidence`; `checked_face_lattice` refuses
+  its lattice as `from_incidence` must, with three checks that the pass
+  implies by construction, `faces_are_separated`,
+  `order_is_atom_inclusion` and `is_facet_closure`, which the tests also
+  run on the lattices of `from_incidence`;
 - `chain_count_route` counts the chains of one flag set by its own DP
   over the ranks, and checks the depth-first walk over all flag sets in
   `polyqsym.polytopes.flag_vector`;
@@ -510,6 +514,75 @@ def bipyramid_lattice_route(lat):
 # -- face lattices from vertex-facet incidences -------------------------------
 
 
+def faces_are_separated(lat):
+    """No two elements share the atoms below them or the coatoms above
+    them, as in every face lattice (faces are fixed by their vertices and
+    by their facets)."""
+    if lat.height == 0:
+        return True
+    atoms, coatoms = lat.rank_mask(1), lat.rank_mask(lat.height - 1)
+    below = {lat.downset_mask(x) & atoms for x in range(lat.n)}
+    above = {lat.upset_mask(x) & coatoms for x in range(lat.n)}
+    return len(below) == len(above) == lat.n
+
+
+def order_is_atom_inclusion(lat):
+    """x <= y exactly when the atoms below x are all below y."""
+    if lat.height == 0:
+        return True
+    atoms = lat.rank_mask(1)
+    everything = (1 << lat.n) - 1
+    for x in range(lat.n):
+        above = everything
+        m = lat.downset_mask(x) & atoms
+        while m:
+            low = m & -m
+            above &= lat.upset_mask(low.bit_length() - 1)
+            m ^= low
+        if above != lat.upset_mask(x):
+            return False
+    return True
+
+
+def is_facet_closure(lat):
+    """The atom sets of the elements are exactly the intersections of
+    facet (coatom) atom sets, with the empty set and all atoms.  With
+    `faces_are_separated` and `order_is_atom_inclusion` this says the
+    vertex-facet incidence rebuilds the lattice, as `Polytope.key`
+    assumes."""
+    if lat.height < 2:
+        return True
+    atoms = lat.rank_mask(1)
+    faces = {lat.downset_mask(x) & atoms for x in range(lat.n)}
+    facets = [lat.downset_mask(c) & atoms
+              for c in lat.elements_of_rank(lat.height - 1)]
+    closure = {0, atoms}
+    work = set(facets)
+    while work:
+        closure |= work
+        work = {f & g for f in work for g in facets} - closure
+        if not work <= faces:
+            return False
+    return len(closure) == lat.n
+
+
+def checked_face_lattice(lat):
+    """Return `lat` after checking that `Polytope.key` keys it exactly: it
+    is Eulerian, its intervals of height 3 are polygons, and its elements
+    are separated by atoms and by coatoms, ordered by inclusion of atom
+    sets, and rebuilt by their vertex-facet incidence.  Raises PosetError
+    otherwise, with the messages of `pb.from_incidence`."""
+    if not lat.is_eulerian():
+        raise PosetError("not an Eulerian lattice")
+    if not pb._every_height3_interval_is_polygon(lat):
+        raise PosetError("not a polytope face lattice: an interval of "
+                         "height 3 is not a polygon")
+    if not (faces_are_separated(lat) and order_is_atom_inclusion(lat)
+            and is_facet_closure(lat)):
+        raise PosetError("not a polytope face lattice")
+    return lat
+
+
 def incidence_lattice_route(facet_vertex_sets):
     """Face lattice from facet vertex sets, by intersection closure, a
     cover test over every pair of faces and longest-chain ranks, as an
@@ -554,7 +627,7 @@ def incidence_lattice_route(facet_vertex_sets):
     if any(ranks[b] != ranks[a] + 1 for a, b in covers):
         raise ValueError("not a valid polytope incidence: closure not graded")
     try:
-        lattice = pb._checked_face_lattice(GradedPoset(ranks, covers))
+        lattice = checked_face_lattice(GradedPoset(ranks, covers))
     except PosetError as exc:
         raise ValueError("not a valid polytope incidence: %s" % exc) from None
     return pb.Polytope(lattice)

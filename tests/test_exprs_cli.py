@@ -11,8 +11,7 @@ from polyqsym.cli import main
 from polyqsym.exprs import ExprError, parse_expression
 from polyqsym.posets import GradedPoset
 from polyqsym.ring import FormalSum, JOIN_RING, PRODUCT_RING, d_k
-from conftest import (DIAGONAL_SPHERE, MERGED_OCTAHEDRON, cli_process,
-                      cw_sphere_lattice, fs)
+from conftest import DIAGONAL_SPHERE, MERGED_OCTAHEDRON, cli_process, fs
 
 
 def test_parse_atoms_and_words():
@@ -374,23 +373,38 @@ def test_cli_bounds_keep_documented_values(capsys):
     assert capsys.readouterr().err == ""
 
 
+def _registered_keys():
+    """The keys of the registered types that a cache saves, those of dim
+    >= 1, each type once."""
+    types = {id(p): p for p in store.types.values() if p.dim >= 1}
+    return sorted(p.key for p in types.values())
+
+
+def _entry_keys(entries):
+    """The keys of the types of saved registry entries."""
+    return sorted(pb.from_incidence(facets).key for facets in entries)
+
+
 def test_cli_cache_round_trip(tmp_path, capsys, empty_store):
     path = str(tmp_path / "cache.json")
     assert main(["build", "prod(cube(2),simplex(2)) + cross(3)"]) == 0
+    registered = _registered_keys()
     assert main(["cache", "save", path]) == 0
-    capsys.readouterr()
-    assert main(["cache", "load", path]) == 0
-    capsys.readouterr()
-    # registry reload reproduces identical canonical keys, each once
+    # each entry is a facet list of vertex indices
     data = json.loads(open(path).read())
     assert set(data) == {"schema", "registry"}
-    assert data["schema"] == 1
-    registered = {p.key for p in store.types.values()}
-    saved = []
-    for entry in data["registry"]:
-        assert set(entry) == {"ranks", "covers"}
-        saved.append(pb.Polytope(GradedPoset.from_json_obj(entry)).key)
-    assert sorted(saved) == sorted(registered)
+    assert data["schema"] == 2
+    assert len(data["registry"]) == len(registered)
+    assert all(type(v) is int for facets in data["registry"]
+               for facet in facets for v in facet)
+    # a reload numbers the vertices as it meets them, so it gives the same
+    # types, each once, though not the same bytes
+    empty_store()
+    capsys.readouterr()
+    assert main(["cache", "load", path]) == 0
+    assert capsys.readouterr().out == "loaded %d lattices from %s\n" % (
+        len(registered), path)
+    assert _registered_keys() == registered
     # wrong schema rejected
     bad = str(tmp_path / "bad.json")
     with open(bad, "w") as fh:
@@ -406,8 +420,8 @@ def test_cli_cache_round_trip(tmp_path, capsys, empty_store):
 
 def test_cli_cache_save_merges_with_the_file(tmp_path, capsys, empty_store):
     """The README's two commands, each in a fresh store as in a fresh
-    process: `cache save` keeps what `--cache` saved, and an invalid file
-    is an I/O error that leaves the file as it was."""
+    process: `cache save` keeps the types that `--cache` saved, and an
+    invalid file is an I/O error that leaves the file as it was."""
     path = str(tmp_path / "lattices.json")
     assert main(["--cache", path, "build", "prod(cube(2),simplex(3))"]) == 0
     saved = json.loads(open(path).read())["registry"]
@@ -417,7 +431,9 @@ def test_cli_cache_save_merges_with_the_file(tmp_path, capsys, empty_store):
     assert main(["cache", "save", path]) == 0
     assert capsys.readouterr().out == "saved %d lattices to %s\n" % (
         len(saved), path)
-    assert json.loads(open(path).read())["registry"] == saved
+    merged = json.loads(open(path).read())["registry"]
+    empty_store()
+    assert _entry_keys(merged) == _entry_keys(saved)
     empty_store()
     assert main(["cache", "load", path]) == 0
     assert capsys.readouterr().out == "loaded %d lattices from %s\n" % (
@@ -427,22 +443,6 @@ def test_cli_cache_save_merges_with_the_file(tmp_path, capsys, empty_store):
     assert main(["cache", "save", str(bad)]) == 3
     assert "schema 99" in capsys.readouterr().err
     assert bad.read_text() == '{"schema": 99}'
-
-
-def test_cli_cache_ignores_stored_bases_and_names(tmp_path, capsys,
-                                                empty_store):
-    # the files of earlier versions held sparse-flag matrices and names;
-    # neither is read
-    path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"schema": 1, "registry": [
-        {"name": 7, "dim": 0, "ranks": [0, 1], "covers": [[0, 1]]}],
-        "bb": [{"n": 2, "psi": [[], [0]], "omega": ["CCC", "BCC"],
-                "matrix": [[1, 3], [1, 5]]}]}))
-    assert main(["cache", "load", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["--cache", str(path), "project", "polygon(5)",
-                 "--dim", "2"]) == 0
-    assert capsys.readouterr().out == "2*word(BCC) - word(CCC)\n"
 
 
 def test_cli_cache_does_not_change_output(tmp_path, capsys, empty_store):
@@ -458,65 +458,90 @@ def test_cli_cache_does_not_change_output(tmp_path, capsys, empty_store):
     assert outputs[0] == outputs[1]
 
 
+def _sphere_incidence(verts, faces):
+    """The facet vertex sets of a cell decomposition of the 2-sphere, as
+    vertex indices."""
+    return [sorted(map(verts.index, face)) for face in faces]
+
+
+_TRIANGLE = [[0, 1], [1, 2], [0, 2]]
+
+
+def _cache(*entries):
+    return {"schema": 2, "registry": list(entries)}
+
+
+# case: (file contents, a fragment of the one line on stderr)
 _BAD_CACHES = {
-    "top-level-list": [],
-    "registry-not-a-list": {"schema": 1, "registry": {"ranks": [0]}},
-    "registry-entry-not-an-object": {"schema": 1, "registry": [5]},
-    "bad-ranks": {"schema": 1, "registry": [{"ranks": [0, 5],
-                                             "covers": []}]},
-    "non-eulerian": {"schema": 1, "registry": [
-        {"ranks": [0, 1, 2], "covers": [[0, 1], [1, 2]]}]},
-    # Eulerian, but both edges lie on both vertices
-    "digon": {"schema": 1, "registry": [
-        {"ranks": [0, 1, 1, 2, 2, 3],
-         "covers": [[0, 1], [0, 2], [1, 3], [2, 3], [1, 4], [2, 4],
-                    [3, 5], [4, 5]]}]},
-    "not-utf8": b"\xff\xfe",
-    # Eulerian and separated, but not rebuilt by their vertex-facet
-    # incidence (see conftest)
-    "not-atom-inclusion": {"schema": 1, "registry": [
-        cw_sphere_lattice(*DIAGONAL_SPHERE).to_json_obj()]},
-    "not-facet-closure": {"schema": 1, "registry": [
-        cw_sphere_lattice(*MERGED_OCTAHEDRON).to_json_obj()]},
+    "not-utf8": (b"\xff\xfe", "cannot read"),
+    "not-json": (b'{"schema": 2, ', "cannot read"),
+    "top-level-list": ([], "not a JSON object"),
+    # the lattice files of earlier versions, here with the sparse-flag
+    # matrices and names that older ones held
+    "schema-1": ({"schema": 1, "registry": [
+        {"name": 7, "dim": 0, "ranks": [0, 1], "covers": [[0, 1]]}],
+        "bb": [{"n": 2, "psi": [[], [0]], "omega": ["CCC", "BCC"],
+                "matrix": [[1, 3], [1, 5]]}]}, "schema 1, expected 2"),
+    "registry-not-a-list": ({"schema": 2, "registry": {"facets": [[0]]}},
+                            "registry must be a list"),
+    "registry-entry-not-a-list": (_cache(5), "integer vertex indices"),
+    "facet-not-a-list": (_cache([5]), "integer vertex indices"),
+    "vertex-string": (_cache([[0, "1"], [1, 2], [0, 2]]),
+                      "integer vertex indices"),
+    "vertex-float": (_cache([[0, 1.0], [1, 2], [0, 2]]),
+                     "integer vertex indices"),
+    "vertex-bool": (_cache([[0, True], [1, 2], [0, 2]]),
+                    "integer vertex indices"),
+    "vertex-nested-list": (_cache([[0, [1]], [1, 2], [0, 2]]),
+                           "integer vertex indices"),
+    "empty-facet": (_cache(_TRIANGLE + [[]]), "contains another"),
+    "repeated-facet": (_cache(_TRIANGLE + [[0, 1]]), "a repeated facet"),
+    "nested-facets": (_cache(_TRIANGLE + [[0, 1, 3]]), "contains another"),
+    # both edges lie on both vertices
+    "digon": (_cache([[0, 1], [0, 1]]), "every vertex"),
+    "non-eulerian": (_cache([[0, 1], [1, 2]]), "not an Eulerian lattice"),
+    # the incidences of two CW spheres whose face posets are Eulerian but
+    # are not rebuilt by their incidences, one not ordered by inclusion of
+    # vertex sets and one not their facet closure (see conftest); the
+    # closure of each incidence is not Eulerian
+    "not-atom-inclusion": (_cache(_sphere_incidence(*DIAGONAL_SPHERE)),
+                           "not an Eulerian lattice"),
+    "not-facet-closure": (_cache(_sphere_incidence(*MERGED_OCTAHEDRON)),
+                          "not an Eulerian lattice"),
+    # labels 0 and 3 lie in the same facets
+    "label-not-a-vertex": (_cache([[0, 1, 3], [1, 2], [0, 2, 3]]),
+                           "a label is not a vertex"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_CACHES))
 def test_cli_cache_rejects_invalid(case, tmp_path, capsys, empty_store):
+    """Each file is refused on load with one line on stderr, registers
+    nothing, and is left as it was by `cache save`, which loads it first."""
     path = tmp_path / "cache.json"
-    data = _BAD_CACHES[case]
+    data, fragment = _BAD_CACHES[case]
     path.write_bytes(data if isinstance(data, bytes)
                      else json.dumps(data).encode())
+    before = path.read_bytes()
     assert main(["cache", "load", str(path)]) == 3
     err = capsys.readouterr().err
-    assert "cache" in err and "Traceback" not in err
-    if case in ("non-eulerian", "digon", "not-atom-inclusion",
-                "not-facet-closure"):
-        assert not store.types
+    assert len(err.splitlines()) == 1, err
+    assert "cache" in err and fragment in err and "Traceback" not in err
+    assert not store.types
+    assert main(["cache", "save", str(path)]) == 3
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == before
 
 
 def test_cli_io_error(capsys):
     assert main(["cache", "load", "/nonexistent/nope.json"]) == 3
 
 
-def _two_triangles():
-    """Two disjoint triangles as one lattice of height 3: Eulerian,
-    separated, ordered by inclusion and rebuilt by its facets, but its
-    proper part is two cycles, not one polygon."""
-    ranks = [0] + [1] * 6 + [2] * 6 + [3]
-    covers = [[0, 1 + v] for v in range(6)] + [[7 + e, 13] for e in range(6)]
-    for e in range(6):
-        first = 3 * (e // 3)
-        covers += [[1 + first + e % 3, 7 + e],
-                   [1 + first + (e + 1) % 3, 7 + e]]
-    return {"ranks": ranks, "covers": covers}
-
-
 def test_cli_cache_rejects_two_triangles(tmp_path, capsys, empty_store):
     # as a type, two triangles would share the key of the hexagon
+    two_triangles = [[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]]
     path = tmp_path / "cache.json"
-    path.write_text(json.dumps({"schema": 1,
-                                "registry": [_two_triangles()]}))
+    path.write_text(json.dumps(_cache(two_triangles)))
     assert main(["--cache", str(path), "build", "polygon(6)"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -524,20 +549,18 @@ def test_cli_cache_rejects_two_triangles(tmp_path, capsys, empty_store):
     assert "polygon" in captured.err and "Traceback" not in captured.err
     assert not store.types
     with pytest.raises(ValueError, match="polygon"):
-        pb.from_incidence([{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}])
+        pb.from_incidence(two_triangles)
 
 
 def test_cli_cache_rejects_lattice_past_face_bound(tmp_path, capsys,
                                                   monkeypatch, empty_store):
-    """The face lattice of simplex(13), 16,384 faces, is refused on load
-    as `simplex(13)` is in an expression: before any lattice is built."""
+    """The incidence of simplex(13), whose closure has 16,384 faces, is
+    refused on load as `simplex(13)` is in an expression: before any
+    lattice is built."""
     n = 14
-    entry = {"ranks": [bin(x).count("1") for x in range(1 << n)],
-             "covers": [[x, x | 1 << i] for x in range(1 << n)
-                        for i in range(n) if not x >> i & 1]}
-    assert len(entry["ranks"]) > pb.MAX_FACES
+    entry = [[v for v in range(n) if v != i] for i in range(n)]
     path = tmp_path / "big.json"
-    path.write_text(json.dumps({"schema": 1, "registry": [entry]}))
+    path.write_text(json.dumps(_cache(entry)))
     built = []
     real_init = GradedPoset.__init__
     monkeypatch.setattr(GradedPoset, "__init__", lambda lat, *args: (
@@ -546,14 +569,16 @@ def test_cli_cache_rejects_lattice_past_face_bound(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert "16384 faces, more than %d" % pb.MAX_FACES in captured.err
+    assert "too large" in captured.err
+    assert "more than %d faces" % pb.MAX_FACES in captured.err
     assert not built and not store.types
 
 
 def test_cache_reloads_catalogue_and_faces(tmp_path, capsys, catalogue,
                                            empty_store):
-    """Every catalogue polytope and every face and quotient of one passes
-    the load-time checks, and keeps its key."""
+    """Every catalogue polytope and every face and quotient of one of dim
+    >= 1 is saved as its incidence, passes `from_incidence` on load, and
+    keeps its key."""
     polys = {}
     for p in catalogue.values():
         for x in range(p.lattice.n):
@@ -567,8 +592,8 @@ def test_cache_reloads_catalogue_and_faces(tmp_path, capsys, catalogue,
     empty_store()
     assert main(["cache", "load", str(path)]) == 0
     capsys.readouterr()
-    loaded = {id(p): p for p in store.types.values()}.values()
-    assert sorted(p.key for p in loaded) == sorted(polys)
+    assert _registered_keys() == sorted(
+        key for key, q in polys.items() if q.dim >= 1)
 
 
 # A buffered stdout fails when it is flushed, an unbuffered one at the

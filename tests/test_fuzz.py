@@ -90,16 +90,14 @@ _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
 _JSON = st.recursive(_JSON_SCALARS, lambda inner: st.one_of(
     st.lists(inner, max_size=4),
     st.dictionaries(st.text(max_size=3), inner, max_size=3)), max_leaves=8)
-_RANK = st.one_of(st.integers(0, 3), _JSON_SCALARS, st.sampled_from(
+# a registry entry is a list of facets, each a list of vertex indices
+_VERTEX = st.one_of(st.integers(0, 5), _JSON_SCALARS, st.sampled_from(
     (float("inf"), float("nan"), 1e300, 2 ** 70, -1, "1", [0])))
 _ENTRY = st.one_of(
-    st.fixed_dictionaries({
-        "ranks": st.lists(_RANK, max_size=8),
-        "covers": st.lists(st.one_of(st.lists(_RANK, min_size=2, max_size=2),
-                                     _JSON), max_size=10)}),
+    st.lists(st.one_of(st.lists(_VERTEX, max_size=5), _JSON), max_size=7),
     _JSON)
 CACHES = st.one_of(
-    st.fixed_dictionaries({"schema": st.sampled_from((1, 1.0, True, 2)),
+    st.fixed_dictionaries({"schema": st.sampled_from((1, 2, 2.0, True, 3)),
                            "registry": st.one_of(st.lists(_ENTRY, max_size=3),
                                                  _JSON)}),
     _JSON)

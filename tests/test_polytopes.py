@@ -1,12 +1,13 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from polyqsym import polytopes as pb
 from polyqsym import store
 from polyqsym.polytopes import MAX_FACES
-from polyqsym.posets import GradedPoset
+from polyqsym.posets import GradedPoset, PosetError
 from polyqsym.exprs import parse_expression
 from polyqsym.posets import poset_product
 from polyqsym.ring import FormalSum, PRODUCT_RING
@@ -15,8 +16,10 @@ from conftest import (DIAGONAL_SPHERE, FOLDED_PRISM, MERGED_OCTAHEDRON,
                       flag_test_types, lattice_stream_exprs,
                       random_graded_poset, random_lattices)
 from oracles import (bipyramid_lattice_route, canonical_key_oracle,
-                     chain_count_route, incidence_lattice_route,
-                     interval_polytope_cut_route, product_lattice_route,
+                     chain_count_route, checked_face_lattice,
+                     faces_are_separated, incidence_lattice_route,
+                     interval_polytope_cut_route, is_facet_closure,
+                     order_is_atom_inclusion, product_lattice_route,
                      register_by_key, relabel)
 
 
@@ -167,6 +170,18 @@ def test_incidence_refuses_a_repeated_facet(facets):
     with pytest.raises(ValueError, match=r"^not a valid polytope incidence: "
                        r"a repeated facet$"):
         pb.from_incidence(facets)
+
+
+def test_incidence_refuses_many_repeats_at_once():
+    """The containment test runs over the distinct facets, so a list that
+    repeats one facet many times, as a cache file may, is refused in time
+    linear in its length; over every pair of the list, 40,000 repeats
+    take minutes."""
+    facets = [{1, 2}, {2, 3}, {1, 3}] + [{1, 2}] * 40_000
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="a repeated facet$"):
+        pb.from_incidence(facets)
+    assert time.perf_counter() - start < 10
 
 
 def test_incidence_cell24():
@@ -487,22 +502,6 @@ def test_key_runs_one_route(monkeypatch):
     for p in (pb.cube(3), pb.cell24()):
         fresh = GradedPoset(p.lattice.ranks, p.lattice.covers)
         assert pb.Polytope(fresh).key == p.key
-
-
-def test_face_lattice_checks(catalogue):
-    for p in [pb.empty()] + list(catalogue.values()):
-        assert pb._order_is_atom_inclusion(p.lattice), p
-        assert pb._is_facet_closure(p.lattice), p
-    diagonal = cw_sphere_lattice(*DIAGONAL_SPHERE)
-    merged = cw_sphere_lattice(*MERGED_OCTAHEDRON)
-    for lat in (diagonal, merged):
-        assert lat.is_eulerian() and pb._faces_are_separated(lat)
-    assert not pb._order_is_atom_inclusion(diagonal)
-    assert pb._order_is_atom_inclusion(merged)
-    assert not pb._is_facet_closure(merged)
-    for lat in (diagonal, merged):
-        with pytest.raises(pb.PosetError, match="face lattice"):
-            pb.registry_restore([lat.to_json_obj()])
 
 
 def _rank_profile(lat):
@@ -856,6 +855,22 @@ def _not_a_facet_list(facets):
     return None
 
 
+def _route_comparison_inputs(catalogue):
+    """The incidences of the route comparison: the small ones, the cubes
+    and cross-polytopes of dims 2..5, the 24-cell, the incidence of every
+    catalogue and random lattice of dim >= 1, and seeded perturbations of
+    each."""
+    bases = list(INCIDENCES) + [pb._cell24_incidence()]
+    bases += [facets(n) for n in range(2, 6)
+              for facets in (_cube_facets, _cross_facets)]
+    lattices = [p.lattice for p in catalogue.values()]
+    lattices += random_lattices(random.Random(3), 60)
+    bases += [_lattice_incidence(lat) for lat in lattices if lat.height >= 2]
+    rng = random.Random(7)
+    return [variant for facets in bases
+            for variant in [facets] + _perturbations(rng, facets)]
+
+
 def test_from_incidence_matches_closure_route(catalogue):
     """Oracle for the top-down pass: on the small incidences (the folded
     prism among them), the cubes and cross-polytopes of dims 2..5, the
@@ -865,15 +880,7 @@ def test_from_incidence_matches_closure_route(catalogue):
     message; where the closure has fewer vertices than labels, the pass
     refuses the labels, and a list that is not a facet list, which the
     closure reads as it can, is refused after the containment check."""
-    bases = list(INCIDENCES) + [pb._cell24_incidence()]
-    bases += [facets(n) for n in range(2, 6)
-              for facets in (_cube_facets, _cross_facets)]
-    lattices = [p.lattice for p in catalogue.values()]
-    lattices += random_lattices(random.Random(3), 60)
-    bases += [_lattice_incidence(lat) for lat in lattices if lat.height >= 2]
-    rng = random.Random(7)
-    inputs = [variant for facets in bases
-              for variant in [facets] + _perturbations(rng, facets)]
+    inputs = _route_comparison_inputs(catalogue)
     outcomes = [_incidence_outcome(pb.from_incidence, facets)
                 for facets in inputs]
     merged = improper = 0
@@ -893,6 +900,47 @@ def test_from_incidence_matches_closure_route(catalogue):
         assert outcome == want, facets
     refusals = {o for o in outcomes if isinstance(o, str)}
     assert len(refusals) >= 3 and merged and improper, (refusals, merged)
+
+
+def test_face_lattice_checks(catalogue, monkeypatch):
+    """The three checks that `from_incidence` implies by construction hold
+    on the lattices it builds: from the incidence of every catalogue type
+    and of each of its faces and quotients of dim >= 1, and from every
+    input of the route comparison that it accepts.  They hold on the
+    catalogue's own lattices too, and refuse the two CW spheres, which are
+    Eulerian and separated but not rebuilt by their incidences."""
+    types = {}
+    for p in catalogue.values():
+        for x in range(p.lattice.n):
+            for q in (p, pb.face_as_polytope(p, x), pb.face_polytope(p, x)):
+                types[id(q)] = q
+    inputs = [_lattice_incidence(q.lattice) for q in types.values()
+              if q.dim >= 1]
+    inputs += _route_comparison_inputs(catalogue)
+    # the lattice that the pass builds, not the type registered before
+    monkeypatch.setattr(pb, "canonical", lambda p: p)
+    built = 0
+    for facets in inputs:
+        try:
+            lat = pb.from_incidence(facets).lattice
+        except ValueError:
+            continue
+        built += 1
+        assert faces_are_separated(lat), facets
+        assert order_is_atom_inclusion(lat), facets
+        assert is_facet_closure(lat), facets
+    assert built > 100, built
+    for p in [pb.empty()] + list(catalogue.values()):
+        assert checked_face_lattice(p.lattice) is p.lattice, p
+    diagonal = cw_sphere_lattice(*DIAGONAL_SPHERE)
+    merged = cw_sphere_lattice(*MERGED_OCTAHEDRON)
+    for lat in (diagonal, merged):
+        assert lat.is_eulerian() and faces_are_separated(lat)
+        with pytest.raises(PosetError, match="not a polytope face lattice"):
+            checked_face_lattice(lat)
+    assert not order_is_atom_inclusion(diagonal)
+    assert order_is_atom_inclusion(merged)
+    assert not is_facet_closure(merged)
 
 
 def _assert_intervals_match_cut_route(polys):
@@ -931,7 +979,7 @@ def test_interval_polytope_bounds(empty_store):
     v = lat.elements_of_rank(1)[0]
     edge = next(e for e in lat.elements_of_rank(2) if not lat.leq(v, e))
     for x, y in ((v, edge), (lat.top, lat.bottom), (edge, v)):
-        with pytest.raises(pb.PosetError):
+        with pytest.raises(PosetError):
             pb.interval_polytope(sq, x, y)
     lat = pb._face_product(pb.simplex(2).lattice, pb.segment().lattice)
     prism = pb.Polytope(lat)

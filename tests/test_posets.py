@@ -1,5 +1,4 @@
 import inspect
-import json
 import random
 
 import pytest
@@ -191,14 +190,6 @@ def test_random_relabel_of_irregular_poset():
         perm = list(range(p.n))
         random.shuffle(perm)
         assert relabel(p, perm).canonical_key() == p.canonical_key()
-
-
-def test_json_round_trip():
-    b3 = boolean_lattice(3)
-    again = GradedPoset.from_json_obj(json.loads(json.dumps(b3.to_json_obj())))
-    assert again.canonical_key() == b3.canonical_key()
-    with pytest.raises(PosetError):
-        GradedPoset.from_json_obj(json.loads('{"ranks": [0, 2]}'))
 
 
 def _brute_isomorphic(p, q):
