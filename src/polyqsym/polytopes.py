@@ -47,6 +47,11 @@ two lattices (`poset_product`).  The direct product and the bipyramid
 (the free sum with a segment, as the cone is the join with a point) come
 from one product of face lattices, `_face_product`: the pairs of nonempty
 faces with a new bottom, or the pairs of proper faces with a new top.
+Each construction, the dual and the faces too, builds its lattice from
+its operands' order masks, which the poset trusts: no cover pair is
+checked or built.  The lattices of outside data (`from_incidence`),
+of `polygon` and of the incidence posets that keys are read off go
+through the validating `GradedPoset(ranks, covers)`.
 
 Memos: the generators `empty`, `point`, `segment`, every catalogue
 request and operator word, and `product`, `join`, `bipyramid` and `dual`
@@ -73,7 +78,8 @@ import itertools
 from types import MappingProxyType
 
 from . import store
-from .posets import GradedPoset, boolean_lattice, poset_product
+from .posets import (GradedPoset, bit_indices, boolean_lattice,
+                     poset_product, product_masks)
 
 # a lattice of n faces keeps order masks of n^2 bits
 MAX_FACES = 10_000
@@ -418,6 +424,13 @@ def from_incidence(facet_vertex_sets):
 
     `tests/oracles.py` holds these three properties as checks, with the
     intersection closure as a second route.
+
+    The facets through each vertex are indexed, so the pass intersects a
+    face only with the facets that meet it, and the containment test
+    checks a facet only against those through its lowest vertex; the
+    top's covers are the facets, which that test showed maximal.  So an
+    incidence of many small facets, such as a polygon's, costs about its
+    size, not the facet count squared.
     """
     vertices = {}
     facets = [sum({1 << vertices.setdefault(v, len(vertices)) for v in f})
@@ -426,27 +439,54 @@ def from_incidence(facet_vertex_sets):
         raise ValueError("need at least one facet")
     top = (1 << len(vertices)) - 1
     _check_faces(len({0, top, *facets}), "the incidence closure")
+    # the facets through each vertex, as a mask over facet positions
+    through = [0] * len(vertices)
+    for i, f in enumerate(facets):
+        for v in bit_indices(f):
+            through[v] |= 1 << i
+
+    def meeting(f):
+        """The facets that meet the face f, ascending."""
+        mask = 0
+        for v in bit_indices(f):
+            mask |= through[v]
+        return [facets[i] for i in bit_indices(mask)]
     distinct = set(facets)
-    if any(f & g == f != g for f in distinct for g in distinct):
+    # a facet inside another holds its lowest vertex; the empty facet lies
+    # inside any other
+    if any(f & g == f != g for f in distinct
+           for g in (meeting(f & -f) if f else distinct)):
         raise ValueError("one facet contains another")
     for bad, what in ((0 in facets, "an empty facet"),
                       (top in facets, "a facet contains every vertex"),
                       (len(distinct) < len(facets), "a repeated facet")):
         if bad:
             raise ValueError("not a valid polytope incidence: %s" % what)
-    faces, corank, covers = [top], {top: 0}, []
+    # the facets that meet each face met but not yet passed, ascending;
+    # every facet that meets a face meets the face it was found under
+    faces, corank, covers, meets = [top], {top: 0}, [], {top: facets}
     for f in faces:
-        maximal = []
-        for g in sorted({0, *(f & facet for facet in facets)} - {f},
-                        key=int.bit_count, reverse=True):
-            if all(g & ~h for h in maximal):
-                maximal.append(g)
-                covers.append((g, f))
-                if g not in corank:
-                    corank[g] = corank[f] + 1
-                    faces.append(g)
-                    _check_faces(len(faces) + (0 not in corank),
-                                 "the incidence closure")
+        meet = meets.pop(f)
+        below = sorted({0, *(f & facet for facet in meet)} - {f},
+                       key=int.bit_count, reverse=True)
+        if f == top:
+            # the facets, which the containment test showed maximal, and
+            # not the empty face, last
+            maximal = below[:-1]
+        else:
+            maximal = []
+            for g in below:
+                if all(g & ~h for h in maximal):
+                    maximal.append(g)
+        for g in maximal:
+            covers.append((g, f))
+            if g not in corank:
+                corank[g] = corank[f] + 1
+                faces.append(g)
+                meets[g] = meeting(g) if f == top else [
+                    facet for facet in meet if facet & g]
+                _check_faces(len(faces) + (0 not in corank),
+                             "the incidence closure")
     if any(corank[g] != corank[f] + 1 for g, f in covers):
         raise ValueError("not a valid polytope incidence: closure not graded")
     # numbered as met, the top first; the empty face, met last, has the
@@ -535,27 +575,33 @@ def _face_product(lp, lq, at_top=False):
     ordered componentwise, with rank r(x) + r(y) - 1, and a new bottom,
     element 0.  With `at_top`, the face lattice of their free sum, the
     polar construction: the pairs of proper faces, with rank r(x) + r(y),
-    and a new top, element 0."""
+    and a new top, element 0.  Pair (x, y) is element 1 + i * len(ys) + j,
+    x = xs[i] and y = ys[j]; its masks are the product of the factors'
+    masks, restricted to the faces kept."""
     if at_top:
         drop_p, drop_q, shift = lp.top, lq.top, 0
     else:
         drop_p, drop_q, shift = lp.bottom, lq.bottom, 1
     xs = [x for x in range(lp.n) if x != drop_p]
     ys = [y for y in range(lq.n) if y != drop_q]
-    # pair (x, y) is element row[x] + col[y]
-    row = {x: 1 + i * len(ys) for i, x in enumerate(xs)}
-    col = {y: j for j, y in enumerate(ys)}
     ranks = [lp.height + lq.height - 1 if at_top else 0]
     ranks += [lp.ranks[x] + lq.ranks[y] - shift for x in xs for y in ys]
-    covers = [(row[a] + j, row[b] + j) for a, b in lp.covers
-              if drop_p not in (a, b) for j in col.values()]
-    covers += [(r + col[a], r + col[b]) for a, b in lq.covers
-               if drop_q not in (a, b) for r in row.values()]
-    # the new element covers, or is covered by, the pairs one rank away:
-    # the pairs of atoms, or of coatoms
-    covers += [(i, 0) if at_top else (0, i) for i in range(1, len(ranks))
-               if abs(ranks[i] - ranks[0]) == 1]
-    return GradedPoset(ranks, covers)
+    # the factors' masks on the faces kept, p's spread for the pairs
+    spread = {x: 1 << i * len(ys) for i, x in enumerate(xs)}
+    kept = {y: 1 << j for j, y in enumerate(ys)}
+    # element 0 lies above every pair (at_top) or below every pair, so the
+    # pairs' masks all hold bit 0 on that side
+    every = (1 << len(ranks)) - 1
+    if at_top:
+        dn0, up0, pair_dn, pair_up = every, 1, 0, 1
+    else:
+        dn0, up0, pair_dn, pair_up = 1, every, 1, 0
+    dn = product_masks(lp.restrict(spread), lq.restrict(kept), len(ys), 1,
+                       pair_dn)
+    up = product_masks(lp.restrict(spread, up=True),
+                       lq.restrict(kept, up=True),
+                       len(ys), 1, pair_up)
+    return GradedPoset(ranks, order=([dn0] + dn, [up0] + up))
 
 
 def dual(p):
@@ -579,7 +625,7 @@ def interval_polytope(p, x, y):
     members = lat.upset_mask(x) & lat.downset_mask(y)
     if members:
         low, high = lat.ranks[x], lat.ranks[y]
-        vertices = sum(members >> z & 1 for z in lat.up_covers(x))
+        vertices = (members & lat.rank_mask(low + 1)).bit_count()
         if _invariant_key(high - low - 1, vertices, members.bit_count()):
             hit = store.types.get((high - low - 1, tuple(
                 (members & lat.rank_mask(r)).bit_count()
@@ -658,14 +704,10 @@ def _flag_walk(lat):
         for q in range(r + 1, lat.height):
             step = below.get((r, q))
             if step is None:
-                step = below[r, q] = {}
-                for y in lat.elements_of_rank(q):
-                    m, xs = lat.downset_mask(y) & lat.rank_mask(r), []
-                    while m:
-                        low = m & -m
-                        xs.append(low.bit_length() - 1)
-                        m ^= low
-                    step[y] = xs
+                rank = lat.rank_mask(r)
+                step = below[r, q] = {
+                    y: bit_indices(lat.downset_mask(y) & rank)
+                    for y in lat.elements_of_rank(q)}
             yield from walk(s + (q - 1,), q,
                             {y: sum(map(get, xs)) for y, xs in step.items()})
     return walk((), 0, {lat.bottom: 1})

@@ -1,10 +1,20 @@
 """Finite graded posets with a bottom and a top element.
 
-Elements are the integers 0..n-1.  The Hasse diagram (cover pairs) is the
-primary data; the constructor validates it and derives the rank strata and
-the full order relation as bitsets, one integer mask per element.  Values
-are immutable after construction; only the canonical key is computed on
-first use, at most once per instance.
+Elements are the integers 0..n-1.  The order relation is the primary data:
+one downset and one upset bitmask per element, with the rank strata.  Data
+from outside comes as ranks and cover pairs, which the constructor
+validates before it derives the masks, cover by cover.  The library's
+constructions (`poset_product`, `boolean_lattice`, `dual`, `interval`, and
+the product of face lattices in `polytopes`) pass the masks of their
+result, which follow from their operands' masks, through the keyword
+`order`; they are trusted, so nothing is checked and no cover pair is
+built.  Masks re-indexed to a convex set of elements (`restrict`: an
+interval, or a product's factor spread over its blocks) are rebuilt in
+rank order, one OR per cover read off the masks.  The Hasse diagram
+(`covers`, and each element's up and down covers) is derived from the
+masks on first read: a cover of x is an element one rank below x in x's
+downset.  Values are immutable after construction; the Hasse diagram and
+the canonical key are computed on first use, at most once per instance.
 """
 
 from __future__ import annotations
@@ -14,67 +24,121 @@ class PosetError(ValueError):
     pass
 
 
+def bit_indices(m):
+    """The indices of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _checked_order(ranks, covers):
+    """Validate ranks and cover pairs; return the Hasse diagram (the sorted
+    covers, each element's up covers and down covers) and the order
+    (downset masks, upset masks), built bottom up and top down."""
+    covers = tuple(sorted({(int(a), int(b)) for a, b in covers}))
+    n = len(ranks)
+    if n == 0:
+        raise PosetError("a graded poset needs at least one element")
+    if min(ranks) != 0:
+        raise PosetError("minimal rank must be 0")
+    height = max(ranks)
+    if ranks.count(0) != 1 or ranks.count(height) != 1:
+        raise PosetError("poset must have a unique bottom and top")
+    up = [[] for _ in range(n)]
+    dn = [[] for _ in range(n)]
+    for a, b in covers:
+        if not (0 <= a < n and 0 <= b < n):
+            raise PosetError("cover pair out of range")
+        if ranks[b] != ranks[a] + 1:
+            raise PosetError("cover pairs must raise rank by exactly 1")
+        up[a].append(b)
+        dn[b].append(a)
+    for x in range(n):
+        if ranks[x] < height and not up[x]:
+            raise PosetError("element %d has no upper cover" % x)
+        if ranks[x] > 0 and not dn[x]:
+            raise PosetError("element %d has no lower cover" % x)
+    order = sorted(range(n), key=ranks.__getitem__)
+    dnmask = [0] * n
+    for x in order:
+        m = 1 << x
+        for y in dn[x]:
+            m |= dnmask[y]
+        dnmask[x] = m
+    upmask = [0] * n
+    for x in reversed(order):
+        m = 1 << x
+        for y in up[x]:
+            m |= upmask[y]
+        upmask[x] = m
+    hasse = (covers, tuple(map(tuple, up)), tuple(map(tuple, dn)))
+    return hasse, (dnmask, upmask)
+
+
 class GradedPoset:
     __slots__ = (
-        "n", "ranks", "covers", "height", "bottom", "top",
-        "_up", "_dn", "_upmask", "_dnmask", "_rankmask", "_strata", "_key",
+        "n", "ranks", "height", "bottom", "top",
+        "_upmask", "_dnmask", "_rankmask", "_strata", "_hasse", "_key",
     )
 
-    def __init__(self, ranks, covers):
-        ranks = tuple(int(r) for r in ranks)
-        covers = tuple(sorted({(int(a), int(b)) for a, b in covers}))
-        n = len(ranks)
-        if n == 0:
-            raise PosetError("a graded poset needs at least one element")
-        if min(ranks) != 0:
-            raise PosetError("minimal rank must be 0")
+    def __init__(self, ranks, covers=(), *, order=None):
+        """The poset of these ranks and cover pairs, validated; or, with
+        `order`, the pair (downset masks, upset masks) of a library
+        construction, trusted as given, and no covers."""
+        if order is None:
+            ranks = tuple(int(r) for r in ranks)
+            hasse, order = _checked_order(ranks, covers)
+        else:
+            ranks, hasse = tuple(ranks), None
+        # every rank 0..height is taken: checked covers give every element
+        # below the top an upper cover one rank up, and constructions
+        # give ranks that their operands fill
         height = max(ranks)
-        if ranks.count(0) != 1 or ranks.count(height) != 1:
-            raise PosetError("poset must have a unique bottom and top")
-        up = [[] for _ in range(n)]
-        dn = [[] for _ in range(n)]
-        for a, b in covers:
-            if not (0 <= a < n and 0 <= b < n):
-                raise PosetError("cover pair out of range")
-            if ranks[b] != ranks[a] + 1:
-                raise PosetError("cover pairs must raise rank by exactly 1")
-            up[a].append(b)
-            dn[b].append(a)
-        for x in range(n):
-            if ranks[x] < height and not up[x]:
-                raise PosetError("element %d has no upper cover" % x)
-            if ranks[x] > 0 and not dn[x]:
-                raise PosetError("element %d has no lower cover" % x)
-        # every element below the top has an upper cover one rank up, so
-        # every rank 0..height is taken and the strata number height + 1
         strata = [[] for _ in range(height + 1)]
-        for x in range(n):
-            strata[ranks[x]].append(x)
-        order = [x for stratum in strata for x in stratum]
-        dnmask = [0] * n
-        for x in order:
-            m = 1 << x
-            for y in dn[x]:
-                m |= dnmask[y]
-            dnmask[x] = m
-        upmask = [0] * n
-        for x in reversed(order):
-            m = 1 << x
-            for y in up[x]:
-                m |= upmask[y]
-            upmask[x] = m
-        self.n = n
+        for x, r in enumerate(ranks):
+            strata[r].append(x)
+        self.n = len(ranks)
         self.ranks = ranks
-        self.covers = covers
         self.height = height
         self.bottom, self.top = strata[0][0], strata[height][0]
-        self._up = tuple(tuple(v) for v in up)
-        self._dn = tuple(tuple(v) for v in dn)
-        self._upmask = tuple(upmask)
-        self._dnmask = tuple(dnmask)
+        self._dnmask, self._upmask = map(tuple, order)
         self._rankmask = tuple(sum(1 << x for x in s) for s in strata)
         self._strata = tuple(map(tuple, strata))
+        self._hasse = hasse
         self._key = None
+
+    # -- the Hasse diagram, derived on first read -------------------------
+
+    def _hasse_diagram(self):
+        """(covers, up covers, down covers): a cover of x is an element of
+        rank r(x) - 1 in x's downset.  Filled in one assignment, so a
+        racing reader sees all of it or none."""
+        hasse = self._hasse
+        if hasse is None:
+            rank, height = self._rankmask, self.height
+            dn = tuple(tuple(bit_indices(m & rank[r - 1])) if r else ()
+                       for m, r in zip(self._dnmask, self.ranks))
+            up = tuple(tuple(bit_indices(m & rank[r + 1])) if r < height
+                       else () for m, r in zip(self._upmask, self.ranks))
+            covers = tuple((a, b) for a in range(self.n) for b in up[a])
+            self._hasse = hasse = (covers, up, dn)
+        return hasse
+
+    @property
+    def covers(self):
+        """The cover pairs (a, b), a covered by b, sorted."""
+        return self._hasse_diagram()[0]
+
+    @property
+    def _up(self):
+        return self._hasse_diagram()[1]
+
+    @property
+    def _dn(self):
+        return self._hasse_diagram()[2]
 
     # -- order relation -------------------------------------------------
 
@@ -91,7 +155,7 @@ class GradedPoset:
         return self._upmask[x]
 
     def rank_mask(self, r):
-        return self._rankmask[r]
+        return self._rankmask[r] if 0 <= r <= self.height else 0
 
     def elements_of_rank(self, r):
         if r < 0 or r > self.height:
@@ -101,27 +165,42 @@ class GradedPoset:
     # -- constructions ---------------------------------------------------
 
     def interval(self, x, y):
-        """The induced subposet [x, y], reranked so x sits at rank 0."""
+        """The induced subposet [x, y], reranked so x sits at rank 0, its
+        members numbered in ascending order."""
         if not self.leq(x, y):
             raise PosetError("interval requires x <= y")
-        mask = self._upmask[x] & self._dnmask[y]
-        elems = []
-        m = mask
-        while m:
-            lsb = m & -m
-            elems.append(lsb.bit_length() - 1)
-            m ^= lsb
-        index = {e: i for i, e in enumerate(elems)}
+        elems = bit_indices(self._upmask[x] & self._dnmask[y])
+        bits = {e: 1 << i for i, e in enumerate(elems)}
         base = self.ranks[x]
-        ranks = [self.ranks[e] - base for e in elems]
-        covers = [(index[a], index[b]) for a in elems for b in self._up[a]
-                  if mask >> b & 1]
-        return GradedPoset(ranks, covers)
+        return GradedPoset([self.ranks[e] - base for e in elems], order=(
+            self.restrict(bits), self.restrict(bits, up=True)))
+
+    def restrict(self, bits, up=False):
+        """The order on the keys of `bits`, a dict from elements to masks:
+        for each key, in the dict's order, the OR of the masks of the keys
+        below it (above it, with `up`).  The keys must be convex: every
+        element between two keys is a key.  So a key's value holds its own
+        mask and the values of its covers among the keys, and the values
+        are built in rank order, one OR per cover."""
+        masks, step = (self._upmask, 1) if up else (self._dnmask, -1)
+        ranks = self.ranks
+        inside = sum(1 << e for e in bits)
+        # the keys of each rank; the last entry, 0, stands for the ranks
+        # -1 and height + 1
+        near = [m & inside for m in self._rankmask] + [0]
+        out = {}
+        for e in sorted(bits, key=ranks.__getitem__, reverse=up):
+            m = bits[e]
+            for c in bit_indices(masks[e] & near[ranks[e] + step]):
+                m |= out[c]
+            out[e] = m
+        return [out[e] for e in bits]
 
     def dual(self):
+        """The opposite order: the masks swap and the ranks reverse."""
         h = self.height
         return GradedPoset([h - r for r in self.ranks],
-                           [(b, a) for a, b in self.covers])
+                           order=(self._upmask, self._dnmask))
 
     # -- tests ------------------------------------------------------------
 
@@ -271,22 +350,42 @@ class GradedPoset:
 
 
 def boolean_lattice(n):
-    """The lattice of subsets of an n-set."""
-    ranks = [bin(s).count("1") for s in range(1 << n)]
-    covers = [(s, s | (1 << i))
-              for s in range(1 << n) for i in range(n) if not s >> i & 1]
-    return GradedPoset(ranks, covers)
+    """The lattice of subsets of an n-set, subset s as element s.  The
+    subsets of s are the product of (1 + 2^(2^i)) over i in s, as a mask
+    with no carries, built here one factor at a time; the supersets of s
+    are s plus the subsets of its complement."""
+    size = 1 << n
+    dn = [1] * size
+    for s in range(1, size):
+        low = s & -s
+        d = dn[s ^ low]
+        dn[s] = d | d << low
+    up = [dn[(size - 1) ^ s] << s for s in range(size)]
+    return GradedPoset([s.bit_count() for s in range(size)], order=(dn, up))
+
+
+def product_masks(spreads, qmasks, width, shift=0, common=0):
+    """The masks of the product order over the pairs (x, y), x over
+    `spreads` and y over `qmasks` (`width` of them), pair (x, y) numbered
+    shift + x * width + y, each with the bits `common` (below `1 << shift`)
+    added.  `spreads[x]` is x's mask with bit i moved to bit i * width.
+    The pairs below (x, y) are the pairs of an element below x and one
+    below y: x's spread mask with each of its bits widened to a block of
+    `width` bits, cut by y's mask copied into every block.  One AND per
+    pair."""
+    full = (1 << width) - 1
+    copies = int(("0" * (width - 1) + "1") * len(spreads), 2)
+    blocks = [s * full << shift | common for s in spreads]
+    tiles = [m * copies << shift | common for m in qmasks]
+    return [b & t for b in blocks for t in tiles]
 
 
 def poset_product(p, q):
-    """Cartesian product; ranks add, covers change one coordinate."""
-    qn = q.n
-    ranks = [p.ranks[x] + q.ranks[y] for x in range(p.n) for y in range(qn)]
-    covers = []
-    for a, b in p.covers:
-        for y in range(qn):
-            covers.append((a * qn + y, b * qn + y))
-    for x in range(p.n):
-        for a, b in q.covers:
-            covers.append((x * qn + a, x * qn + b))
-    return GradedPoset(ranks, covers)
+    """Cartesian product, pair (x, y) as element x * q.n + y; ranks add,
+    and the order is the product of the two orders."""
+    spread = {x: 1 << x * q.n for x in range(p.n)}
+    return GradedPoset(
+        [rp + rq for rp in p.ranks for rq in q.ranks],
+        order=(product_masks(p.restrict(spread), q._dnmask, q.n),
+               product_masks(p.restrict(spread, up=True), q._upmask,
+                             q.n)))

@@ -2,8 +2,8 @@
 
 Each quantity has one production route in `polyqsym`; the independent
 routes that check it live here, unchanged apart from their imports and from
-`relabel` and `_refine`, which were `GradedPoset` methods.  No module under
-`src` imports this file.
+`relabel`, `_refine`, `dual_cover_route` and `interval_cover_route`, which
+were `GradedPoset` methods.  No module under `src` imports this file.
 
 - `f_poly_operator_route`, `ehrenborg_F_chain_route` and
   `f_rp_coaction_route` check the flag-vector transforms;
@@ -38,6 +38,14 @@ routes that check it live here, unchanged apart from their imports and from
 - `interval_polytope_cut_route` cuts every face and quotient out as a
   fresh lattice and registers it, and checks `interval_polytope`, which
   finds the types that its counts fix among the registered ones;
+- `boolean_lattice_cover_route`, `poset_product_cover_route`,
+  `dual_cover_route`, `interval_cover_route` and
+  `face_product_cover_route` build each construction's lattice from its
+  cover pairs through the validating `GradedPoset(ranks, covers)`, with
+  the production numbering, and check `polyqsym.posets.boolean_lattice`,
+  `poset_product`, `GradedPoset.dual` and `GradedPoset.interval` and
+  `polyqsym.polytopes._face_product`, which pass the masks that follow
+  from their operands' masks;
 - `product_lattice_route` and `bipyramid_lattice_route` build the face
   lattices of the direct product and of the bipyramid each from its own
   description, and check the one product of face lattices,
@@ -447,6 +455,79 @@ def interval_polytope_cut_route(p, x, y):
     """The interval [x, y] of the face lattice of p as a fresh lattice,
     registered."""
     return pb.canonical(pb.Polytope(p.lattice.interval(x, y)))
+
+
+# -- lattice constructions from cover pairs ----------------------------------
+
+
+def boolean_lattice_cover_route(n):
+    """The lattice of subsets of an n-set from its cover pairs, subset s
+    as element s."""
+    ranks = [bin(s).count("1") for s in range(1 << n)]
+    covers = [(s, s | (1 << i))
+              for s in range(1 << n) for i in range(n) if not s >> i & 1]
+    return GradedPoset(ranks, covers)
+
+
+def poset_product_cover_route(p, q):
+    """Cartesian product from cover pairs, pair (x, y) as element
+    x * q.n + y; ranks add, covers change one coordinate."""
+    qn = q.n
+    ranks = [p.ranks[x] + q.ranks[y] for x in range(p.n) for y in range(qn)]
+    covers = []
+    for a, b in p.covers:
+        for y in range(qn):
+            covers.append((a * qn + y, b * qn + y))
+    for x in range(p.n):
+        for a, b in q.covers:
+            covers.append((x * qn + a, x * qn + b))
+    return GradedPoset(ranks, covers)
+
+
+def dual_cover_route(p):
+    """The opposite poset from the reversed cover pairs."""
+    h = p.height
+    return GradedPoset([h - r for r in p.ranks],
+                       [(b, a) for a, b in p.covers])
+
+
+def interval_cover_route(p, x, y):
+    """The interval [x, y] from the cover pairs among its members,
+    reranked so x sits at rank 0, members numbered in ascending order."""
+    if not p.leq(x, y):
+        raise PosetError("interval requires x <= y")
+    mask = p.upset_mask(x) & p.downset_mask(y)
+    elems = [e for e in range(p.n) if mask >> e & 1]
+    index = {e: i for i, e in enumerate(elems)}
+    base = p.ranks[x]
+    ranks = [p.ranks[e] - base for e in elems]
+    covers = [(index[a], index[b]) for a in elems for b in p.up_covers(a)
+              if mask >> b & 1]
+    return GradedPoset(ranks, covers)
+
+
+def face_product_cover_route(lp, lq, at_top=False):
+    """`polytopes._face_product` from cover pairs, with its numbering: the
+    pairs of nonempty faces (with `at_top`: of proper faces) and element
+    0, a new bottom (a new top) covering the pairs of atoms (covered by
+    the pairs of coatoms)."""
+    if at_top:
+        drop_p, drop_q, shift = lp.top, lq.top, 0
+    else:
+        drop_p, drop_q, shift = lp.bottom, lq.bottom, 1
+    xs = [x for x in range(lp.n) if x != drop_p]
+    ys = [y for y in range(lq.n) if y != drop_q]
+    row = {x: 1 + i * len(ys) for i, x in enumerate(xs)}
+    col = {y: j for j, y in enumerate(ys)}
+    ranks = [lp.height + lq.height - 1 if at_top else 0]
+    ranks += [lp.ranks[x] + lq.ranks[y] - shift for x in xs for y in ys]
+    covers = [(row[a] + j, row[b] + j) for a, b in lp.covers
+              if drop_p not in (a, b) for j in col.values()]
+    covers += [(r + col[a], r + col[b]) for a, b in lq.covers
+               if drop_q not in (a, b) for r in row.values()]
+    covers += [(i, 0) if at_top else (0, i) for i in range(1, len(ranks))
+               if abs(ranks[i] - ranks[0]) == 1]
+    return GradedPoset(ranks, covers)
 
 
 # -- products and bipyramids, each from its own description -------------------

@@ -563,8 +563,8 @@ def test_cli_cache_rejects_lattice_past_face_bound(tmp_path, capsys,
     path.write_text(json.dumps(_cache(entry)))
     built = []
     real_init = GradedPoset.__init__
-    monkeypatch.setattr(GradedPoset, "__init__", lambda lat, *args: (
-        built.append(1), real_init(lat, *args))[1])
+    monkeypatch.setattr(GradedPoset, "__init__", lambda lat, *args, **kw: (
+        built.append(1), real_init(lat, *args, **kw))[1])
     assert main(["--cache", str(path), "build", "pt"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

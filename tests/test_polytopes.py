@@ -7,20 +7,22 @@ import pytest
 from polyqsym import polytopes as pb
 from polyqsym import store
 from polyqsym.polytopes import MAX_FACES
-from polyqsym.posets import GradedPoset, PosetError
+from polyqsym.posets import (GradedPoset, PosetError, boolean_lattice,
+                             poset_product)
 from polyqsym.exprs import parse_expression
-from polyqsym.posets import poset_product
 from polyqsym.ring import FormalSum, PRODUCT_RING
 from conftest import (DIAGONAL_SPHERE, FOLDED_PRISM, MERGED_OCTAHEDRON,
                       STACKED_BIPYRAMID, brute_flag_number, cw_sphere_lattice,
                       flag_test_types, lattice_stream_exprs,
                       random_graded_poset, random_lattices)
-from oracles import (bipyramid_lattice_route, canonical_key_oracle,
-                     chain_count_route, checked_face_lattice,
-                     faces_are_separated, incidence_lattice_route,
+from oracles import (bipyramid_lattice_route, boolean_lattice_cover_route,
+                     canonical_key_oracle, chain_count_route,
+                     checked_face_lattice, dual_cover_route,
+                     face_product_cover_route, faces_are_separated,
+                     incidence_lattice_route, interval_cover_route,
                      interval_polytope_cut_route, is_facet_closure,
-                     order_is_atom_inclusion, product_lattice_route,
-                     register_by_key, relabel)
+                     order_is_atom_inclusion, poset_product_cover_route,
+                     product_lattice_route, register_by_key, relabel)
 
 
 def test_named_generators():
@@ -90,11 +92,11 @@ def test_constructions_past_face_bound_build_nothing(label, monkeypatch):
     built = []
     real_init = GradedPoset.__init__
 
-    def init(lat, ranks, covers):
+    def init(lat, ranks, *args, **kw):
         ranks = list(ranks)
         built.append(len(ranks))
         assert len(ranks) <= MAX_FACES, "a lattice of %d faces" % len(ranks)
-        real_init(lat, ranks, covers)
+        real_init(lat, ranks, *args, **kw)
     monkeypatch.setattr(GradedPoset, "__init__", init)
     with pytest.raises(ValueError, match="too large"):
         REFUSALS[label]()
@@ -110,7 +112,7 @@ def test_incidence_face_bound_counts_every_face(monkeypatch):
     monkeypatch.setattr(pb, "MAX_FACES", 81)
     built = []
     monkeypatch.setattr(GradedPoset, "__init__",
-                        lambda lat, ranks, covers: built.append(lat))
+                        lambda lat, *args, **kw: built.append(lat))
     with pytest.raises(ValueError, match="too large"):
         pb.from_incidence(_cube_facets(4))
     assert built == []
@@ -596,6 +598,96 @@ def test_flag_vector_is_read_only(catalogue, empty_store):
         assert dict(pb.flag_vector(p)) == want
 
 
+def _assert_identical(lat, want):
+    """The same poset element by element: ranks, strata, both order masks
+    and the cover pairs, with each element's up and down covers, which
+    the canonical key reads."""
+    assert (lat.n, lat.ranks, lat.height, lat.bottom, lat.top) == \
+        (want.n, want.ranks, want.height, want.bottom, want.top)
+    for r in range(-1, lat.height + 2):
+        assert lat.elements_of_rank(r) == want.elements_of_rank(r)
+        assert lat.rank_mask(r) == want.rank_mask(r)
+    for x in range(lat.n):
+        assert lat.downset_mask(x) == want.downset_mask(x)
+        assert lat.upset_mask(x) == want.upset_mask(x)
+    assert lat.covers == want.covers
+    assert lat._up == want._up and lat._dn == want._dn
+
+
+def test_mask_built_constructions_match_cover_routes(catalogue):
+    """Oracle for the constructions that pass masks: the product, the
+    join, the bipyramid, the dual, every interval and the boolean lattice
+    of the catalogue types and their faces are, element by element, the
+    poset that the validating constructor builds from their ranks and
+    covers, and the one that the cover route of `oracles` builds."""
+    types = list({p.key: p.lattice for p in catalogue.values()}.values())
+    faces = {(f.ranks, f.covers): f for lat in types
+             for f in map(lat.interval, [lat.bottom] * lat.n, range(lat.n))}
+    pool = types + [f for f in faces.values() if f not in types]
+    small = [lat for lat in pool if 2 <= lat.n <= 16]
+    seg = pb.segment().lattice
+    cases = [(boolean_lattice(n), boolean_lattice_cover_route(n))
+             for n in range(7)]
+    for lat in pool:
+        cases.append((lat.dual(), dual_cover_route(lat)))
+        cases += [(lat.interval(x, y), interval_cover_route(lat, x, y))
+                  for x in (lat.bottom, *lat.elements_of_rank(1))
+                  for y in (lat.top, *lat.elements_of_rank(lat.height - 1))
+                  if lat.leq(x, y)]
+        if lat.n >= 2:
+            cases.append((pb._face_product(lat, seg, at_top=True),
+                          face_product_cover_route(lat, seg, at_top=True)))
+    for a, b in itertools.product(small, repeat=2):
+        cases.append((poset_product(a, b), poset_product_cover_route(a, b)))
+        cases.append((pb._face_product(a, b),
+                      face_product_cover_route(a, b)))
+    assert len(cases) > 1000
+    for lat, want in cases:
+        _assert_identical(lat, GradedPoset(lat.ranks, lat.covers))
+        _assert_identical(lat, want)
+
+
+def test_each_construction_builds_one_poset(monkeypatch, empty_store):
+    """The benchmark counts lattice elements at `GradedPoset.__init__`:
+    each construction, the mask-built ones too, makes exactly one call,
+    and the poset it returns is the one that call built."""
+    cube, seg = pb.cube(3), pb.segment()
+    lat = cube.lattice
+    vertex = lat.elements_of_rank(1)[0]
+    prism = pb.product(pb.polygon(3), seg)
+    built = []
+    real_init = GradedPoset.__init__
+
+    def init(poset, *args, **kw):
+        real_init(poset, *args, **kw)
+        built.append(poset)
+    monkeypatch.setattr(GradedPoset, "__init__", init)
+    cases = {
+        "boolean_lattice": lambda: boolean_lattice(3),
+        "poset_product": lambda: poset_product(lat, seg.lattice),
+        "dual": lat.dual,
+        "interval": lambda: lat.interval(vertex, lat.top),
+        "_face_product": lambda: pb._face_product(lat, seg.lattice),
+        "_face_product at_top": lambda: pb._face_product(
+            lat, seg.lattice, at_top=True),
+        "GradedPoset": lambda: GradedPoset(lat.ranks, lat.covers),
+        "_incidence_poset": lambda: pb._incidence_poset(lat),
+        "product": lambda: pb.product(cube, prism).lattice,
+        "join": lambda: pb.join(cube, prism).lattice,
+        "bipyramid": lambda: pb.bipyramid(prism).lattice,
+        "dual of a type": lambda: pb.dual(prism).lattice,
+        "simplex": lambda: pb.simplex(5).lattice,
+        "polygon": lambda: pb.polygon(9).lattice,
+        "from_incidence": lambda: pb.from_incidence(
+            [{0, 1, 2, 3}, {0, 1, 4}, {1, 2, 4}, {2, 3, 4}, {3, 0, 4}]
+        ).lattice,
+    }
+    for name, make in cases.items():
+        del built[:]
+        result = make()
+        assert len(built) == 1 and built[0] is result, name
+
+
 def test_constructions_are_memoized(monkeypatch, empty_store):
     built, intervals = [], []
     real_product, real_interval = pb._face_product, GradedPoset.interval
@@ -736,8 +828,8 @@ def test_second_routes_to_a_type_compute_no_key(monkeypatch, empty_store):
     x = pb.product(pent, tri)
     built = []
     real_init = GradedPoset.__init__
-    monkeypatch.setattr(GradedPoset, "__init__", lambda lat, *args: (
-        built.append(1), real_init(lat, *args))[1])
+    monkeypatch.setattr(GradedPoset, "__init__", lambda lat, *args, **kw: (
+        built.append(1), real_init(lat, *args, **kw))[1])
 
     def no_key(poset):
         raise AssertionError("a canonical key was computed")
