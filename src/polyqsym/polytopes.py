@@ -37,49 +37,50 @@ Faces and quotients of a face lattice are face lattices.  Data from
 outside comes in through `from_incidence` alone: `registry_restore`
 reads a saved registry, each type as its vertex-facet incidence, through
 it.  `from_incidence` checks that its lattice is Eulerian and that every
-interval of height 3 is a polygon, and its construction implies the rest
-of what the key needs (see its docstring).
+interval of height 3 is a polygon, and its construction implies the
+rest of what the key needs (see its docstring).
 `tests/oracles.canonical_key_oracle` on the whole lattice is the test
 oracle.
 
 Constructions: the join's face lattice is the Cartesian product of the
-two lattices (`poset_product`).  The direct product and the bipyramid
-(the free sum with a segment, as the cone is the join with a point) come
-from one product of face lattices, `_face_product`: the pairs of nonempty
-faces with a new bottom, or the pairs of proper faces with a new top.
-Each construction, the dual and the faces too, builds its lattice from
-its operands' order masks, which the poset trusts: no cover pair is
-checked or built.  The lattices of outside data (`from_incidence`),
-of `polygon` and of the incidence posets that keys are read off go
-through the validating `GradedPoset(ranks, covers)`.
+two lattices; the direct product's and the bipyramid's (the free sum
+with a segment, as the cone is the join with a point) are the pairs of
+nonempty faces with a new bottom, and of proper faces with a new top.
+`posets.poset_product(p, q, drop)` builds all three from the operands'
+order masks, as `posets` builds the dual and the faces.  This module
+builds no mask: `from_incidence`, `polygon` and the incidence posets
+that keys are read off go through the validating `GradedPoset(ranks,
+covers)`.
 
-Memos: the generators `empty`, `point`, `segment`, every catalogue
-request and operator word, and `product`, `join`, `bipyramid` and `dual`
-live in `store.memo`, under the request tuples that `store` lists, and
-go through `store.memoized`.  The product and the join are commutative
-and associative, so their requests hold the multiset of the factors:
-each type made by × or join keeps the factors it was first made of, and
-every bracketing and order of the same factors hits one entry before
-any lattice is built.  The unit (the point for ×, the empty polytope
-for join) is no factor.  Dual is an involution, so the dual of its
-result is memoized with it.  The flag vector lives on the type, in
-`_flags`, as its key does in `_key`: one depth-first walk over the
-lattice fills it with every flag number on the first `flag_number`
-call, which `flag_vector` makes too, and each later call reads one set.
-Faces and quotients have no memo: `interval_polytope` finds a registered
-polygon or simplex, or the empty polytope, point or segment, by the
-invariant read off the parent's masks, and cuts out any other interval.
+Memos: each generator (`empty`, `point`, `segment`, `simplex`, `cube`,
+`cross`, `polygon`, `cell24`) and operator word, and `product`, `join`,
+`bipyramid` and `dual` live in `store.memo`, under the request tuples
+that `store` lists, and go through `store.memoized`; `build_named`
+validates a catalogue request and calls its generator.  The product and
+the join are commutative and associative, so their requests hold the
+multiset of the factors: each type made by × or join keeps the factors
+it was first made of, and every bracketing and order of the same
+factors hits one entry before any lattice is built.  The unit (the
+point for ×, the empty polytope for join) is no factor.  Dual is an
+involution, so the dual of its result is memoized with it.  The flag
+vector lives on the type, in `_flags`, as its key does in `_key`: one
+depth-first walk over the lattice fills it with every flag number on
+the first `flag_number` call, which `flag_vector` makes too, and each
+later call reads one set.  Faces and quotients have no memo:
+`interval_polytope` finds a registered polygon or simplex, or the empty
+polytope, point or segment, by the invariant read off the parent's
+masks, and cuts out any other interval.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 from types import MappingProxyType
 
 from . import store
-from .posets import (GradedPoset, bit_indices, boolean_lattice,
-                     poset_product, product_masks)
+from .posets import GradedPoset, bit_indices, boolean_lattice, poset_product
 
 # a lattice of n faces keeps order masks of n^2 bits
 MAX_FACES = 10_000
@@ -214,37 +215,6 @@ def registry_snapshot():
     return [_facet_vertices(p.lattice) for p in types.values()]
 
 
-def _every_height3_interval_is_polygon(lat):
-    """The proper part of every interval of height 3 is one cycle, as in a
-    face lattice, where such an interval is a 2-face or a quotient by a
-    face of codimension 3: a polygon.  Assumes the lattice is Eulerian, so
-    that each proper part is a union of cycles; the walk from its lowest
-    atom must reach all of its atoms."""
-    up, dn, rank = lat._upmask, lat._dnmask, lat._rankmask
-    for x in range(lat.n):
-        r = lat.ranks[x]
-        if r + 3 > lat.height:
-            continue
-        ux = up[x]
-        atoms, mids, tops = (ux & rank[r + 1], ux & rank[r + 2],
-                             ux & rank[r + 3])
-        while tops:
-            z = tops & -tops
-            tops ^= z
-            below = dn[z.bit_length() - 1]
-            cycle_atoms, cycle_mids = atoms & below, mids & below
-            a = cycle_atoms & -cycle_atoms
-            b = seen = 0
-            while a and not seen & a:
-                seen |= a
-                b = up[a.bit_length() - 1] & cycle_mids & ~b
-                b &= -b
-                a = dn[b.bit_length() - 1] & cycle_atoms & ~a
-            if seen != cycle_atoms:
-                return False
-    return True
-
-
 def registry_restore(entries):
     """Register the types of a saved registry list, each a list of facets,
     each a list of vertex indices, through `from_incidence`.  Raises
@@ -266,14 +236,19 @@ def registry_restore(entries):
 # -- named generators ---------------------------------------------------
 
 
+def _generator(request, make):
+    """The registered type of the lattice `make()`, memoized under
+    `request`, a (name, *params) tuple."""
+    return store.memoized(store.memo, request,
+                          lambda: canonical(Polytope(make())))
+
+
 def empty():
-    return store.memoized(store.memo, ("empty",), lambda: canonical(
-        Polytope(GradedPoset([0], []))))
+    return _generator(("empty",), lambda: boolean_lattice(0))
 
 
 def point():
-    return store.memoized(store.memo, ("pt",), lambda: canonical(
-        Polytope(GradedPoset([0, 1], [(0, 1)]))))
+    return _generator(("pt",), lambda: boolean_lattice(1))
 
 
 def simplex(n):
@@ -281,12 +256,11 @@ def simplex(n):
         raise ValueError("simplex(n) needs n >= 0")
     # simplex(n) is C^(n+1) empty
     _check_word("C" * min(n + 1, MAX_FACES.bit_length()), "simplex(n)")
-    return canonical(Polytope(boolean_lattice(n + 1)))
+    return _generator(("simplex", n), lambda: boolean_lattice(n + 1))
 
 
 def segment():
-    return store.memoized(store.memo, ("cube", 1), lambda: canonical(
-        Polytope(boolean_lattice(2))))
+    return _generator(("cube", 1), lambda: boolean_lattice(2))
 
 
 def cube(n):
@@ -294,10 +268,8 @@ def cube(n):
         raise ValueError("cube(n) needs n >= 1")
     # cube(n) has the 3^n + 1 faces of cross(n), B^(n+1) empty
     _check_word("B" * min(n + 1, MAX_FACES.bit_length()), "cube(n)")
-    p = segment()
-    for _ in range(n - 1):
-        p = product(p, segment())
-    return p
+    return store.memoized(store.memo, ("cube", n),
+                          lambda: functools.reduce(product, [segment()] * n))
 
 
 def cross(n):
@@ -305,24 +277,30 @@ def cross(n):
     if n < 1:
         raise ValueError("cross(n) needs n >= 1")
     _check_word("B" * min(n + 1, MAX_FACES.bit_length()), "cross(n)")
-    p = point()
-    for _ in range(n):
-        p = bipyramid(p)
-    return p
+
+    def make():
+        p = point()
+        for _ in range(n):
+            p = bipyramid(p)
+        return p
+    return store.memoized(store.memo, ("cross", n), make)
 
 
 def polygon(m):
     if m < 3:
         raise ValueError("polygon(m) needs m >= 3")
     _check_faces(2 * m + 2, "polygon(m)")
-    # 0 = empty face, 1..m vertices, m+1..2m edges, 2m+1 top
-    ranks = [0] + [1] * m + [2] * m + [3]
-    covers = [(0, 1 + i) for i in range(m)]
-    for j in range(m):
-        covers.append((1 + j, 1 + m + j))
-        covers.append((1 + (j + 1) % m, 1 + m + j))
-        covers.append((1 + m + j, 2 * m + 1))
-    return canonical(Polytope(GradedPoset(ranks, covers)))
+
+    def make():
+        # 0 = empty face, 1..m vertices, m+1..2m edges, 2m+1 top
+        ranks = [0] + [1] * m + [2] * m + [3]
+        covers = [(0, 1 + i) for i in range(m)]
+        for j in range(m):
+            covers.append((1 + j, 1 + m + j))
+            covers.append((1 + (j + 1) % m, 1 + m + j))
+            covers.append((1 + m + j, 2 * m + 1))
+        return GradedPoset(ranks, covers)
+    return _generator(("polygon", m), make)
 
 
 def _cell24_incidence():
@@ -347,7 +325,8 @@ def _cell24_incidence():
 
 
 def cell24():
-    return from_incidence(_cell24_incidence())
+    return store.memoized(store.memo, ("cell24",),
+                          lambda: from_incidence(_cell24_incidence()))
 
 
 def build_named(name, *params):
@@ -366,8 +345,7 @@ def build_named(name, *params):
     if not all(map(isinstance, params, kinds)):
         raise ValueError("%s(..) takes %s" % (
             name, "an integer" if int in kinds else "letters B and C"))
-    return store.memoized(store.memo, (name,) + params,
-                          lambda: fn(*params))
+    return fn(*params)
 
 
 def from_word(word):
@@ -497,7 +475,7 @@ def from_incidence(facet_vertex_sets):
     if not lattice.is_eulerian():
         raise ValueError("not a valid polytope incidence: not an Eulerian "
                          "lattice")
-    if not _every_height3_interval_is_polygon(lattice):
+    if not lattice.height3_intervals_are_cycles():
         raise ValueError("not a valid polytope incidence: not a polytope "
                          "face lattice: an interval of height 3 is not a "
                          "polygon")
@@ -540,7 +518,7 @@ def product(p, q):
     def build():
         a, b = p.lattice.n, q.lattice.n
         _check_faces((a - 1) * (b - 1) + 1, "the product")
-        return _face_product(p.lattice, q.lattice)
+        return poset_product(p.lattice, q.lattice, drop="bottom")
     return _by_factors("prod", 0, p, q, build)
 
 
@@ -564,44 +542,8 @@ def bipyramid(p):
     def make():
         _check_faces(3 * p.lattice.n - 2, "the bipyramid")
         return canonical(Polytope(
-            _face_product(p.lattice, segment().lattice, at_top=True)))
+            poset_product(p.lattice, segment().lattice, drop="top")))
     return store.memoized(store.memo, ("bipyramid", p), make)
-
-
-def _face_product(lp, lq, at_top=False):
-    """The face lattice of the direct product of two nonempty polytopes,
-    the diamond product of their lattices (Ehrenborg & Readdy, J.
-    Algebraic Combin. 8, 1998): the pairs (x, y) of nonempty faces,
-    ordered componentwise, with rank r(x) + r(y) - 1, and a new bottom,
-    element 0.  With `at_top`, the face lattice of their free sum, the
-    polar construction: the pairs of proper faces, with rank r(x) + r(y),
-    and a new top, element 0.  Pair (x, y) is element 1 + i * len(ys) + j,
-    x = xs[i] and y = ys[j]; its masks are the product of the factors'
-    masks, restricted to the faces kept."""
-    if at_top:
-        drop_p, drop_q, shift = lp.top, lq.top, 0
-    else:
-        drop_p, drop_q, shift = lp.bottom, lq.bottom, 1
-    xs = [x for x in range(lp.n) if x != drop_p]
-    ys = [y for y in range(lq.n) if y != drop_q]
-    ranks = [lp.height + lq.height - 1 if at_top else 0]
-    ranks += [lp.ranks[x] + lq.ranks[y] - shift for x in xs for y in ys]
-    # the factors' masks on the faces kept, p's spread for the pairs
-    spread = {x: 1 << i * len(ys) for i, x in enumerate(xs)}
-    kept = {y: 1 << j for j, y in enumerate(ys)}
-    # element 0 lies above every pair (at_top) or below every pair, so the
-    # pairs' masks all hold bit 0 on that side
-    every = (1 << len(ranks)) - 1
-    if at_top:
-        dn0, up0, pair_dn, pair_up = every, 1, 0, 1
-    else:
-        dn0, up0, pair_dn, pair_up = 1, every, 1, 0
-    dn = product_masks(lp.restrict(spread), lq.restrict(kept), len(ys), 1,
-                       pair_dn)
-    up = product_masks(lp.restrict(spread, up=True),
-                       lq.restrict(kept, up=True),
-                       len(ys), 1, pair_up)
-    return GradedPoset(ranks, order=([dn0] + dn, [up0] + up))
 
 
 def dual(p):

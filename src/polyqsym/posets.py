@@ -1,20 +1,20 @@
 """Finite graded posets with a bottom and a top element.
 
 Elements are the integers 0..n-1.  The order relation is the primary data:
-one downset and one upset bitmask per element, with the rank strata.  Data
-from outside comes as ranks and cover pairs, which the constructor
-validates before it derives the masks, cover by cover.  The library's
-constructions (`poset_product`, `boolean_lattice`, `dual`, `interval`, and
-the product of face lattices in `polytopes`) pass the masks of their
+one downset and one upset bitmask per element, with the rank strata,
+built and read here alone (other modules use accessors such as
+`downset_mask`).  Data from outside comes as integer ranks and cover
+pairs, which the constructor validates before it derives the masks,
+cover by cover.  The constructions (`poset_product`, which
+builds the face lattices of the join, the direct product and the free
+sum, `boolean_lattice`, `dual` and `interval`) pass the masks of their
 result, which follow from their operands' masks, through the keyword
-`order`; they are trusted, so nothing is checked and no cover pair is
-built.  Masks re-indexed to a convex set of elements (`restrict`: an
-interval, or a product's factor spread over its blocks) are rebuilt in
-rank order, one OR per cover read off the masks.  The Hasse diagram
-(`covers`, and each element's up and down covers) is derived from the
-masks on first read: a cover of x is an element one rank below x in x's
-downset.  Values are immutable after construction; the Hasse diagram and
-the canonical key are computed on first use, at most once per instance.
+`order`, trusted: nothing is checked and no cover pair is built.  Masks
+re-indexed to a convex set of elements (`restrict`: an interval, or a
+product's factor spread over its blocks) are rebuilt in rank order, one
+OR per cover.  The Hasse diagram (each element's up and down covers,
+which `covers` lists) and the canonical key are derived on first use,
+at most once per instance; values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -35,13 +35,16 @@ def bit_indices(m):
 
 
 def _checked_order(ranks, covers):
-    """Validate ranks and cover pairs; return the Hasse diagram (the sorted
-    covers, each element's up covers and down covers) and the order
+    """Validate ranks and cover pairs, integers all; return the order
     (downset masks, upset masks), built bottom up and top down."""
-    covers = tuple(sorted({(int(a), int(b)) for a, b in covers}))
+    covers = {(a, b) for a, b in covers}
     n = len(ranks)
     if n == 0:
         raise PosetError("a graded poset needs at least one element")
+    # bool is an int subclass, and no integer
+    if not (all(type(r) is int for r in ranks)
+            and all(type(a) is type(b) is int for a, b in covers)):
+        raise PosetError("ranks and cover pairs must be integers")
     if min(ranks) != 0:
         raise PosetError("minimal rank must be 0")
     height = max(ranks)
@@ -74,8 +77,7 @@ def _checked_order(ranks, covers):
         for y in up[x]:
             m |= upmask[y]
         upmask[x] = m
-    hasse = (covers, tuple(map(tuple, up)), tuple(map(tuple, dn)))
-    return hasse, (dnmask, upmask)
+    return dnmask, upmask
 
 
 class GradedPoset:
@@ -88,11 +90,9 @@ class GradedPoset:
         """The poset of these ranks and cover pairs, validated; or, with
         `order`, the pair (downset masks, upset masks) of a library
         construction, trusted as given, and no covers."""
+        ranks = tuple(ranks)
         if order is None:
-            ranks = tuple(int(r) for r in ranks)
-            hasse, order = _checked_order(ranks, covers)
-        else:
-            ranks, hasse = tuple(ranks), None
+            order = _checked_order(ranks, covers)
         # every rank 0..height is taken: checked covers give every element
         # below the top an upper cover one rank up, and constructions
         # give ranks that their operands fill
@@ -107,38 +107,42 @@ class GradedPoset:
         self._dnmask, self._upmask = map(tuple, order)
         self._rankmask = tuple(sum(1 << x for x in s) for s in strata)
         self._strata = tuple(map(tuple, strata))
-        self._hasse = hasse
+        self._hasse = None
         self._key = None
 
     # -- the Hasse diagram, derived on first read -------------------------
 
     def _hasse_diagram(self):
-        """(covers, up covers, down covers): a cover of x is an element of
-        rank r(x) - 1 in x's downset.  Filled in one assignment, so a
-        racing reader sees all of it or none."""
+        """(up covers, down covers): an up cover of x is an element of rank
+        r(x) + 1 in x's upset, and x is a down cover of each of its up
+        covers; of validated input, the pairs given, each of which raises
+        rank by one.  Filled in one assignment, so a racing reader sees
+        all of it or none."""
         hasse = self._hasse
         if hasse is None:
             rank, height = self._rankmask, self.height
-            dn = tuple(tuple(bit_indices(m & rank[r - 1])) if r else ()
-                       for m, r in zip(self._dnmask, self.ranks))
-            up = tuple(tuple(bit_indices(m & rank[r + 1])) if r < height
-                       else () for m, r in zip(self._upmask, self.ranks))
-            covers = tuple((a, b) for a in range(self.n) for b in up[a])
-            self._hasse = hasse = (covers, up, dn)
+            up = [bit_indices(m & rank[r + 1]) if r < height else []
+                  for m, r in zip(self._upmask, self.ranks)]
+            dn = [[] for _ in up]
+            for a, bs in enumerate(up):
+                for b in bs:
+                    dn[b].append(a)
+            self._hasse = hasse = (tuple(map(tuple, up)),
+                                   tuple(map(tuple, dn)))
         return hasse
 
     @property
     def covers(self):
         """The cover pairs (a, b), a covered by b, sorted."""
-        return self._hasse_diagram()[0]
+        return tuple((a, b) for a, bs in enumerate(self._up) for b in bs)
 
     @property
     def _up(self):
-        return self._hasse_diagram()[1]
+        return self._hasse_diagram()[0]
 
     @property
     def _dn(self):
-        return self._hasse_diagram()[2]
+        return self._hasse_diagram()[1]
 
     # -- order relation -------------------------------------------------
 
@@ -223,6 +227,35 @@ class GradedPoset:
                 above ^= low
                 below = dn[low.bit_length() - 1]
                 if (ex & below).bit_count() != (ox & below).bit_count():
+                    return False
+        return True
+
+    def height3_intervals_are_cycles(self):
+        """The proper part of every interval of height 3 is one cycle, as
+        in a face lattice, where it is a polygon.  Assumes the poset is
+        Eulerian, so each proper part is a union of cycles: the walk from
+        its lowest atom must reach all of its atoms."""
+        up, dn, rank = self._upmask, self._dnmask, self._rankmask
+        for x in range(self.n):
+            r = self.ranks[x]
+            if r + 3 > self.height:
+                continue
+            ux = up[x]
+            atoms, mids, tops = (ux & rank[r + 1], ux & rank[r + 2],
+                                 ux & rank[r + 3])
+            while tops:
+                z = tops & -tops
+                tops ^= z
+                below = dn[z.bit_length() - 1]
+                cycle_atoms, cycle_mids = atoms & below, mids & below
+                a = cycle_atoms & -cycle_atoms
+                b = seen = 0
+                while a and not seen & a:
+                    seen |= a
+                    b = up[a.bit_length() - 1] & cycle_mids & ~b
+                    b &= -b
+                    a = dn[b.bit_length() - 1] & cycle_atoms & ~a
+                if seen != cycle_atoms:
                     return False
         return True
 
@@ -364,28 +397,48 @@ def boolean_lattice(n):
     return GradedPoset([s.bit_count() for s in range(size)], order=(dn, up))
 
 
-def product_masks(spreads, qmasks, width, shift=0, common=0):
-    """The masks of the product order over the pairs (x, y), x over
-    `spreads` and y over `qmasks` (`width` of them), pair (x, y) numbered
-    shift + x * width + y, each with the bits `common` (below `1 << shift`)
-    added.  `spreads[x]` is x's mask with bit i moved to bit i * width.
-    The pairs below (x, y) are the pairs of an element below x and one
-    below y: x's spread mask with each of its bits widened to a block of
-    `width` bits, cut by y's mask copied into every block.  One AND per
-    pair."""
+def poset_product(p, q, drop=None):
+    """The Cartesian product, pair (x, y) numbered x * q.n + y, with rank
+    r(x) + r(y): the face lattice of the join.  With `drop`, a diamond
+    product (Ehrenborg & Readdy, J. Algebraic Combin. 8, 1998), pair
+    (xs[i], ys[j]) numbered 1 + i * len(ys) + j, and element 0 new: drop
+    "bottom" keeps the pairs of non-bottom elements, at rank
+    r(x) + r(y) - 1, under a new bottom (the face lattice of the direct
+    product), and "top" the pairs of non-top elements under a new top
+    (that of the free sum).  The pairs below (x, y) are those of an
+    element below x and one below y: x's mask with bit i widened to the
+    block of row i, cut by y's mask copied into every block; one AND per
+    pair.  Element 0 lies on one side of all pairs, so those masks all
+    hold bit 0."""
+    below, above = drop == "bottom", drop == "top"
+    if drop is None:
+        xs, ys = range(p.n), range(q.n)
+        qmasks = q._dnmask, q._upmask
+    elif below or above:
+        if min(p.n, q.n) < 2:
+            raise PosetError("a diamond product needs two elements a factor")
+        xs = [x for x in range(p.n) if x != (p.bottom if below else p.top)]
+        ys = [y for y in range(q.n) if y != (q.bottom if below else q.top)]
+        kept = {y: 1 << j for j, y in enumerate(ys)}
+        qmasks = q.restrict(kept), q.restrict(kept, up=True)
+    else:
+        raise PosetError("drop must be None, 'bottom' or 'top'")
+    first, width = int(drop is not None), len(ys)
     full = (1 << width) - 1
-    copies = int(("0" * (width - 1) + "1") * len(spreads), 2)
-    blocks = [s * full << shift | common for s in spreads]
-    tiles = [m * copies << shift | common for m in qmasks]
-    return [b & t for b in blocks for t in tiles]
+    copies = int(("0" * (width - 1) + "1") * len(xs), 2)
+    spread = {x: 1 << i * width for i, x in enumerate(xs)}
 
-
-def poset_product(p, q):
-    """Cartesian product, pair (x, y) as element x * q.n + y; ranks add,
-    and the order is the product of the two orders."""
-    spread = {x: 1 << x * q.n for x in range(p.n)}
-    return GradedPoset(
-        [rp + rq for rp in p.ranks for rq in q.ranks],
-        order=(product_masks(p.restrict(spread), q._dnmask, q.n),
-               product_masks(p.restrict(spread, up=True), q._upmask,
-                             q.n)))
+    def pair_masks(up, common):
+        blocks = [s * full << first | common for s in p.restrict(spread, up)]
+        tiles = [m * copies << first | common for m in qmasks[up]]
+        return [b & t for b in blocks for t in tiles]
+    dn, up = pair_masks(False, int(below)), pair_masks(True, int(above))
+    qranks = [q.ranks[y] for y in ys]
+    ranks = [r + s for r in (p.ranks[x] - below for x in xs) for s in qranks]
+    every = (1 << len(ranks) + 1) - 1
+    if below:
+        ranks, dn, up = [0] + ranks, [1] + dn, [every] + up
+    elif above:
+        ranks = [p.height + q.height - 1] + ranks
+        dn, up = [every] + dn, [1] + up
+    return GradedPoset(ranks, order=(dn, up))

@@ -168,13 +168,13 @@ def random_lattices(rng, count):
         op = rng.choice(("prod", "join", "dual", "B", "C"))
         a, b = rng.choice(pool), rng.choice(pool)
         if op == "prod":
-            lat = pb._face_product(a, b)
+            lat = poset_product(a, b, drop="bottom")
         elif op == "join":
             lat = poset_product(a, b)
         elif op == "dual":
             lat = a.dual()
         elif op == "B":
-            lat = pb._face_product(a, pb.segment().lattice, at_top=True)
+            lat = poset_product(a, pb.segment().lattice, drop="top")
         else:
             lat = poset_product(pb.point().lattice, a)
         if lat.height <= 5 and lat.n <= 120:

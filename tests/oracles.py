@@ -43,13 +43,14 @@ were `GradedPoset` methods.  No module under `src` imports this file.
   `face_product_cover_route` build each construction's lattice from its
   cover pairs through the validating `GradedPoset(ranks, covers)`, with
   the production numbering, and check `polyqsym.posets.boolean_lattice`,
-  `poset_product`, `GradedPoset.dual` and `GradedPoset.interval` and
-  `polyqsym.polytopes._face_product`, which pass the masks that follow
-  from their operands' masks;
+  `GradedPoset.dual`, `GradedPoset.interval` and the three modes of
+  `poset_product` (the join's product, and with `drop` "bottom" or
+  "top" the direct product's and the bipyramid's), which pass the masks
+  that follow from their operands' masks;
 - `product_lattice_route` and `bipyramid_lattice_route` build the face
   lattices of the direct product and of the bipyramid each from its own
-  description, and check the one product of face lattices,
-  `polyqsym.polytopes._face_product`, that builds both;
+  description, and check `polyqsym.posets.poset_product` with `drop`
+  "bottom" and "top";
 - `incidence_lattice_route` closes the facet vertex sets under
   intersection, tests every pair of faces for a cover and ranks by the
   longest chain, and checks the one top-down pass of
@@ -506,11 +507,12 @@ def interval_cover_route(p, x, y):
     return GradedPoset(ranks, covers)
 
 
-def face_product_cover_route(lp, lq, at_top=False):
-    """`polytopes._face_product` from cover pairs, with its numbering: the
-    pairs of nonempty faces (with `at_top`: of proper faces) and element
-    0, a new bottom (a new top) covering the pairs of atoms (covered by
-    the pairs of coatoms)."""
+def face_product_cover_route(lp, lq, drop):
+    """`posets.poset_product(lp, lq, drop)`, drop "bottom" or "top", from
+    cover pairs, with its numbering: the pairs of nonempty faces (drop
+    "top": of proper faces) and element 0, a new bottom (a new top)
+    covering the pairs of atoms (covered by the pairs of coatoms)."""
+    at_top = drop == "top"
     if at_top:
         drop_p, drop_q, shift = lp.top, lq.top, 0
     else:
@@ -655,7 +657,7 @@ def checked_face_lattice(lat):
     otherwise, with the messages of `pb.from_incidence`."""
     if not lat.is_eulerian():
         raise PosetError("not an Eulerian lattice")
-    if not pb._every_height3_interval_is_polygon(lat):
+    if not lat.height3_intervals_are_cycles():
         raise PosetError("not a polytope face lattice: an interval of "
                          "height 3 is not a polygon")
     if not (faces_are_separated(lat) and order_is_atom_inclusion(lat)

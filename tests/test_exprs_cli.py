@@ -1,4 +1,5 @@
 import json
+import operator
 import os
 
 import pytest
@@ -133,18 +134,28 @@ def test_bad_atoms_exit_2_at_their_name(capsys):
 
 
 def test_named_atoms_are_memoized(monkeypatch):
+    """Each catalogue generator memoizes itself: once a name is built,
+    neither parsing it again nor calling its generator directly builds a
+    poset, for a lattice or for a key."""
     monkeypatch.setattr(store, "memo", {})
-    calls = []
-    real = pb.cell24
+    built = []
+    real_init = GradedPoset.__init__
 
-    def counted():
-        calls.append(1)
-        return real()
-    monkeypatch.setattr(pb, "cell24", counted)
-    first = parse_expression("cell24")
-    second = parse_expression("cell24")
-    assert len(calls) == 1
-    assert next(iter(first.terms)) is next(iter(second.terms))
+    def init(lat, *args, **kw):
+        real_init(lat, *args, **kw)
+        built.append(lat)
+    monkeypatch.setattr(GradedPoset, "__init__", init)
+    names = ["cell24", "simplex(3)", "polygon(7)", "cube(3)", "cross(3)",
+             "word(BCB)"]
+    first = [next(iter(parse_expression(e).terms)) for e in names]
+    assert built
+    del built[:]
+    again = [next(iter(parse_expression(e).terms)) for e in names]
+    direct = [pb.cell24(), pb.simplex(3), pb.polygon(7), pb.cube(3),
+              pb.cross(3), pb.from_word("BCB")]
+    assert built == []
+    assert all(map(operator.is_, first, again))
+    assert all(map(operator.is_, first, direct))
 
 
 def test_cli_build_and_flag(capsys):

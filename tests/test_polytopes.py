@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 import time
@@ -517,29 +518,29 @@ def _assert_same_lattice(new, old):
 
 
 def test_face_product_matches_routes(catalogue):
-    """Oracle for the one product of face lattices: with and without
-    `at_top` it builds the lattices that the product and bipyramid routes
-    of `oracles` build, by element count, rank profile and key, on every
-    pair of catalogue lattices up to dim 3, the random pool, the folded
-    prism and the point; the bipyramid of a point is the segment, and a
-    product with a point keeps the type."""
+    """Oracle for the diamond products of face lattices: with `drop`
+    "top" and "bottom", `poset_product` builds the lattices that the
+    bipyramid and product routes of `oracles` build, by element count,
+    rank profile and key, on every pair of catalogue lattices up to dim
+    3, the random pool, the folded prism and the point; the bipyramid of
+    a point is the segment, and a product with a point keeps the type."""
     small = list({p.key: p.lattice for p in catalogue.values()
                   if 0 <= p.dim <= 3}.values())
     lattices = small + random_lattices(random.Random(5), 30)
     lattices.append(pb.from_incidence(FOLDED_PRISM).lattice)
     seg = pb.segment().lattice
     for a in lattices:
-        _assert_same_lattice(pb._face_product(a, seg, at_top=True),
+        _assert_same_lattice(poset_product(a, seg, drop="top"),
                              bipyramid_lattice_route(a))
     for a, b in itertools.product(small, repeat=2):
-        _assert_same_lattice(pb._face_product(a, b),
+        _assert_same_lattice(poset_product(a, b, drop="bottom"),
                              product_lattice_route(a, b))
     pt = pb.point().lattice
     for a in lattices:
-        _assert_same_lattice(pb._face_product(a, pt),
+        _assert_same_lattice(poset_product(a, pt, drop="bottom"),
                              product_lattice_route(a, pt))
-        _assert_same_lattice(pb._face_product(pt, a), a)
-    _assert_same_lattice(pb._face_product(pt, seg, at_top=True), seg)
+        _assert_same_lattice(poset_product(pt, a, drop="bottom"), a)
+    _assert_same_lattice(poset_product(pt, seg, drop="top"), seg)
     _assert_same_lattice(bipyramid_lattice_route(pt), seg)
     assert pb.bipyramid(pb.point()) is pb.segment()
     assert pb.product(pb.point(), pb.cube(3)) is pb.cube(3)
@@ -635,16 +636,24 @@ def test_mask_built_constructions_match_cover_routes(catalogue):
                   for y in (lat.top, *lat.elements_of_rank(lat.height - 1))
                   if lat.leq(x, y)]
         if lat.n >= 2:
-            cases.append((pb._face_product(lat, seg, at_top=True),
-                          face_product_cover_route(lat, seg, at_top=True)))
+            cases.append((poset_product(lat, seg, drop="top"),
+                          face_product_cover_route(lat, seg, "top")))
     for a, b in itertools.product(small, repeat=2):
         cases.append((poset_product(a, b), poset_product_cover_route(a, b)))
-        cases.append((pb._face_product(a, b),
-                      face_product_cover_route(a, b)))
+        cases.append((poset_product(a, b, drop="bottom"),
+                      face_product_cover_route(a, b, "bottom")))
     assert len(cases) > 1000
     for lat, want in cases:
         _assert_identical(lat, GradedPoset(lat.ranks, lat.covers))
         _assert_identical(lat, want)
+
+
+def test_polytopes_leaves_the_order_masks_to_posets():
+    """The mask format lives in `posets` alone: `polytopes` reads no mask
+    field of a poset and hands none to one."""
+    source = inspect.getsource(pb)
+    for name in ("_upmask", "_dnmask", "_rankmask", "_hasse", "order="):
+        assert name not in source, name
 
 
 def test_each_construction_builds_one_poset(monkeypatch, empty_store):
@@ -667,9 +676,10 @@ def test_each_construction_builds_one_poset(monkeypatch, empty_store):
         "poset_product": lambda: poset_product(lat, seg.lattice),
         "dual": lat.dual,
         "interval": lambda: lat.interval(vertex, lat.top),
-        "_face_product": lambda: pb._face_product(lat, seg.lattice),
-        "_face_product at_top": lambda: pb._face_product(
-            lat, seg.lattice, at_top=True),
+        "poset_product bottom": lambda: poset_product(
+            lat, seg.lattice, drop="bottom"),
+        "poset_product top": lambda: poset_product(
+            lat, seg.lattice, drop="top"),
         "GradedPoset": lambda: GradedPoset(lat.ranks, lat.covers),
         "_incidence_poset": lambda: pb._incidence_poset(lat),
         "product": lambda: pb.product(cube, prism).lattice,
@@ -690,8 +700,8 @@ def test_each_construction_builds_one_poset(monkeypatch, empty_store):
 
 def test_constructions_are_memoized(monkeypatch, empty_store):
     built, intervals = [], []
-    real_product, real_interval = pb._face_product, GradedPoset.interval
-    monkeypatch.setattr(pb, "_face_product",
+    real_product, real_interval = pb.poset_product, GradedPoset.interval
+    monkeypatch.setattr(pb, "poset_product",
                         lambda a, b, **kw: built.append(1)
                         or real_product(a, b, **kw))
     monkeypatch.setattr(GradedPoset, "interval",
@@ -771,11 +781,12 @@ def test_registry_classes_are_key_classes(empty_store):
 
 def test_products_and_joins_have_the_pairwise_key(empty_store):
     """Every product and join, however bracketed and ordered, is the type
-    of the lattice built pair by pair with `_face_product` or
-    `poset_product`: over the lattice-stream operands of seeds 1-2 and
-    over random 3-factor products and joins of a small pool."""
-    routes = {"prod": (pb.product, pb._face_product),
-                "join": (pb.join, poset_product)}
+    of the lattice built pair by pair with `poset_product`, with `drop`
+    "bottom" for the product: over the lattice-stream operands of seeds
+    1-2 and over random 3-factor products and joins of a small pool."""
+    routes = {"prod": (pb.product,
+                       lambda a, b: poset_product(a, b, drop="bottom")),
+              "join": (pb.join, poset_product)}
 
     def pairwise(op, *polys):
         lat = polys[0].lattice
@@ -1073,7 +1084,8 @@ def test_interval_polytope_bounds(empty_store):
     for x, y in ((v, edge), (lat.top, lat.bottom), (edge, v)):
         with pytest.raises(PosetError):
             pb.interval_polytope(sq, x, y)
-    lat = pb._face_product(pb.simplex(2).lattice, pb.segment().lattice)
+    lat = poset_product(pb.simplex(2).lattice, pb.segment().lattice,
+                        drop="bottom")
     prism = pb.Polytope(lat)
     assert prism not in store.types.values()
     assert pb.interval_polytope(prism, lat.bottom, lat.top) is prism

@@ -19,6 +19,37 @@ def test_validation_rejects_bad_input():
         GradedPoset([0, 2], [(0, 1)])  # cover jumps two ranks
     with pytest.raises(PosetError):
         GradedPoset([0, 1, 1], [(0, 1)])  # dangling element
+    # entries that int() would truncate or parse, and bools, are no
+    # integers
+    for ranks, covers in (([0, 1.9], [(0, 1)]), ([0, 1], [(0.7, 1)]),
+                          ([0, 1.9], [(0.7, 1.2)]), (["0", "1"], [(0, 1)]),
+                          ([0, 1], [("0", "1")]), ([False, True], [(0, 1)]),
+                          ([0, 1], [(False, True)])):
+        with pytest.raises(PosetError):
+            GradedPoset(ranks, covers)
+    # a diamond product drops an element of each factor, and only the
+    # bottom or the top
+    with pytest.raises(PosetError):
+        poset_product(one_element_poset(), boolean_lattice(1), drop="top")
+    with pytest.raises(PosetError):
+        poset_product(boolean_lattice(1), boolean_lattice(1), drop="middle")
+
+
+def test_validated_covers_read_back_from_the_masks():
+    """The Hasse diagram of validated input is derived from the masks: the
+    cover pairs given come back sorted and once each, and each element's
+    up covers ascending."""
+    covers = [(2, 3), (0, 2), (1, 3), (0, 1), (2, 3), (0, 1), (1, 3)]
+    p = GradedPoset([0, 1, 1, 2], covers)
+    assert p.covers == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert [p.up_covers(x) for x in range(4)] == [(1, 2), (3,), (3,), ()]
+    b2 = boolean_lattice(2)
+    shuffled = list(b2.covers) * 2
+    random.Random(1).shuffle(shuffled)
+    q = GradedPoset(b2.ranks, shuffled)
+    assert q.covers == b2.covers
+    assert [q.up_covers(x) for x in range(4)] == \
+        [b2.up_covers(x) for x in range(4)]
 
 
 def test_interval_identity_and_degenerate():
