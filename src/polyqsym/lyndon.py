@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from . import store
 
@@ -164,15 +165,23 @@ def series_exponents(target, nmax):
     """Exponents k_i with product over i of (1 - t^i)^(-k_i) matching the
     target series through degree nmax, by the logarithmic derivative: the
     coefficients c_n = n a_n - sum_{0<j<n} c_j a_{n-j} of t A'/A satisfy
-    c_n = sum_{d|n} d k_d, so n k_n = sum_{d|n} mu(n/d) c_d."""
+    c_n = sum_{d|n} d k_d, so n k_n = sum_{d|n} mu(n/d) c_d.  The Moebius
+    function is sieved once up to nmax, and each c_d, once known, is added
+    as mu(q) c_d into the sum of every multiple q d <= nmax; by degree n
+    every divisor of n has been added."""
     if not target or target[0] != 1:
         raise ValueError("target series must have constant term 1")
     a = list(target[:nmax + 1]) + [0] * max(0, nmax + 1 - len(target))
+    mu = _moebius_table(nmax)
     c = [0] * (nmax + 1)
+    acc = [0] * (nmax + 1)
     ks = []
     for n in range(1, nmax + 1):
-        c[n] = n * a[n] - sum(c[j] * a[n - j] for j in range(1, n))
-        k, rest = divmod(sum(moebius(n // d) * c[d] for d in _divisors(n)), n)
+        c[n] = cn = n * a[n] - sum(map(mul, c[1:n], a[n - 1:0:-1]))
+        for q in range(1, nmax // n + 1):
+            if mu[q]:
+                acc[q * n] += mu[q] * cn
+        k, rest = divmod(acc[n], n)
         if rest:
             raise AssertionError("exponent of degree %d is not integral" % n)
         ks.append(k)
@@ -203,6 +212,17 @@ def product_expansion(factors, nmax):
 def _divisors(n):
     out = [d for d in range(1, n + 1) if n % d == 0]
     return out
+
+
+def _moebius_table(nmax):
+    """[mu(0) = 0, mu(1), .., mu(nmax)], sieved from sum_{d|n} mu(d) = 0
+    for every n > 1."""
+    mu = [0, 1] + [0] * (nmax - 1)
+    for d in range(1, nmax // 2 + 1):
+        if mu[d]:
+            for m in range(2 * d, nmax + 1, d):
+                mu[m] -= mu[d]
+    return mu
 
 
 def moebius(n):

@@ -2,9 +2,13 @@
 quotient by the Euler relations.
 
 Words are tuples of generator indices (>= 1); polynomials carry exact
-rational coefficients.  The antipode is the closed form on words, a signed
-sum of concatenated compositions; multiplying out the generator antipodes
-is its test oracle in `tests/oracles.py`.  The quotient modulo the
+rational coefficients: an integral one is stored as an `int`, any other as
+a `Fraction`, so the coproduct, the antipode and the normal form of an
+integral polynomial run on machine integers.  Arithmetic may leave an
+integral `Fraction` behind (1/2 + 1/2); equality, hashing and printing do
+not tell it from the `int`.  The antipode is the closed form on words, a
+signed sum of concatenated compositions; multiplying out the generator
+antipodes is its test oracle in `tests/oracles.py`.  The quotient modulo the
 two-sided ideal generated by the alternating convolution relations admits
 a terminating rewriting system whose normal-form words contain the index 1
 at most once, and then only as the leftmost letter.  Linear functionals on
@@ -27,14 +31,22 @@ class NCPoly(Combination):
     """Finite rational combination of words in the generators."""
 
     __slots__ = ()
-    _coeff = staticmethod(Fraction)
     _degree = staticmethod(sum)
+
+    @staticmethod
+    def _coeff(v):
+        """An `int` as it is; any value `Fraction()` accepts as a
+        `Fraction`, or as its numerator when that is the whole value."""
+        if type(v) is int:
+            return v
+        v = Fraction(v)
+        return v.numerator if v.denominator == 1 else v
 
     @staticmethod
     def _key(w):
         w = tuple(w)
         key = tuple(map(int, w))
-        if key != w:
+        if key != w or bool in map(type, w):
             raise ValueError("generator indices are integers")
         if any(x < 1 for x in key):
             raise ValueError("generator indices start at 1")
@@ -73,7 +85,8 @@ class NCPoly(Combination):
 def coproduct(a):
     """Leibnitz coproduct: each generator splits as the full convolution
     with index 0 acting as the unit.  Returns {(left word, right word):
-    coefficient}, every coefficient a nonzero Fraction."""
+    coefficient}, every coefficient nonzero: an `int` when every
+    coefficient of `a` is one, else an `int` or a `Fraction`."""
     out = {}
     for word, v in a.terms.items():
         splits = [((), ())]
@@ -87,7 +100,7 @@ def coproduct(a):
 
 
 def counit(a):
-    return a.terms.get((), Fraction(0))
+    return a.terms.get((), 0)
 
 
 def antipode(a):

@@ -228,6 +228,9 @@ class MultiPoly(Combination):
     _space = "r"
 
     def __init__(self, r, terms=None):
+        if r < 0:
+            raise ValueError("a polynomial in r variables needs r >= 0, "
+                             "not %r" % (r,))
         self.r = r
         Combination.__init__(self, terms)
 

@@ -129,15 +129,12 @@ class QSym(Combination):
 
     def coproduct(self):
         """Deconcatenation coproduct; defined on the plain ring only.
-        Returns {(left comp, right comp): coeff}."""
+        Returns {(left comp, right comp): coeff}.  A key fixes both its
+        composition and the cut, so no two splits share one."""
         if not self.alpha_free():
             raise ValueError("coproduct is defined on the plain ring")
-        out = {}
-        for (_, comp), v in self.terms.items():
-            for i in range(len(comp) + 1):
-                k = (comp[:i], comp[i:])
-                out[k] = out.get(k, 0) + v
-        return out
+        return {(comp[:i], comp[i:]): v for (_, comp), v in self.terms.items()
+                for i in range(len(comp) + 1)}
 
     def expand(self, r):
         """Expansion into r variables (compositions longer than r drop)."""

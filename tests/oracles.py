@@ -20,6 +20,9 @@ were `GradedPoset` methods.  No module under `src` imports this file.
   checks the composition closed form in `polyqsym.ncalg`;
 - `coproduct_split_route` adds each word's coefficient once per split, and
   checks `polyqsym.ncalg.coproduct`, which sums multiplicities;
+- `qsym_coproduct_merge_route` adds each term's coefficient into the
+  entry of each of its splits, and checks `QSym.coproduct`, which writes
+  every split once, since no two splits share a key;
 - `d_even_formula_length_route` lists the odd words of each length 2i by
   recursion (`odd_words`), and checks the one sum over compositions of 2k
   into odd parts in `polyqsym.ncalg.d_even_formula`;
@@ -360,6 +363,22 @@ def coproduct_split_route(a):
         for l, r in splits:
             out[(l, r)] = out.get((l, r), Fraction(0)) + v
     return {k: v for k, v in out.items() if v}
+
+
+# -- quasi-symmetric deconcatenation, split by split --------------------------
+
+
+def qsym_coproduct_merge_route(q):
+    """Deconcatenation coproduct; defined on the plain ring only.
+    Returns {(left comp, right comp): coeff}."""
+    if not q.alpha_free():
+        raise ValueError("coproduct is defined on the plain ring")
+    out = {}
+    for (_, comp), v in q.terms.items():
+        for i in range(len(comp) + 1):
+            k = (comp[:i], comp[i:])
+            out[k] = out.get(k, 0) + v
+    return out
 
 
 # -- the even generator, one word length at a time ----------------------------

@@ -56,16 +56,38 @@ def test_coproduct_and_antipode_cancel_across_words():
     assert a.terms == before
 
 
-def test_values_are_nonzero_fractions():
-    inputs = [NCPoly.one(), W((1, 1)), W((2, 1)) + 3 * W((1, 2)),
-              W((1, 2)) - W((2, 1)), Fraction(1, 2) * W((3, 1, 1)) - Z(4)]
-    for a in inputs:
+def test_values_are_nonzero_ints_or_fractions():
+    """Every value of `coproduct`, `antipode` and `normal_form` is a
+    nonzero int or Fraction.  On an input whose coefficients are all
+    integral every value is an int, so the kernels run on machine integers;
+    a value with a denominator stays a Fraction."""
+    integral = [NCPoly.one(), W((1, 1)), W((2, 1)) + 3 * W((1, 2)),
+                W((1, 2)) - W((2, 1)), euler_relation(5) * W((1, 1)),
+                NCPoly({(3, 1, 1): Fraction(4, 2), (4,): 2.0, (1, 2): "-3",
+                        (2,): True})]
+    fractional = [Fraction(1, 2) * W((3, 1, 1)) - Z(4), s_series(4)[4],
+                  d_even_formula(2)]
+    assert all(type(v) is int for a in integral for v in a.terms.values())
+    for a in integral + fractional:
         for values in (coproduct(a).values(), antipode(a).terms.values(),
                        normal_form(a).terms.values()):
-            assert all(type(v) is Fraction and v for v in values), a
+            values = list(values)
+            assert all(type(v) in (int, Fraction) and v for v in values), a
+            if a in integral:
+                assert all(type(v) is int for v in values), a
+    half = coproduct(fractional[0])[((3, 1, 1), ())]
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    assert type(antipode(fractional[0]).terms[(1, 1, 3)]) is Fraction
+    # an integral Fraction left by arithmetic equals, hashes and prints as
+    # the int
+    whole = Fraction(1, 2) * W((2, 1)) + Fraction(1, 2) * W((2, 1))
+    assert type(whole.terms[(2, 1)]) is Fraction
+    assert whole == W((2, 1)) and hash(whole) == hash(W((2, 1)))
+    assert repr(3 * whole) == repr(3 * W((2, 1))) == "3*Z2 Z1"
 
 
-@pytest.mark.parametrize("word", [(2.5, 1), ("3",), (1, Fraction(3, 2))])
+@pytest.mark.parametrize("word", [(2.5, 1), ("3",), (1, Fraction(3, 2)),
+                                  (True, 2), (2, False)])
 def test_letters_must_be_integers(word):
     with pytest.raises(ValueError):
         NCPoly.word(word)

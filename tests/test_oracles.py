@@ -1,8 +1,9 @@
 """The closed forms of the quasi-symmetric cone operators, the free-algebra
 antipode and the series exponents, the free-algebra coproduct summed by
-split multiplicities, and the one-elimination exact solve, against the
-routes they replaced, kept in `oracles`, each on at least 300 seeded random
-inputs; the sparse-flag matrix read off flag
+split multiplicities (also on integral inputs, where both run on ints),
+the one-pass deconcatenation of `QSym.coproduct`, and the one-elimination
+exact solve, against the routes they replaced, kept in `oracles`, each on
+at least 300 seeded random inputs; the sparse-flag matrix read off flag
 polynomials against the flag numbers of the built basis polytopes; and
 the flag transforms, read off F through one flag map, against the flag
 routes they replaced, on the catalogue and on random constructions."""
@@ -123,14 +124,76 @@ def test_antipode_matches_generator_route_on_coproduct_inputs():
         assert antipode(a) == oracles.antipode(a), a
 
 
-def _series_inputs():
-    """(target, nmax) pairs: random integer series, some shorter than
-    nmax + 1 and some longer, and the series of 1/(1 - sum t^a)."""
-    rng = random.Random(2010)
-    out = [([1], 0), ([1], 5), ([1] + [0] * 10, 10),
-           (fibonacci_series(40), 40), (fibonacci_series(20), 30)]
+def _integral_ncpoly_inputs():
+    """Words of weight at most 10 with signed integer coefficients, some
+    given as integral Fractions or floats, the empty word included."""
+    rng = random.Random(2001)
+    out = [NCPoly.one(), NCPoly.word((), -3), NCPoly.word((10,), 2),
+           NCPoly.word((1,) * 10, -1)]
     while len(out) < CASES:
-        nmax = rng.randint(0, 40)
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            word = rng.choice(compositions(rng.randint(0, 10)))
+            v = rng.choice((-3, -2, -1, 1, 2, 5))
+            terms.append((word, rng.choice((v, Fraction(2 * v, 2),
+                                            float(v)))))
+        out.append(NCPoly(terms))
+    return out
+
+
+def test_kernels_match_oracles_on_integral_inputs():
+    """The int fast path: on integral inputs the coproduct and the
+    antipode are all ints and equal their oracles."""
+    polys = _integral_ncpoly_inputs()
+    assert sum(() in a.terms for a in polys) > 1
+    assert max(sum(w) for a in polys for w in a.terms) == 10
+    for a in polys:
+        assert all(type(v) is int for v in a.terms.values()), a
+        cp, s = coproduct(a), antipode(a)
+        assert all(type(v) is int for v in cp.values()), a
+        assert all(type(v) is int for v in s.terms.values()), a
+        assert cp == oracles.coproduct_split_route(a), a
+        assert s == oracles.antipode(a), a
+
+
+def _plain_qsym_inputs():
+    """Plain-ring QSyms: the zero, multiples of the unit M_(), and random
+    sums with the empty composition among their terms."""
+    rng = random.Random(1998)
+    out = [QSym(), QSym.one(), QSym.monomial((), -4),
+           QSym.monomial((3, 1, 2)) + QSym.monomial(()) - QSym.monomial((1,))]
+    while len(out) < CASES:
+        terms = []
+        for _ in range(rng.randint(0, 6)):
+            comp = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 5)))
+            terms.append(((0, comp), rng.randint(-4, 4)))
+        out.append(QSym(terms))
+    return out
+
+
+def test_qsym_coproduct_matches_merge_route():
+    qs = _plain_qsym_inputs()
+    assert sum(((0, ()) in q.terms for q in qs)) > 10
+    for q in qs:
+        assert q.coproduct() == oracles.qsym_coproduct_merge_route(q), q
+    for q in (QSym.alpha_power(1),
+              QSym.monomial((2,)) + QSym.monomial((1, 2), 3, alpha=1)):
+        for route in (QSym.coproduct, oracles.qsym_coproduct_merge_route):
+            with pytest.raises(ValueError, match="plain ring"):
+                route(q)
+
+
+def _series_inputs():
+    """(target, nmax) pairs with nmax from 0 to 100: random integer series,
+    some shorter than nmax + 1 and some longer, and the series of
+    1/(1 - sum t^a)."""
+    rng = random.Random(2010)
+    out = [([1], 0), ([1], 5), ([1] + [0] * 10, 10), ([1, 4, -2], 0),
+           ([1], 1), ([1, -3], 1), ([1, 2, 7], 1),
+           (fibonacci_series(40), 40), (fibonacci_series(20), 30),
+           (fibonacci_series(100), 100), (fibonacci_series(60), 100)]
+    while len(out) < CASES:
+        nmax = rng.randint(0, 40) if len(out) % 5 else rng.randint(41, 100)
         if rng.random() < 0.5:
             letters = rng.sample(range(1, 8), rng.randint(1, 4))
             target = [1] + [0] * nmax
@@ -147,6 +210,8 @@ def _series_inputs():
 def test_series_exponents_match_degreewise_route():
     cases = _series_inputs()
     assert any(len(t) < n + 1 for t, n in cases)
+    assert any(len(t) < n + 1 for t, n in cases if n > 90)
+    assert {0, 1, 100} <= {n for _, n in cases}
     for target, nmax in cases:
         assert series_exponents(target, nmax) == \
             oracles.series_exponents(target, nmax), (target, nmax)

@@ -150,6 +150,13 @@ def test_expand():
     assert (x * y).expand(4) == x.expand(4) * y.expand(4)
     # restriction after extension is the identity
     assert x.expand(5).drop_var(4) == x.expand(4)
+    # a negative variable count is refused, not read as no variables
+    assert QSym.one().expand(0) == MultiPoly.const(0, 1)
+    for r in (-1, -2):
+        with pytest.raises(ValueError, match="r >= 0"):
+            QSym.one().expand(r)
+        with pytest.raises(ValueError, match="r >= 0"):
+            MultiPoly(r)
 
 
 def test_expand_injective_at_degree():
