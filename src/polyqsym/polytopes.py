@@ -52,11 +52,13 @@ builds no mask: `from_incidence`, `polygon` and the incidence posets
 that keys are read off go through the validating `GradedPoset(ranks,
 covers)`.
 
-Memos: each generator (`empty`, `point`, `segment`, `simplex`, `cube`,
-`cross`, `polygon`, `cell24`) and operator word, and `product`, `join`,
-`bipyramid` and `dual` live in `store.memo`, under the request tuples
-that `store` lists, and go through `store.memoized`; `build_named`
-validates a catalogue request and calls its generator.  The product and
+Memos: each catalogue type has one request in `store.memo` and one
+build.  `empty`, `point` and `segment` are simplex(-1), simplex(0) and
+simplex(1), under ("simplex", n); `cross(n)` is the word B^n C, under
+("word", w); `cube`, `polygon` and `cell24` have their own.  These and
+`product`, `join`, `bipyramid` and `dual` go through `store.memoized`
+under the request tuples that `store` lists; `build_named` validates a
+catalogue request and calls its generator.  The product and
 the join are commutative and associative, so their requests hold the
 multiset of the factors: each type made by × or join keeps the factors
 it was first made of, and every bracketing and order of the same
@@ -244,11 +246,11 @@ def _generator(request, make):
 
 
 def empty():
-    return _generator(("empty",), lambda: boolean_lattice(0))
+    return _generator(("simplex", -1), lambda: boolean_lattice(0))
 
 
 def point():
-    return _generator(("pt",), lambda: boolean_lattice(1))
+    return _generator(("simplex", 0), lambda: boolean_lattice(1))
 
 
 def simplex(n):
@@ -260,7 +262,7 @@ def simplex(n):
 
 
 def segment():
-    return _generator(("cube", 1), lambda: boolean_lattice(2))
+    return _generator(("simplex", 1), lambda: boolean_lattice(2))
 
 
 def cube(n):
@@ -273,17 +275,11 @@ def cube(n):
 
 
 def cross(n):
-    """n-fold bipyramid over a point."""
+    """n-fold bipyramid over a point: the word B^n C."""
     if n < 1:
         raise ValueError("cross(n) needs n >= 1")
     _check_word("B" * min(n + 1, MAX_FACES.bit_length()), "cross(n)")
-
-    def make():
-        p = point()
-        for _ in range(n):
-            p = bipyramid(p)
-        return p
-    return store.memoized(store.memo, ("cross", n), make)
+    return from_word("B" * n + "C")
 
 
 def polygon(m):
@@ -349,7 +345,9 @@ def build_named(name, *params):
 
 
 def from_word(word):
-    """Apply a word over {B, C} right-to-left to the empty polytope."""
+    """Apply a word over {B, C} right-to-left to the empty polytope.
+    C and B both take the empty polytope to the point, so the last letter
+    gives the point and the rest of the word applies to it."""
     if not word:
         raise ValueError("empty operator word")
     if any(ch not in "BC" for ch in word):
@@ -357,8 +355,8 @@ def from_word(word):
 
     def make():
         _check_word(word, "the word")
-        p = empty()
-        for ch in reversed(word):
+        p = point()
+        for ch in reversed(word[:-1]):
             p = cone(p) if ch == "C" else bipyramid(p)
         return p
     return store.memoized(store.memo, ("word", word), make)

@@ -9,9 +9,11 @@ request tuple whose first entry names it; its operands are registered
 types, compared by identity and, between two types of one invariant, by
 key:
 
-    (name, *params)         the generators and catalogue requests, such as
-                            ("pt",) or ("cube", 3); `segment()` is ("cube", 1)
-    ("word", w)             the polytope of an operator word over {B, C}
+    (name, *params)         the generators, such as ("cube", 3); the empty
+                            polytope, the point and the segment are
+                            ("simplex", n) for n = -1, 0, 1
+    ("word", w)             the polytope of an operator word over {B, C};
+                            cross(n) is ("word", "B" * n + "C")
     (op, factors)           op "prod" or "join": the sorted multiset of the
                             factors, the ring unit left out
     (op, p)                 op "bipyramid" or "dual"; the dual of the dual

@@ -9,12 +9,12 @@ hit per term.  The flag polynomial is a relabelling of F: `f_of_F` sends
 M_(c_1, .., c_k) to alpha^(c_1-1) M_(c_k, .., c_2); and `f_rp` = F(P)* +
 alpha f(P).  The image equations, the sparse-flag basis with its
 unimodular matrix, the projection onto it (which reads the sparse flag
-numbers off the flag vector), and the cone/bipyramid operators on the
+numbers off F of the sum), and the cone/bipyramid operators on the
 quasi-symmetric side, as closed forms on the monomial basis, also live
-here.  The second route of each transform, of the cone operators and of
-the basis matrix (face-operator series, chain sums, word coaction, flag
-routes, t-variables, basis polytopes) is a test oracle in
-`tests/oracles.py`.
+here.  The second route of each transform, of the cone operators, of the
+basis matrix and of the projection (face-operator series, chain sums,
+word coaction, flag routes, t-variables, basis polytopes, flag-number
+sums) is a test oracle in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -221,15 +221,14 @@ def bb_det(n):
 
 def bb_coordinates(s, n):
     """The nonzero (word, coefficient) pairs, in basis order, of the basis
-    combination with the flag vector of s."""
+    combination with the flag vector of s, read off F(s)."""
     if isinstance(s, pb.Polytope):
         s = FormalSum.of(s, PRODUCT_RING)
     if s.dims() not in ([], [n]):
         raise ValueError("projection needs a homogeneous input of the "
                          "stated dimension")
-    basis = bb_basis(n)
-    rhs = [sum(coeff * pb.flag_number(poly, subset)
-               for poly, coeff in s.terms.items())
+    basis, g = bb_basis(n), ehrenborg_F(s)
+    rhs = [g.coefficient(flag_composition(n, subset))
            for subset in basis.psi_sets]
     coeffs = solve_exact(list(zip(*basis.matrix)), rhs)
     if any(c.denominator != 1 for c in coeffs):

@@ -72,6 +72,10 @@ were `GradedPoset` methods.  No module under `src` imports this file.
   alpha^k and t_i^k, for the expand-and-lift routes and the tests;
 - `bb_matrix_lattice_route` builds every basis polytope and runs one flag
   DP per index set, and checks the flag-polynomial route of `bb_basis`;
+- `bb_coordinates_flag_route` sums each sparse flag number over the terms,
+  one `flag_number` call per set and term, solves by Cramer's rule, and
+  checks `polyqsym.transforms.bb_coordinates`, which reads the flag
+  numbers off F of the sum;
 - `sparse_index_sets_filter` keeps the subsets of {0..n-2} with no two
   consecutive members, and checks `sparse_index_sets`, which reads them
   off the compositions into parts 1 and 2;
@@ -107,7 +111,7 @@ from polyqsym.posets import GradedPoset, PosetError
 from polyqsym.qsym import QSym, compositions
 from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
                            d_k, epsilon_alpha, mul_join, xi_alpha)
-from polyqsym.transforms import (basis_word_strings, phi_alpha,
+from polyqsym.transforms import (basis_word_strings, bb_basis, phi_alpha,
                                  sparse_index_sets)
 
 
@@ -922,6 +926,20 @@ def bb_matrix_lattice_route(n):
     psi = sparse_index_sets(n)
     polys = [pb.from_word(w) for w in basis_word_strings(n)]
     return tuple(tuple(pb.flag_number(q, s) for s in psi) for q in polys)
+
+
+def bb_coordinates_flag_route(s, n):
+    """Oracle for `bb_coordinates(s, n)`: each sparse flag number of the
+    homogeneous sum s summed over its terms, set by set, and the system
+    solved by Cramer's rule; the nonzero (word, coefficient) pairs."""
+    basis = bb_basis(n)
+    rhs = [sum(coeff * pb.flag_number(poly, subset)
+               for poly, coeff in s.terms.items())
+           for subset in basis.psi_sets]
+    coeffs = solve_exact_cramer([list(row) for row in zip(*basis.matrix)],
+                                rhs)
+    assert all(c.denominator == 1 for c in coeffs)
+    return [(w, int(c)) for w, c in zip(basis.omega_words, coeffs) if c]
 
 
 def basis_word_strings_recursion(n):

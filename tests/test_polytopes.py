@@ -64,6 +64,39 @@ def test_word_construction():
         pb.from_word("CXC")
 
 
+def test_boolean_lattice_types_are_built_once(monkeypatch, empty_store):
+    """The empty polytope, the point and the segment are the simplices of
+    dim -1, 0 and 1, with one memo request and one lattice each: the
+    generators share their entries with `simplex(n)`, and the words C and
+    B, which take the empty polytope to the point, build nothing."""
+    built = []
+    real_init = GradedPoset.__init__
+
+    def init(poset, *args, **kw):
+        real_init(poset, *args, **kw)
+        built.append(poset.n)
+    monkeypatch.setattr(GradedPoset, "__init__", init)
+    types = [pb.empty(), pb.point(), pb.simplex(0), pb.segment(),
+             pb.simplex(1), pb.from_word("C"), pb.from_word("B")]
+    assert built == [1, 2, 4]
+    assert pb.point() is pb.simplex(0) and pb.segment() is pb.simplex(1)
+    assert types[5] is types[6] is types[1]
+    assert {request[0] for request in store.memo} == {"simplex", "word"}
+
+
+def test_cross_is_its_word(empty_store):
+    """cross(n) is the word B^n C, with no memo entry of its own, and
+    refuses past the face bound with the same text however large n is."""
+    for n in range(1, 9):
+        assert pb.cross(n) is pb.from_word("B" * n + "C")
+    assert not any(request[0] == "cross" for request in store.memo)
+    for n in (9, 9223372036854775807):
+        with pytest.raises(ValueError) as refused:
+            pb.cross(n)
+        assert str(refused.value) == \
+            "too large: cross(n) has more than 10000 faces"
+
+
 def _cube_facets(n):
     """The facet vertex sets of the n-cube, its vertices the n-bit masks."""
     return [{v for v in range(1 << n) if v >> i & 1 == side}

@@ -181,9 +181,8 @@ def test_antipode_runs_one_route(empty_store):
 
 
 # the request kinds that `store` documents for `store.memo`
-_REQUEST_KINDS = {"empty", "pt", "simplex", "cube", "cross", "polygon",
-                  "cell24", "word", "prod", "join", "bipyramid", "dual",
-                  "faces", "antipode"}
+_REQUEST_KINDS = {"simplex", "cube", "polygon", "cell24", "word", "prod",
+                  "join", "bipyramid", "dual", "faces", "antipode"}
 
 
 def test_memo_holds_documented_requests(empty_store):
@@ -206,7 +205,7 @@ def test_memo_holds_documented_requests(empty_store):
                    for p in (part if isinstance(part, tuple) else (part,))
                    if isinstance(p, pb.Polytope)), request
     kinds = {request[0] for request in store.memo}
-    assert {"cross", "word", "prod", "faces", "antipode"} <= kinds
+    assert {"word", "prod", "faces", "antipode"} <= kinds
     empty_store()
     assert not store.memo and not store.types
     assert compute() == first

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import random
 
 import pytest
 
@@ -6,22 +8,24 @@ from polyqsym import polytopes as pb
 from polyqsym import transforms
 from polyqsym.polys import MultiPoly
 from polyqsym.qsym import QSym
-from polyqsym.ring import (JOIN_RING, FormalSum, a_op, antipode_rp,
-                           bipyramid_op, cone_op, l_alpha, mul_join,
-                           mul_product)
+from polyqsym.ring import (JOIN_RING, PRODUCT_RING, FormalSum, a_op,
+                           antipode_rp, bipyramid_op, cone_op, l_alpha,
+                           mul_join, mul_product)
 from polyqsym.suites import omega_polytopes
 from polyqsym.transforms import (FLAVOR_JOIN, FLAVOR_POSET, FLAVOR_PRODUCT,
                                  a0_qsym, a_rp_qsym, b0_qsym, b_qsym,
-                                 b_rp_qsym, bb_basis, bb_det, bb_multiply,
-                                 basis_word_strings, c0_qsym, c_rp_qsym,
+                                 b_rp_qsym, bb_basis, bb_coordinates,
+                                 bb_det, bb_multiply, basis_word_strings,
+                                 c0_qsym, c_rp_qsym,
                                  cone_qsym, dehn_sommerville_check,
                                  ehrenborg_F, f_of_F, f_poly, f_rp,
                                  flag_composition, phi_alpha, phi_zero,
                                  project_bb, sparse_index_sets,
                                  verify_image_equations)
-from conftest import FOLDED_PRISM, flag_test_types, fs
-from oracles import (basis_word_strings_recursion, ehrenborg_F_chain_route,
-                     f_poly_operator_route, f_rp_coaction_route,
+from conftest import FOLDED_PRISM, STACKED_BIPYRAMID, flag_test_types, fs
+from oracles import (basis_word_strings_recursion, bb_coordinates_flag_route,
+                     ehrenborg_F_chain_route, f_poly_operator_route,
+                     f_rp_coaction_route,
                      multipoly_alpha, multipoly_var, phi_image_law_holds,
                      theta_substitution_invariant)
 
@@ -272,6 +276,60 @@ def test_project_keeps_flag_polynomial():
              - fs(pb.bipyramid(pb.simplex(2)))]
     for s in sums:
         assert f_poly(project_bb(s, s.max_dim())) == f_poly(s)
+
+
+def _types_of_dim(n):
+    """The types of the words of dim n and their duals, and for n >= 2 a
+    polygon times a cube, each type once, in a fixed order."""
+    out = [pb.from_word("".join(w)) for w in itertools.product("BC",
+                                                               repeat=n + 1)]
+    out += [pb.dual(p) for p in out]
+    if n >= 2:
+        out += [functools.reduce(pb.product, [pb.cube(1)] * (n - 2),
+                                 pb.polygon(m)) for m in (5, 6, 7)]
+    return list(dict.fromkeys(out))
+
+
+def test_bb_coordinates_match_flag_number_route():
+    """The projection reads its flag numbers off F of the sum; the oracle
+    sums `flag_number` over the terms set by set and solves by Cramer's
+    rule.  Random homogeneous sums of dim 1..5, sums whose flag numbers
+    cancel in full (a sum less its projection; the octahedron less a
+    stacked bipyramid of its f-vector; the pentagon less 2 squares plus a
+    triangle), and a sum whose flag numbers cancel in part (the cube less
+    the octahedron, both with 12 edges)."""
+    rng = random.Random(7)
+    sums = []
+    for n in range(1, 6):
+        pool = _types_of_dim(n)
+        for _ in range(6):
+            terms = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            sums.append((n, FormalSum(PRODUCT_RING, (
+                (p, rng.choice((-3, -2, -1, 1, 2, 3))) for p in terms))))
+    zero = [(n, s - project_bb(s, n)) for n, s in sums[::5]]
+    zero += [(3, fs(pb.cross(3)) - fs(pb.from_incidence(STACKED_BIPYRAMID))),
+             (2, fs(pb.polygon(5)) - 2 * fs(pb.cube(2)) + fs(pb.simplex(2))),
+             (4, fs(pb.cube(4)) - fs(pb.cube(4)))]
+    for n, s in zero:
+        assert bb_coordinates(s, n) == [] == bb_coordinates_flag_route(s, n)
+    part = fs(pb.cube(3)) - fs(pb.cross(3))
+    assert pb.flag_number(pb.cube(3), (1,)) == pb.flag_number(pb.cross(3),
+                                                               (1,))
+    assert bb_coordinates(part, 3) == bb_coordinates_flag_route(part, 3) != []
+    for n, s in sums:
+        assert bb_coordinates(s, n) == bb_coordinates_flag_route(s, n), s
+
+
+def test_projection_reads_F(monkeypatch, empty_store):
+    """On an empty store the projection makes one `flag_number` call per
+    type, the one through which `flag_vector` fills the type's vector."""
+    calls = []
+    real = pb.flag_number
+    monkeypatch.setattr(pb, "flag_number",
+                        lambda p, subset: calls.append(p) or real(p, subset))
+    s = fs(pb.cube(4)) - 2 * fs(pb.cross(4)) + fs(pb.simplex(4))
+    bb_coordinates(s, 4)
+    assert sorted(map(id, calls)) == sorted(map(id, s.terms))
 
 
 def test_transforms_run_one_route(monkeypatch):
