@@ -15,6 +15,7 @@ substitution identities.
 from __future__ import annotations
 
 import itertools
+import operator
 
 
 def merge_terms(pairs):
@@ -65,6 +66,8 @@ class Combination:
     validate each nonzero pair in `_coeff` and `_key`, and give a key's
     degree in `_degree`.  `_space` names the attribute, if any, on which
     two values must agree to be added (a ring's ambient, a variable count).
+    The integer combinations take coefficients through `operator.index`,
+    which refuses a float, a fraction or a string.
     Sums, negations, scalings and products build their results from keys
     that are already valid, so they skip the constructor's checks."""
 
@@ -149,7 +152,7 @@ class AlphaPoly(Combination):
     or an AlphaPoly."""
 
     __slots__ = ()
-    _key = _coeff = staticmethod(int)
+    _key = _coeff = staticmethod(operator.index)
 
     @classmethod
     def const(cls, v):
@@ -226,6 +229,7 @@ class MultiPoly(Combination):
 
     __slots__ = ("r",)
     _space = "r"
+    _coeff = staticmethod(operator.index)
 
     def __init__(self, r, terms=None):
         if r < 0:

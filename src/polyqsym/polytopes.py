@@ -241,8 +241,7 @@ def registry_restore(entries):
 def _generator(request, make):
     """The registered type of the lattice `make()`, memoized under
     `request`, a (name, *params) tuple."""
-    return store.memoized(store.memo, request,
-                          lambda: canonical(Polytope(make())))
+    return store.memoized(request, lambda: canonical(Polytope(make())))
 
 
 def empty():
@@ -270,7 +269,7 @@ def cube(n):
         raise ValueError("cube(n) needs n >= 1")
     # cube(n) has the 3^n + 1 faces of cross(n), B^(n+1) empty
     _check_word("B" * min(n + 1, MAX_FACES.bit_length()), "cube(n)")
-    return store.memoized(store.memo, ("cube", n),
+    return store.memoized(("cube", n),
                           lambda: functools.reduce(product, [segment()] * n))
 
 
@@ -321,7 +320,7 @@ def _cell24_incidence():
 
 
 def cell24():
-    return store.memoized(store.memo, ("cell24",),
+    return store.memoized(("cell24",),
                           lambda: from_incidence(_cell24_incidence()))
 
 
@@ -359,7 +358,7 @@ def from_word(word):
         for ch in reversed(word[:-1]):
             p = cone(p) if ch == "C" else bipyramid(p)
         return p
-    return store.memoized(store.memo, ("word", word), make)
+    return store.memoized(("word", word), make)
 
 
 def from_incidence(facet_vertex_sets):
@@ -505,7 +504,7 @@ def _by_factors(op, unit_dim, p, q, build):
         r = canonical(Polytope(build()))
         r._factors.setdefault(op, factors)
         return r
-    return store.memoized(store.memo, (op, factors), make)
+    return store.memoized((op, factors), make)
 
 
 def product(p, q):
@@ -541,7 +540,7 @@ def bipyramid(p):
         _check_faces(3 * p.lattice.n - 2, "the bipyramid")
         return canonical(Polytope(
             poset_product(p.lattice, segment().lattice, drop="top")))
-    return store.memoized(store.memo, ("bipyramid", p), make)
+    return store.memoized(("bipyramid", p), make)
 
 
 def dual(p):
@@ -551,7 +550,7 @@ def dual(p):
         q = canonical(Polytope(p.lattice.dual()))
         store.memo.setdefault(("dual", q), canonical(p))
         return q
-    return store.memoized(store.memo, ("dual", p), make)
+    return store.memoized(("dual", p), make)
 
 
 def interval_polytope(p, x, y):

@@ -314,10 +314,10 @@ class GradedPoset:
         Individualization-refinement with the ranks as initial cells and a
         splitter queue (`_refine`; McKay & Piperno, J. Symb. Comput. 60,
         2014): a node individualizes each member of its first non-singleton
-        cell in turn and refines from that singleton; the least tuple of
-        up-cover bitmasks by position over the leaves wins, and automorphisms
-        found at leaves prune symmetric branches.  Only the equality classes
-        of keys are stable, not their bytes.
+        cell in turn and refines from that singleton, skipping the orbit of
+        the members already tried under the automorphisms found at leaves
+        that fix its path; the least tuple of up-cover bitmasks by position
+        over the leaves wins.  Only key equality classes are stable.
         """
         if self._key is not None:
             return self._key
@@ -342,16 +342,6 @@ class GradedPoset:
                 autos.append(tuple(best_elems[bit[x].bit_length() - 1]
                                    for x in range(n)))
 
-        def orbit_contains(gens, fixed, seed, target):
-            valid = [g for g in gens if all(g[f] == f for f in fixed)]
-            orb, stack = {seed}, [seed]
-            while stack and target not in orb:
-                z = stack.pop()
-                new = {g[z] for g in valid} - orb
-                orb |= new
-                stack += new
-            return target in orb
-
         def search(part, ncells, fixed):
             elems, cell, end = part
             if ncells == n:
@@ -360,11 +350,10 @@ class GradedPoset:
             s = 0
             while end[s] == s + 1:
                 s += 1
-            tried = []
+            orb = set()
             for x in elems[s:end[s]]:
-                if any(orbit_contains(autos, fixed, y, x) for y in tried):
+                if x in orb:
                     continue
-                tried.append(x)
                 child = (elems[:], cell[:], end[:])
                 p, e = elems.index(x, s), end[s]
                 child[0][p], child[0][s] = child[0][s], x
@@ -373,6 +362,16 @@ class GradedPoset:
                     child[1][y] = s + 1
                 search(child, self._refine(child, [s], ncells + 1),
                        fixed + (x,))
+                # skip the orbit of the tried elements under the
+                # automorphisms found so far that fix the path
+                gens = [g for g in autos if all(g[f] == f for f in fixed)]
+                orb.add(x)
+                stack = list(orb)
+                while stack:
+                    z = stack.pop()
+                    new = {g[z] for g in gens} - orb
+                    orb |= new
+                    stack += new
 
         search(part, ncells, ())
         self._key = repr((n,) + best).encode("ascii")

@@ -10,6 +10,7 @@ degree.
 from __future__ import annotations
 
 import itertools
+import operator
 from types import MappingProxyType
 
 from . import store
@@ -67,7 +68,7 @@ class QSym(Combination):
     polynomial grading variable folded into the keys."""
 
     __slots__ = ()
-    _coeff = staticmethod(int)
+    _coeff = staticmethod(operator.index)
 
     @staticmethod
     def _key(key):
@@ -82,6 +83,10 @@ class QSym(Combination):
     @staticmethod
     def _degree(key):
         return key[0] + sum(key[1])
+
+    @staticmethod
+    def _print_order(key):
+        return key[0] + sum(key[1]), key[0], len(key[1]), key[1]
 
     @classmethod
     def monomial(cls, comp, coeff=1, alpha=0):
@@ -153,9 +158,7 @@ class QSym(Combination):
 
     def to_json_obj(self):
         out = []
-        for (a, comp) in sorted(self.terms,
-                                key=lambda k: (k[0] + sum(k[1]), k[0],
-                                               len(k[1]), k[1])):
+        for (a, comp) in sorted(self.terms, key=self._print_order):
             entry = {"comp": list(comp), "coeff": self.terms[(a, comp)]}
             if a:
                 entry["alpha"] = a
@@ -164,9 +167,7 @@ class QSym(Combination):
 
     def __repr__(self):
         terms = []
-        for (a, comp) in sorted(self.terms,
-                                key=lambda k: (k[0] + sum(k[1]), k[0],
-                                               len(k[1]), k[1])):
+        for (a, comp) in sorted(self.terms, key=self._print_order):
             factors = []
             if a == 1:
                 factors.append("a")

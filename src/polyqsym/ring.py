@@ -12,6 +12,7 @@ antipode that checks the memoized recursion is a test oracle in
 from __future__ import annotations
 
 import collections
+import operator
 
 from . import polytopes as pb
 from . import store
@@ -25,7 +26,7 @@ JOIN_RING = "RP"
 class FormalSum(Combination):
     __slots__ = ("ambient",)
     _space = "ambient"
-    _coeff = staticmethod(int)
+    _coeff = staticmethod(operator.index)
 
     def __init__(self, ambient, terms=None):
         if ambient not in (PRODUCT_RING, JOIN_RING):
@@ -104,7 +105,7 @@ def _face_classes(poly, k):
     def make():
         faces = pb.faces(poly, poly.dim - k)
         return tuple(collections.Counter(f for _, f in faces).items())
-    return store.memoized(store.memo, ("faces", poly, k), make)
+    return store.memoized(("faces", poly, k), make)
 
 
 def d_k(s, k):
@@ -222,7 +223,7 @@ def _antipode(poly):
         return tuple(merge_terms((pb.join(face, r), -mult * c)
                                  for (face, quot), mult in pairs.items()
                                  for r, c in _antipode(quot)).items())
-    return store.memoized(store.memo, ("antipode", poly), make)
+    return store.memoized(("antipode", poly), make)
 
 
 def antipode_rp(s):

@@ -4,10 +4,10 @@ Two dicts.  `types` is the registry of polytope types.  The first type
 of each invariant, its (dim, f-vector), is stored under the invariant,
 unkeyed; when a second type shares that invariant, both are keyed and
 each is stored under its key too (see `polytopes.canonical`).  `memo`
-holds every other quantity that depends on polytope types, keyed by a
-request tuple whose first entry names it; its operands are registered
-types, compared by identity and, between two types of one invariant, by
-key:
+holds every other quantity that depends on polytope types, made and kept
+by `memoized(request, make)` under a request tuple whose first entry names
+it; its operands are registered types, compared by identity and, between
+two types of one invariant, by key:
 
     (name, *params)         the generators, such as ("cube", 3); the empty
                             polytope, the point and the segment are
@@ -53,11 +53,11 @@ memo = {}
 TABLES = []
 
 
-def memoized(table, request, make):
-    """`table[request]`, stored from `make()` on a miss."""
-    hit = table.get(request)
+def memoized(request, make):
+    """`memo[request]`, stored from `make()` on a miss."""
+    hit = memo.get(request)
     if hit is None:
-        hit = table.setdefault(request, make())
+        hit = memo.setdefault(request, make())
     return hit
 
 

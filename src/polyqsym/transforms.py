@@ -43,7 +43,7 @@ def flag_composition(n, s):
 def _F_terms(poly):
     """The terms of F of one type, read off its flag vector once and kept
     under ("F", poly)."""
-    return store.memoized(store.memo, ("F", poly), lambda: tuple(
+    return store.memoized(("F", poly), lambda: tuple(
         ((0, flag_composition(poly.dim, subset)), value)
         for subset, value in pb.flag_vector(poly).items()))
 
@@ -82,8 +82,6 @@ def f_poly(s):
 def f_rp(s):
     """Rank-character transform of the join ring, by the star-transform
     identity f_RP(P) = F(P)* + alpha f(P)."""
-    if isinstance(s, pb.Polytope):
-        s = FormalSum.of(s, JOIN_RING)
     g = ehrenborg_F(s)
     return g.star() + QSym()._from_valid(
         ((a + 1, comp), v) for (a, comp), v in f_of_F(g).terms.items())

@@ -14,27 +14,46 @@ from polyqsym.qsym import QSym
 from polyqsym.ring import JOIN_RING, PRODUCT_RING, FormalSum
 from oracles import multipoly_var
 
-# type name -> (constructor from terms, three distinct valid keys)
+# type name -> (constructor from terms, three distinct valid keys, terms
+# it refuses with TypeError: an integer combination takes no float,
+# fraction or string)
 TYPES = {
     "FormalSum": (lambda terms: FormalSum(PRODUCT_RING, terms),
-                  lambda: [pb.point(), pb.segment(), pb.cube(2)]),
-    "QSym": (QSym, lambda: [(0, (1,)), (1, (2, 1)), (0, ())]),
-    "AlphaPoly": (AlphaPoly, lambda: [0, 1, 3]),
+                  lambda: [pb.point(), pb.segment(), pb.cube(2)],
+                  lambda: [{pb.cube(2): 1.7}, {pb.cube(2): Fraction(5, 2)},
+                           {pb.cube(2): "3"}]),
+    "QSym": (QSym, lambda: [(0, (1,)), (1, (2, 1)), (0, ())],
+             lambda: [{(0, (1,)): 0.5}, {(0, (1,)): Fraction(6, 2)}]),
+    "AlphaPoly": (AlphaPoly, lambda: [0, 1, 3],
+                  lambda: [{1.9: 1}, {1: 1.9}, {1: "1"}]),
     "MultiPoly": (lambda terms: MultiPoly(2, terms),
-                  lambda: [(0, (1, 0)), (1, (0, 2)), (0, (0, 0))]),
-    "NCPoly": (NCPoly, lambda: [(1,), (2, 1), ()]),
+                  lambda: [(0, (1, 0)), (1, (0, 2)), (0, (0, 0))],
+                  lambda: [{(0, (1, 0)): 2.5}]),
+    "NCPoly": (NCPoly, lambda: [(1,), (2, 1), ()], lambda: []),
 }
 
 
 def _value(name):
-    make, keys = TYPES[name]
+    make, keys, _ = TYPES[name]
     k0, k1, _ = keys()
     return make({k0: 2, k1: -3})
 
 
 @pytest.mark.parametrize("name", TYPES)
+def test_integer_combinations_refuse_other_numbers(name):
+    """3 and -2 are kept as they are; a float, a fraction or a string is
+    refused, not truncated, parsed or kept.  NCPoly stays rational."""
+    make, keys, refused = TYPES[name]
+    k0, k1, _ = keys()
+    assert make({k0: 3, k1: -2}).terms == {k0: 3, k1: -2}
+    for terms in refused():
+        with pytest.raises(TypeError):
+            make(terms)
+
+
+@pytest.mark.parametrize("name", TYPES)
 def test_combination_laws(name):
-    make, keys = TYPES[name]
+    make, keys, _ = TYPES[name]
     k0, k1, k2 = keys()
     x = make({k0: 2, k1: -3})
     assert (x + (-x)).is_zero()

@@ -223,6 +223,26 @@ def test_random_relabel_of_irregular_poset():
         assert relabel(p, perm).canonical_key() == p.canonical_key()
 
 
+def test_relabelled_symmetric_incidences_keep_their_keys():
+    """Random relabellings of vertex-facet incidences with large
+    automorphism groups keep their keys, and the four types' keys differ.
+    A relabelling reorders the candidates of every cell, so the orbit
+    pruning meets the symmetric branches in another order."""
+    from polyqsym import polytopes as pb
+    rng = random.Random(43)
+    keys = set()
+    for poly in (pb.cube(5), pb.cross(5), pb.cell24(),
+                 pb.product(pb.cube(2), pb.cross(3))):
+        inc = pb._incidence_poset(poly.lattice)
+        key = inc.canonical_key()
+        for _ in range(4):
+            perm = list(range(inc.n))
+            rng.shuffle(perm)
+            assert relabel(inc, perm).canonical_key() == key
+        keys.add(key)
+    assert len(keys) == 4
+
+
 def _brute_isomorphic(p, q):
     import itertools
     if sorted(p.ranks) != sorted(q.ranks) or len(p.covers) != len(q.covers):

@@ -11,6 +11,7 @@ from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, a_op,
                            delta_derivation, dual_sum, epsilon_alpha,
                            l_alpha, mul_join, mul_product, phi_poly,
                            xi_alpha)
+from polyqsym.transforms import ehrenborg_F
 from conftest import STACKED_BIPYRAMID, antipode_axiom_sums, fs
 from oracles import (antipode_rp_chain_route, bigraded_piece, graded_piece,
                      negate_variable, shift)
@@ -182,7 +183,7 @@ def test_antipode_runs_one_route(empty_store):
 
 # the request kinds that `store` documents for `store.memo`
 _REQUEST_KINDS = {"simplex", "cube", "polygon", "cell24", "word", "prod",
-                  "join", "bipyramid", "dual", "faces", "antipode"}
+                  "join", "bipyramid", "dual", "faces", "antipode", "F"}
 
 
 def test_memo_holds_documented_requests(empty_store):
@@ -193,7 +194,8 @@ def test_memo_holds_documented_requests(empty_store):
         word = pb.from_word("BCBCC")
         prism = pb.product(pb.simplex(2), pb.segment())
         s = fs(prism, JOIN_RING)
-        return (atom, word, prism, d_k(s, 1), d_k(s, 2), antipode_rp(s))
+        return (atom, word, prism, d_k(s, 1), d_k(s, 2), antipode_rp(s),
+                ehrenborg_F(s))
     first = compute()
     assert store.memo
     for request in store.memo:
@@ -205,7 +207,7 @@ def test_memo_holds_documented_requests(empty_store):
                    for p in (part if isinstance(part, tuple) else (part,))
                    if isinstance(p, pb.Polytope)), request
     kinds = {request[0] for request in store.memo}
-    assert {"word", "prod", "faces", "antipode"} <= kinds
+    assert {"word", "prod", "faces", "antipode", "F"} <= kinds
     empty_store()
     assert not store.memo and not store.types
     assert compute() == first
