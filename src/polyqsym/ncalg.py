@@ -11,9 +11,12 @@ signed sum of concatenated compositions; multiplying out the generator
 antipodes is its test oracle in `tests/oracles.py`.  The quotient modulo the
 two-sided ideal generated by the alternating convolution relations admits
 a terminating rewriting system whose normal-form words contain the index 1
-at most once, and then only as the leftmost letter.  Linear functionals on
-the quotient are stored on normal-form basis words and evaluated anywhere
-through the rewriting.
+at most once, and then only as the leftmost letter.  The normal form of a
+word is a fold from the left that keeps no table: each Z_1 is moved left
+through the normal words so far, shedding only normal words; the memoized
+whole-word rewriting is its test oracle, `normal_form_rewriting` in
+`tests/oracles.py`.  Linear functionals on the quotient are stored on
+normal-form basis words and evaluated anywhere through the same fold.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from . import store
 from .polys import AlphaPoly, Combination, format_terms, merge_terms
 from .qsym import QSym, compositions
 
@@ -129,43 +131,52 @@ def is_normal_word(w):
     return len(ones) == 1 and ones[0] == 0
 
 
-@store.cached
-def _normal_form_word(w):
-    """Integer expansion of a word in the normal-form basis.
+def _absorb_one(u, c):
+    """c NF(u Z_1) for a normal word u, as (word, coefficient) pairs.
 
-    Rewrites with the consequences of the alternating relations: a doubled
-    leading 1 contracts to the next generator, any other 1 moves left past
-    its >= 2 neighbour, shedding words with strictly fewer 1-letters."""
-    if is_normal_word(w):
-        return {w: 1}
-    ones = [i for i, x in enumerate(w) if x == 1]
-    if ones[0] == 0 and ones[1] == 1:
-        # Z1 Z1 = 2 Z2 applied at the front
-        rewrites = {(2,) + w[2:]: 2}
-    else:
-        p = ones[0] if ones[0] >= 1 else ones[1]
-        i = w[p - 1]
-        head, tail = w[:p - 1], w[p + 1:]
-        # Z_i Z_1 = (-1)^i [ Z_1 Z_i - (1 + (-1)^(i+1)) Z_{i+1}
-        #                    - sum_{a=2}^{i-1} (-1)^a Z_a Z_{i+1-a} ]
-        sign = -1 if i % 2 else 1
-        rewrites = {head + (1, i) + tail: sign}
-        euler = 1 + (-1 if (i + 1) % 2 else 1)
-        if euler:
-            key = head + (i + 1,) + tail
-            rewrites[key] = rewrites.get(key, 0) - sign * euler
+    The Z_1 moves left through u by the rule
+    Z_i Z_1 = (-1)^i [Z_1 Z_i - (1 + (-1)^(i+1)) Z_(i+1)
+                      - sum_(a=2..i-1) (-1)^a Z_a Z_(i+1-a)],
+    and every word it sheds is normal.  It stops at the front, or meets a
+    leading Z_1 and contracts with it: Z_1 Z_1 = 2 Z_2."""
+    for j in range(len(u) - 1, -1, -1):
+        i = u[j]
+        if i == 1:
+            yield (2,) + u[1:], 2 * c
+            return
+        head, tail = u[:j], u[j + 1:]
+        if i % 2:
+            c = -c
+            yield head + (i + 1,) + tail, -2 * c
         for a in range(2, i):
-            s2 = -1 if a % 2 else 1
-            key = head + (a, i + 1 - a) + tail
-            rewrites[key] = rewrites.get(key, 0) - sign * s2
-    return merge_terms((w3, c * c3) for w2, c in rewrites.items() if c
-                       for w3, c3 in _normal_form_word(w2).items())
+            yield head + (a, i + 1 - a) + tail, c if a % 2 else -c
+    yield (1,) + u, c
+
+
+def _normal_words(word):
+    """NF(Z_word) as {normal word: int coefficient}, by a fold from the
+    left: the ideal is two-sided, so NF(u Z_k) = NF(NF(u) Z_k).  A letter
+    k >= 2 appended to a normal word leaves it normal, and a Z_1 is
+    absorbed into each word by `_absorb_one`."""
+    terms = {(): 1}
+    run = ()
+    for k in word:
+        if k != 1:
+            run += (k,)
+            continue
+        terms = merge_terms(pair for u, c in terms.items()
+                            for pair in _absorb_one(u + run, c))
+        run = ()
+    return {u + run: c for u, c in terms.items()} if run else terms
 
 
 def normal_form(a):
-    """Canonical representative modulo the Euler-relation ideal."""
-    return NCPoly((w, v * c) for word, v in a.terms.items()
-                  for w, c in _normal_form_word(word).items())
+    """Canonical representative modulo the Euler-relation ideal, read word
+    by word off the left-to-right fold of `_normal_words`, which keeps no
+    table.  The memoized whole-word rewriting is its test oracle,
+    `normal_form_rewriting` in `tests/oracles.py`."""
+    return a._from_valid((w, v * c) for word, v in a.terms.items()
+                         for w, c in _normal_words(word).items())
 
 
 def euler_relation(n):
@@ -208,7 +219,7 @@ def pairing(q, a):
 class DualFunctional:
     """Linear functional on the quotient algebra, stored on normal-form
     basis words (well-defined by construction) and evaluated on arbitrary
-    words through the rewriting."""
+    words through the fold of `_normal_words`."""
 
     __slots__ = ("values", "max_degree")
 
@@ -228,7 +239,7 @@ class DualFunctional:
         if sum(word) > self.max_degree:
             return 0
         values = self.values
-        return sum((c * values[w] for w, c in _normal_form_word(word).items()
+        return sum((c * values[w] for w, c in _normal_words(word).items()
                     if w in values), 0)
 
     def is_zero(self):

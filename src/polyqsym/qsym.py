@@ -45,11 +45,13 @@ def compositions(total, parts=None):
 def quasi_shuffle(c1, c2):
     """Overlapping shuffle of two compositions: interleavings where adjacent
     parts from the two factors may merge.  Returns a read-only mapping
-    {composition: count}; the memo hands the same one to every caller."""
+    {composition: count}; the memo hands the same one to every caller.
+    The product is commutative, so a pair out of order answers from its
+    swap's entry, and only the swap's mapping is built."""
+    if c2 < c1:
+        return quasi_shuffle(c2, c1)
     if not c1:
         return MappingProxyType({c2: 1})
-    if not c2:
-        return MappingProxyType({c1: 1})
     out = {}
 
     def put(head, tail_counts):
@@ -142,19 +144,17 @@ class QSym(Combination):
                 for i in range(len(comp) + 1)}
 
     def expand(self, r):
-        """Expansion into r variables (compositions longer than r drop)."""
+        """Expansion into r variables (compositions longer than r drop).
+        An exponent vector fixes its composition, its nonzero parts in
+        order, and their positions, so no two terms share a key."""
         out = {}
         for (a, comp), v in self.terms.items():
-            k = len(comp)
-            if k > r:
-                continue
-            for positions in itertools.combinations(range(r), k):
+            for positions in itertools.combinations(range(r), len(comp)):
                 e = [0] * r
                 for part, pos in zip(comp, positions):
                     e[pos] = part
-                key = (a, tuple(e))
-                out[key] = out.get(key, 0) + v
-        return MultiPoly(r, out)
+                out[(a, tuple(e))] = v
+        return MultiPoly(r)._like(out)
 
     def to_json_obj(self):
         out = []

@@ -20,6 +20,10 @@ were `GradedPoset` methods.  No module under `src` imports this file.
   checks the composition closed form in `polyqsym.ncalg`;
 - `coproduct_split_route` adds each word's coefficient once per split, and
   checks `polyqsym.ncalg.coproduct`, which sums multiplicities;
+- `normal_form_rewriting` rewrites each word whole, moving its leftmost
+  misplaced 1 and recursing on every word that the move gives, memoized
+  in `normal_form_word_rewriting`, and checks the left-to-right fold of
+  `polyqsym.ncalg.normal_form`, which keeps no table;
 - `qsym_coproduct_merge_route` adds each term's coefficient into the
   entry of each of its splits, and checks `QSym.coproduct`, which writes
   every split once, since no two splits share a key;
@@ -106,7 +110,7 @@ from polyqsym.intlinalg import det_bareiss
 from polyqsym.lyndon import ODD, is_lyndon, poly_mul_trunc, shuffle
 from polyqsym.ncalg import (DualFunctional, NCPoly, basis_words,
                            is_normal_word)
-from polyqsym.polys import AlphaPoly, MultiPoly
+from polyqsym.polys import AlphaPoly, MultiPoly, merge_terms
 from polyqsym.posets import GradedPoset, PosetError
 from polyqsym.qsym import QSym, compositions
 from polyqsym.ring import (FormalSum, JOIN_RING, PRODUCT_RING, apply_operator,
@@ -367,6 +371,49 @@ def coproduct_split_route(a):
         for l, r in splits:
             out[(l, r)] = out.get((l, r), Fraction(0)) + v
     return {k: v for k, v in out.items() if v}
+
+
+# -- the Euler quotient, whole-word rewriting ---------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def normal_form_word_rewriting(w):
+    """Integer expansion of a word in the normal-form basis.
+
+    Rewrites with the consequences of the alternating relations: a doubled
+    leading 1 contracts to the next generator, any other 1 moves left past
+    its >= 2 neighbour, shedding words with strictly fewer 1-letters."""
+    if is_normal_word(w):
+        return {w: 1}
+    ones = [i for i, x in enumerate(w) if x == 1]
+    if ones[0] == 0 and ones[1] == 1:
+        # Z1 Z1 = 2 Z2 applied at the front
+        rewrites = {(2,) + w[2:]: 2}
+    else:
+        p = ones[0] if ones[0] >= 1 else ones[1]
+        i = w[p - 1]
+        head, tail = w[:p - 1], w[p + 1:]
+        # Z_i Z_1 = (-1)^i [ Z_1 Z_i - (1 + (-1)^(i+1)) Z_{i+1}
+        #                    - sum_{a=2}^{i-1} (-1)^a Z_a Z_{i+1-a} ]
+        sign = -1 if i % 2 else 1
+        rewrites = {head + (1, i) + tail: sign}
+        euler = 1 + (-1 if (i + 1) % 2 else 1)
+        if euler:
+            key = head + (i + 1,) + tail
+            rewrites[key] = rewrites.get(key, 0) - sign * euler
+        for a in range(2, i):
+            s2 = -1 if a % 2 else 1
+            key = head + (a, i + 1 - a) + tail
+            rewrites[key] = rewrites.get(key, 0) - sign * s2
+    return merge_terms((w3, c * c3) for w2, c in rewrites.items() if c
+                       for w3, c3 in normal_form_word_rewriting(w2).items())
+
+
+def normal_form_rewriting(a):
+    """Canonical representative modulo the Euler-relation ideal, each word
+    rewritten whole."""
+    return NCPoly((w, v * c) for word, v in a.terms.items()
+                  for w, c in normal_form_word_rewriting(word).items())
 
 
 # -- quasi-symmetric deconcatenation, split by split --------------------------

@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from polyqsym import polytopes as pb
+from polyqsym import polytopes as pb, store
 from polyqsym.ncalg import (DualFunctional, NCPoly, antipode, basis_words,
                             coproduct, counit, d_even_formula,
                             euler_relation, is_normal_word, normal_form,
@@ -14,6 +15,7 @@ from polyqsym.lyndon import fibonacci
 from conftest import fs
 from oracles import (d_even_formula_length_route,
                      dual_functional_from_word_values,
+                     normal_form_rewriting, normal_form_word_rewriting,
                      theta_substitution_invariant)
 
 Z = NCPoly.gen
@@ -144,6 +146,55 @@ def test_normal_form_idempotent_and_shape():
             nf = normal_form(W(w))
             assert normal_form(nf) == nf
             assert all(is_normal_word(u) for u in nf.terms)
+
+
+def _random_nf_words(count, seed):
+    """Words with parts 1-3 of degree 12-16, each with one 1 inserted
+    after its first letter or later."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        left, word = rng.randint(12, 16), []
+        while left:
+            part = rng.randint(1, min(3, left))
+            word.append(part)
+            left -= part
+        word.insert(rng.randrange(1, len(word) + 1), 1)
+        out.append(tuple(word))
+    return out
+
+
+def test_normal_form_fold_matches_rewriting():
+    """The left-to-right fold equals the memoized whole-word rewriting, in
+    `normal_form` and in the values of a functional."""
+    words = [w for n in range(11) for w in compositions(n)]
+    words += _random_nf_words(500, seed=44)
+    words += [(3, 1) * k for k in range(1, 6)]
+    words += [(1, 3) * k for k in range(1, 6)]
+    for w in words:
+        assert normal_form(W(w)) == normal_form_rewriting(W(w)), w
+    a = 3 * W((2, 1, 1, 3)) - W((1, 2, 1)) + Fraction(1, 2) * W((4, 1))
+    assert normal_form(a) == normal_form_rewriting(a)
+    rng = random.Random(7)
+    f = DualFunctional({w: rng.randint(-5, 5) for n in range(9)
+                        for w in basis_words(n)}, 8)
+    for w in words:
+        want = sum(c * f.values.get(u, 0)
+                   for u, c in normal_form_word_rewriting(w).items())
+        assert f.value(w) == (want if sum(w) <= 8 else 0), w
+
+
+def test_normal_form_work_is_bounded():
+    """Two words that the memoized whole-word rewriting took seconds on,
+    leaving 234,909 and 1,184,222 memo entries, fold into normal words
+    and leave every table of the store as it was."""
+    sizes = [table.cache_info().currsize for table in store.TABLES]
+    for word, count in (((5, 1) * 6, 6765), ((7, 1, 1, 1) * 3, 265)):
+        nf = normal_form(W(word))
+        assert len(nf.terms) == count
+        assert all(is_normal_word(u) for u in nf.terms)
+        assert normal_form(nf) == nf
+    assert [table.cache_info().currsize for table in store.TABLES] == sizes
 
 
 def test_operator_action_oracle():

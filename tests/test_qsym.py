@@ -78,9 +78,22 @@ def test_quasi_shuffle_associative(c1, c2, c3):
 
 
 def test_quasi_shuffle_exhaustive_weight3():
-    comps = [c for c in compositions_up_to(3)]
+    """Either order of a pair gives the product that the expansion into as
+    many variables as the degree multiplies out."""
+    comps = compositions_up_to(3)
     for c1, c2 in itertools.product(comps, repeat=2):
-        assert quasi_shuffle(c1, c2) == quasi_shuffle(c2, c1)
+        n = sum(c1) + sum(c2)
+        product = QSym({(0, c): k for c, k in quasi_shuffle(c2, c1).items()})
+        assert product.expand(n) == M(c1).expand(n) * M(c2).expand(n), \
+            (c1, c2)
+
+
+def test_quasi_shuffle_pairs_share_one_entry():
+    """A pair out of order answers from its swap's entry."""
+    comps = compositions_up_to(5)
+    for c1, c2 in itertools.product(comps, repeat=2):
+        if sum(c1) + sum(c2) <= 5:
+            assert quasi_shuffle(c2, c1) is quasi_shuffle(c1, c2), (c1, c2)
 
 
 def test_coproduct():
