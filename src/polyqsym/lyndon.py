@@ -3,11 +3,17 @@ identities that tie generator numbers to the Fibonacci series.
 
 Words are tuples over a totally ordered integer alphabet; the order is the
 lexicographic one in which a proper prefix is smaller than the word.  The
-weight of a word is the sum of its letters.  Series exponents are read off
-the logarithmic derivative by Moebius inversion; the degree-by-degree solve
-is their test oracle in `tests/oracles.py`.  Lyndon words of a weight are
-generated by a walk over prenecklaces; the filter that tests every
-composition of the weight with `is_lyndon` is their oracle there.
+weight of a word is the sum of its letters.  Each quantity has one route
+here, and no table outlives a call; the second routes are test oracles in
+`tests/oracles.py`.  The shuffle is built over a grid of suffix pairs; the
+memoized recursion on the first letters is its oracle.  Series exponents
+are read off the logarithmic derivative by Moebius inversion, and k_n sums
+over the divisors of n; both read the Moebius function off one sieve,
+whose oracle is trial division, and the degree-by-degree solve is the
+oracle of the exponents.  Lyndon words of a weight are generated by a walk
+over prenecklaces; the filter that tests every composition of the weight
+with `is_lyndon` is their oracle.  Truncated products of (1 - t^i) powers
+are expanded one factor at a time, in place.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 from operator import mul
-
-from . import store
 
 
 def is_lyndon(word):
@@ -48,25 +52,27 @@ def cfl_factorize(word):
     return out
 
 
-@store.cached
-def _shuffle(u, v):
-    if not u:
-        return {v: 1}
-    if not v:
-        return {u: 1}
-    out = {}
-    for w, c in _shuffle(u[1:], v).items():
-        key = (u[0],) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in _shuffle(u, v[1:]).items():
-        key = (v[0],) + w
-        out[key] = out.get(key, 0) + c
-    return out
-
-
 def shuffle(u, v):
-    """All order-preserving interleavings, with multiplicity."""
-    return dict(_shuffle(tuple(u), tuple(v)))
+    """All order-preserving interleavings, with multiplicity.  Entry j of
+    row i of a grid is the shuffle of u[i:] with v[j:]: a word there starts
+    with u[i], followed by a word of entry j of row i + 1, or with v[j],
+    followed by a word of entry j + 1 of row i.  The rows are built from
+    the ends of the words, each entry from the right, so two rows are alive
+    and no table outlives the call."""
+    u, v = tuple(u), tuple(v)
+    n = len(v)
+    row = [{v[j:]: 1} for j in range(n + 1)]
+    for i in range(len(u) - 1, -1, -1):
+        a, below = (u[i],), row
+        row = [None] * n + [{u[i:]: 1}]
+        for j in range(n - 1, -1, -1):
+            out = {a + w: c for w, c in below[j].items()}
+            b = (v[j],)
+            for w, c in row[j + 1].items():
+                key = b + w
+                out[key] = out.get(key, 0) + c
+            row[j] = out
+    return row[0]
 
 
 ODD = "odd"
@@ -150,17 +156,6 @@ def odd_partition_count(n):
 # -- integer power series helpers -------------------------------------------
 
 
-def poly_mul_trunc(a, b, nmax):
-    out = [0] * (nmax + 1)
-    for i, x in enumerate(a[:nmax + 1]):
-        if not x:
-            continue
-        for j, y in enumerate(b[:nmax + 1 - i]):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
 def series_exponents(target, nmax):
     """Exponents k_i with product over i of (1 - t^i)^(-k_i) matching the
     target series through degree nmax, by the logarithmic derivative: the
@@ -194,24 +189,26 @@ def fibonacci_series(nmax):
 
 
 def product_expansion(factors, nmax):
-    """Expand a finite product of (1 - t^i)^mult factors."""
+    """Expand a finite product of (1 - t^i)^mult factors through degree
+    nmax, one factor (1 - t^i) at a time and in place: multiplying by it
+    subtracts from each coefficient the one i degrees below, from the top
+    down, and a negative multiplicity divides by it, adding from the
+    bottom up."""
     out = [1] + [0] * nmax
     for i, mult in factors:
-        base = [0] * (nmax + 1)
-        base[0] = 1
-        if i <= nmax:
-            base[i] = -1
-        for _ in range(mult):
-            out = poly_mul_trunc(out, base, nmax)
+        if i < 1:
+            raise ValueError("factor exponents must be positive")
+        for _ in range(abs(mult)):
+            if mult > 0:
+                for k in range(nmax, i - 1, -1):
+                    out[k] -= out[k - i]
+            else:
+                for k in range(i, nmax + 1):
+                    out[k] += out[k - i]
     return out
 
 
 # -- explicit generator counts ----------------------------------------------
-
-
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
 
 
 def _moebius_table(nmax):
@@ -225,24 +222,6 @@ def _moebius_table(nmax):
     return mu
 
 
-def moebius(n):
-    if n < 1:
-        raise ValueError("n >= 1")
-    result = 1
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            m //= p
-            if m % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if m > 1:
-        result = -result
-    return result
-
-
 def _dilogarithm_sum(d):
     """d * sum_j binom(d-j, j) / (d-j): the degree-d coefficient of the
     logarithmic derivative data for the Fibonacci series."""
@@ -253,9 +232,9 @@ def k_via_moebius(n):
     """Number of degree-n free generators via Moebius inversion."""
     if n < 1:
         raise ValueError("n >= 1")
-    total = Fraction(0)
-    for d in _divisors(n):
-        total += d * _dilogarithm_sum(d) * moebius(n // d)
+    mu = _moebius_table(n)
+    total = sum(d * _dilogarithm_sum(d) * mu[n // d]
+                for d in range(1, n + 1) if n % d == 0)
     k = total / n
     if k.denominator != 1:
         raise AssertionError("generator count came out non-integral")

@@ -602,13 +602,16 @@ def faces(p, k):
 
 
 def _normalize_flag_set(p, subset):
-    s = set(subset)
-    s.discard(-1)
-    s.discard(p.dim)
-    for a in s:
-        if not isinstance(a, int) or a < 0 or a >= p.dim:
+    s = set()
+    for a in subset:
+        # bool is an int subclass, and no dimension; checked before the
+        # set, where True would pass for 1
+        if type(a) is not int or not -1 <= a <= p.dim:
             raise ValueError("flag set entry %r out of range for dim %d"
                              % (a, p.dim))
+        s.add(a)
+    s.discard(-1)
+    s.discard(p.dim)
     return tuple(sorted(s))
 
 

@@ -37,14 +37,23 @@ def bit_indices(m):
 def _checked_order(ranks, covers):
     """Validate ranks and cover pairs, integers all; return the order
     (downset masks, upset masks), built bottom up and top down."""
-    covers = {(a, b) for a, b in covers}
     n = len(ranks)
     if n == 0:
         raise PosetError("a graded poset needs at least one element")
     # bool is an int subclass, and no integer
-    if not (all(type(r) is int for r in ranks)
-            and all(type(a) is type(b) is int for a, b in covers)):
+    if not all(type(r) is int for r in ranks):
         raise PosetError("ranks and cover pairs must be integers")
+    pairs = set()
+    for entry in covers:
+        # unpacked and checked before it is hashed
+        try:
+            a, b = entry
+        except (TypeError, ValueError):
+            a = b = None
+        if type(a) is not int or type(b) is not int:
+            raise PosetError("ranks and cover pairs must be integers: "
+                             "cover entry %r" % (entry,))
+        pairs.add((a, b))
     if min(ranks) != 0:
         raise PosetError("minimal rank must be 0")
     height = max(ranks)
@@ -52,7 +61,7 @@ def _checked_order(ranks, covers):
         raise PosetError("poset must have a unique bottom and top")
     up = [[] for _ in range(n)]
     dn = [[] for _ in range(n)]
-    for a, b in covers:
+    for a, b in pairs:
         if not (0 <= a < n and 0 <= b < n):
             raise PosetError("cover pair out of range")
         if ranks[b] != ranks[a] + 1:

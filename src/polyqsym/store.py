@@ -30,20 +30,21 @@ lattice, and F is computed once per type from it.  Faces and quotients
 have no memo: a registered type whose counts fix it is found in `types`
 by its invariant, and any other is cut out.
 
-`TABLES` holds the two memos of recursive algebra functions, each made
-by `cached`, an unbounded `functools.lru_cache` whose lookups stay in C:
+`TABLES` holds one memo of a recursive algebra function, made by
+`cached`, an unbounded `functools.lru_cache` whose lookups stay in C:
 
     qsym.quasi_shuffle          the overlapping shuffle of two compositions;
                                 the pairs are unordered, so a pair out of
                                 order holds its swap's mapping
-    lyndon._shuffle             the shuffle of two words
 
-Each is recursive and hit many times per request.  The
+It is recursive and hit many times per request.  The
 `itertools.combinations` call in `QSym.expand` and `ncalg.basis_words`
 have no memo: one timed the same as the plain call, and no workload hit
 the other.  `ncalg.normal_form` has none either: its fold from the left
-keeps no table.  `clear()` empties `types`, `memo` and every table, so a
-long-lived process or a test can start from a fresh store.
+keeps no table, nor does `lyndon.shuffle`, built over a grid of suffix
+pairs of which two rows are alive at a time.  `clear()` empties `types`,
+`memo` and every table, so a long-lived process or a test can start from
+a fresh store.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 """Second routes kept as test oracles.
 
 Each quantity has one production route in `polyqsym`; the independent
-routes that check it live here, unchanged apart from their imports and from
+routes that check it live here, unchanged apart from their imports, from
 `relabel`, `_refine`, `dual_cover_route` and `interval_cover_route`, which
-were `GradedPoset` methods.  No module under `src` imports this file.
+were `GradedPoset` methods, and from `shuffle_recursive`, which was
+`lyndon._shuffle` and keeps its memo in `functools.cache` instead of the
+package's store.  No module under `src` imports this file.
 
 - `f_poly_operator_route`, `ehrenborg_F_chain_route` and
   `f_rp_coaction_route` check the flag-vector transforms;
@@ -30,8 +32,18 @@ were `GradedPoset` methods.  No module under `src` imports this file.
 - `d_even_formula_length_route` lists the odd words of each length 2i by
   recursion (`odd_words`), and checks the one sum over compositions of 2k
   into odd parts in `polyqsym.ncalg.d_even_formula`;
-- `series_exponents` solves degree by degree with `_one_minus_power_series`,
-  and checks the logarithmic-derivative form in `polyqsym.lyndon`;
+- `shuffle_recursive` recurses on the first letters of two tuples,
+  memoized in its own `functools.cache`, whose dicts are shared, and
+  checks the suffix grid of `polyqsym.lyndon.shuffle`, which keeps no
+  table;
+- `moebius` factors by trial division, and checks the sieve
+  `_moebius_table` that `series_exponents` and `k_via_moebius` in
+  `polyqsym.lyndon` read;
+- `series_exponents` solves degree by degree with `_one_minus_power_series`
+  and the quadratic truncated product `poly_mul_trunc`, and checks the
+  logarithmic-derivative form in `polyqsym.lyndon`; `poly_mul_trunc`
+  also checks `product_expansion` there, which applies one factor at a
+  time in place;
 - `lyndon_words` lists every composition of the weight (`words_of_weight`)
   and keeps the Lyndon ones, and checks the prenecklace walk in
   `polyqsym.lyndon`;
@@ -107,7 +119,7 @@ from math import comb
 
 from polyqsym import polytopes as pb
 from polyqsym.intlinalg import det_bareiss
-from polyqsym.lyndon import ODD, is_lyndon, poly_mul_trunc, shuffle
+from polyqsym.lyndon import ODD, is_lyndon, shuffle
 from polyqsym.ncalg import (DualFunctional, NCPoly, basis_words,
                            is_normal_word)
 from polyqsym.polys import AlphaPoly, MultiPoly, merge_terms
@@ -459,7 +471,58 @@ def odd_words(length, half_sum):
     return rec(length, half_sum)
 
 
+# -- shuffles, by recursion on the first letters -----------------------------
+
+
+@functools.cache
+def shuffle_recursive(u, v):
+    if not u:
+        return {v: 1}
+    if not v:
+        return {u: 1}
+    out = {}
+    for w, c in shuffle_recursive(u[1:], v).items():
+        key = (u[0],) + w
+        out[key] = out.get(key, 0) + c
+    for w, c in shuffle_recursive(u, v[1:]).items():
+        key = (v[0],) + w
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+# -- the Moebius function, by trial division ----------------------------------
+
+
+def moebius(n):
+    if n < 1:
+        raise ValueError("n >= 1")
+    result = 1
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            result = -result
+        p += 1
+    if m > 1:
+        result = -result
+    return result
+
+
 # -- series exponents, degree by degree ---------------------------------------
+
+
+def poly_mul_trunc(a, b, nmax):
+    out = [0] * (nmax + 1)
+    for i, x in enumerate(a[:nmax + 1]):
+        if not x:
+            continue
+        for j, y in enumerate(b[:nmax + 1 - i]):
+            if y:
+                out[i + j] += x * y
+    return out
 
 
 def _one_minus_power_series(i, k, nmax):

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from polyqsym import lyndon
+from oracles import moebius
+from polyqsym import lyndon, store
 from polyqsym.lyndon import (ODD, cfl_factorize, count_lyndon, fibonacci,
                              fibonacci_series, is_lyndon, k_prime,
-                             k_via_moebius, lyndon_words, moebius,
+                             k_via_moebius, lyndon_words,
                              odd_partition_count, product_expansion,
                              series_exponents, shuffle)
 
@@ -57,6 +58,29 @@ def test_shuffle_golden():
     assert shuffle((1,), (1,)) == {(1, 1): 2}
     assert shuffle((1,), (2, 3)) == {(1, 2, 3): 1, (2, 1, 3): 1, (2, 3, 1): 1}
     assert shuffle((1, 2), (1, 2)) == {(1, 2, 1, 2): 2, (1, 1, 2, 2): 4}
+
+
+def test_shuffle_matches_the_recursion():
+    """The suffix grid gives the memoized recursion's shuffle, with its
+    multiplicities, on empty words and on words that repeat letters."""
+    rng = random.Random(45)
+    pairs = [((), ()), ((), (1, 1)), ((2,), ()), ((1, 1, 1), (1, 1))]
+    for _ in range(300):
+        pairs.append(tuple(
+            tuple(rng.choice((1, 2, 3)) for _ in range(rng.randint(0, 6)))
+            for _ in range(2)))
+    for u, v in pairs:
+        assert shuffle(u, v) == oracles.shuffle_recursive(u, v), (u, v)
+    assert shuffle([1, 2], iter([3])) == {(1, 2, 3): 1, (1, 3, 2): 1,
+                                          (3, 1, 2): 1}
+
+
+def test_shuffle_keeps_no_table():
+    sizes = [t.cache_info().currsize for t in store.TABLES]
+    memo = dict(store.memo)
+    assert len(shuffle((1, 2) * 4, (2, 1) * 4)) > 1
+    assert [t.cache_info().currsize for t in store.TABLES] == sizes
+    assert store.memo == memo
 
 
 def test_shuffle_leading_term_exhaustive():
@@ -140,9 +164,15 @@ def test_exponent_reconstruction():
     ks = series_exponents(fibonacci_series(nmax), nmax)
     acc = [1] + [0] * nmax
     for i, k in enumerate(ks, start=1):
-        acc = lyndon.poly_mul_trunc(
+        acc = oracles.poly_mul_trunc(
             acc, oracles._one_minus_power_series(i, k, nmax), nmax)
     assert acc == fibonacci_series(nmax)
+
+
+def test_moebius_sieve_matches_trial_division():
+    mu = lyndon._moebius_table(300)
+    assert mu[0] == 0 and len(mu) == 301
+    assert mu[1:] == [moebius(n) for n in range(1, 301)]
 
 
 def test_moebius_and_prime_forms():
@@ -188,3 +218,31 @@ def test_product_expansions_exact():
         want[e] = c
     assert product_expansion([(1, 1), (2, 1), (3, 1), (4, 1), (5, 2)],
                              20) == want
+    assert product_expansion([(5, 3)], 4) == [1, 0, 0, 0, 0]
+    assert product_expansion([], 2) == [1, 0, 0]
+
+
+def test_product_expansion_divides_by_negative_powers():
+    assert product_expansion([(1, -1)], 3) == [1, 1, 1, 1]
+    ks = series_exponents(fibonacci_series(20), 20)
+    assert product_expansion([(i, -k) for i, k in enumerate(ks, 1)], 20) == \
+        fibonacci_series(20)
+
+
+def test_product_expansion_matches_truncated_products():
+    rng = random.Random(7)
+    for _ in range(50):
+        nmax = rng.randint(0, 12)
+        factors = [(rng.randint(1, 8), rng.randint(-3, 3))
+                   for _ in range(rng.randint(0, 4))]
+        want = [1] + [0] * nmax
+        for i, mult in factors:
+            want = oracles.poly_mul_trunc(
+                want, oracles._one_minus_power_series(i, -mult, nmax), nmax)
+        assert product_expansion(factors, nmax) == want, (factors, nmax)
+
+
+def test_product_expansion_refuses_exponents_below_one():
+    for factors in ([(0, 1)], [(1, 1), (-2, 1)], [(0, -1)]):
+        with pytest.raises(ValueError, match="must be positive"):
+            product_expansion(factors, 3)

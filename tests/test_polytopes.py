@@ -297,6 +297,11 @@ def test_flag_conventions():
     assert pb.flag_number(sq, (-1, 0, 2)) == pb.flag_number(sq, (0,))
     with pytest.raises(ValueError):
         pb.flag_number(sq, (5,))
+    # bools are no dimensions, not even where True equals the dim
+    for p, subset in ((pb.cube(3), (True,)), (pb.cube(3), (1, True)),
+                      (pb.cube(1), (True,)), (pb.point(), (False,))):
+        with pytest.raises(ValueError, match="flag set entry"):
+            pb.flag_number(p, subset)
     d3 = pb.simplex(3)
     assert pb.flag_number(d3, (0, 1, 2)) == 24
     ci2 = pb.cone(pb.cube(2))

@@ -1,5 +1,6 @@
 import inspect
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,10 @@ def test_validation_rejects_bad_input():
                           ([0, 1], [(False, True)])):
         with pytest.raises(PosetError):
             GradedPoset(ranks, covers)
+    # a cover entry that is no pair is named, not unpacked or hashed
+    for entry in ((0, [1]), (0, 1, 2), 5):
+        with pytest.raises(PosetError, match=re.escape(repr(entry))):
+            GradedPoset([0, 1], [(0, 1), entry])
     # a diamond product drops an element of each factor, and only the
     # bottom or the top
     with pytest.raises(PosetError):

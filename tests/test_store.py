@@ -26,7 +26,7 @@ def test_every_table_is_registered():
     assert tables
     assert all(t in store.TABLES for t in tables)
     assert [(t.__module__, t.__name__) for t in store.TABLES] == [
-        ("polyqsym.qsym", "quasi_shuffle"), ("polyqsym.lyndon", "_shuffle")]
+        ("polyqsym.qsym", "quasi_shuffle")]
 
 
 CLI_CALLS = (["fpoly", "prod(cube(2),simplex(2))"], ["frp", "cell24"],
